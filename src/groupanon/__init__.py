@@ -3,8 +3,8 @@
 Protects how a sensitive group is *distributed* across categories (for
 example, an occupation across regions) rather than individual records: the
 share-per-category "concentration signal" is decomposed with an orthogonal
-wavelet filter bank, its low-frequency approximation is reshaped through an
-explicit synthesis matrix, and the microfile is rewritten to realize the
+wavelet filter bank, its low-frequency approximation is reshaped by choosing
+new synthesis coefficients, and the microfile is rewritten to realize the
 new shares while the signal mean is preserved exactly and all detail
 coefficients survive up to one common scale factor.
 """

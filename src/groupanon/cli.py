@@ -254,7 +254,7 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     extended, meta = extend_to_even(signal.ratios, config.extension)
     dec = analyze(extended, filters, config.level, meta=meta)
     matrix = build_reconstruction_matrix(filters, meta.extended_length, config.level)
-    fixed = sorted(fixed_border_indices(matrix, meta))
+    fixed = sorted(fixed_border_indices(filters, config.level, meta))
 
     def fmt(values) -> str:
         return " ".join(format(v, ".4f") for v in values)
@@ -320,7 +320,10 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     }
     counts_match = None
     if config.report is not None and config.report.exists():
-        previous = json.loads(config.report.read_text(encoding="utf-8"))
+        try:
+            previous = json.loads(config.report.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
         wanted = previous.get("counts", {}).get("new")
         if wanted is not None:
             counts_match = sig_after.numerators.tolist() == wanted

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from .microdata import AttributeSpec, Microfile
+from .microdata import AttributeSpec
 
 REGION_CODES = ("11", "13", "14", "21", "22", "31", "33", "40", "51", "52", "60", "70", "80")
 EMPLOYED = (48591, 129808, 96152, 83085, 101891, 108120, 161395, 97312, 54861, 86726, 99890, 55286, 33409)
@@ -54,12 +54,8 @@ def iter_census_rows():
         yield from _region_rows(region, employed, scientists)
 
 
-def build_census_microfile() -> Microfile:
-    return Microfile(list(ATTRIBUTES), [row for row in iter_census_rows()])
-
-
 def write_census_fixture(path, delimiter: str = ",") -> Path:
-    """Write the fixture directly to ``path`` (faster than going via Microfile)."""
+    """Write the fixture to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -1,4 +1,4 @@
-"""Dense circulant synthesis operators for the filter bank.
+"""Dense circulant synthesis operators, for display and for tests.
 
 The level-1 low-pass operator for an even length n is the n x (n/2) matrix
 whose column j (0-based) carries tap i at row (2j + i - 1) mod n; applying
@@ -8,9 +8,11 @@ single-level operators of halving sizes.  Columns are orthonormal, and the
 low-pass and high-pass operators of one size resolve the identity:
 ``L @ L.T + H @ H.T == I``.
 
-Matrices are materialized dense: redistribution planning inspects rows to
-see which coefficients drive which samples, and the signals involved are
-short (hundreds of samples, not millions).
+The pipeline itself never materializes these matrices: a level-k operator
+is block-circulant (entry (p, j) is its first column at (p - 2**k * j) mod
+n), so redistribution reads the few rows it needs off the filter-bank
+kernel.  The dense matrix is what ``groupanon inspect`` prints and what the
+tests check, so an analyst can see which coefficients drive which samples.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignalError
-from .wavelets import WaveletFilterPair, max_level
+from .wavelets import WaveletFilterPair, max_level, synth_approx, synth_detail
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,16 @@ class ReconstructionMatrix:
         )
 
 
-def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
-    m = n // 2
-    mat = np.zeros((n, m))
-    for j in range(m):
-        for i in range(taps.size):
-            # += so taps folding onto the same row (n < tap count) accumulate
-            mat[(2 * j + i - 1) % n, j] += taps[i]
-    return mat
+def _operator_rows(column: np.ndarray, level: int, rows) -> np.ndarray:
+    """Rows ``rows`` of the level-``level`` operator whose first column is ``column``.
+
+    Column j of a level-k synthesis operator is its first column shifted
+    down by 2**k * j samples (circularly), so row p is the first column read
+    at (p - 2**k * j) mod n for every j.
+    """
+    n = column.size
+    shifts = np.arange(n >> level) << level
+    return column[(np.asarray(rows)[:, None] - shifts) % n]
 
 
 def _check_size(n: int, k: int) -> None:
@@ -70,26 +74,15 @@ def _check_size(n: int, k: int) -> None:
 def build_reconstruction_matrix(f: WaveletFilterPair, n: int, k: int) -> ReconstructionMatrix:
     """Level-k approximation synthesis operator (n x n/2**k)."""
     _check_size(n, k)
-    mat = _single_level(f.lowpass, n)
-    size = n // 2
-    for _ in range(k - 1):
-        mat = mat @ _single_level(f.lowpass, size)
-        size //= 2
-    return ReconstructionMatrix(mat, k, f)
+    column = synth_approx(np.eye(1, n >> k)[0], f, k, n)
+    return ReconstructionMatrix(_operator_rows(column, k, np.arange(n)), k, f)
 
 
 def build_detail_synthesis_matrix(f: WaveletFilterPair, n: int, u: int) -> ReconstructionMatrix:
     """Level-u detail synthesis operator: u-1 low-pass stages atop one high-pass stage."""
     _check_size(n, u)
-    mat: np.ndarray | None = None
-    size = n
-    for _ in range(u - 1):
-        step = _single_level(f.lowpass, size)
-        mat = step if mat is None else mat @ step
-        size //= 2
-    high = _single_level(f.highpass, size)
-    mat = high if mat is None else mat @ high
-    return ReconstructionMatrix(mat, u, f)
+    column = synth_detail(np.eye(1, n >> u)[0], f, u, n)
+    return ReconstructionMatrix(_operator_rows(column, u, np.arange(n)), u, f)
 
 
 def apply_matrix(M: ReconstructionMatrix, a) -> np.ndarray:

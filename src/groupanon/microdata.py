@@ -220,6 +220,11 @@ def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSig
     for value, slot in order.items():
         if denominators[slot] == 0:
             raise MicrofileError(f"parameter value {value!r} has a zero denominator")
+        if numerators[slot] > denominators[slot]:
+            raise MicrofileError(
+                f"parameter value {value!r} has {numerators[slot]} vital records but a "
+                f"denominator of {denominators[slot]}; its ratio would exceed 1"
+            )
     return ConcentrationSignal(spec.parameter_values, numerators, denominators)
 
 

@@ -20,13 +20,13 @@ Coefficient indices and signal positions in plans and reports are 1-based.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InfeasibleTargetsError, PlanError, SignalError
-from .matrices import ReconstructionMatrix, apply_matrix, build_reconstruction_matrix
+from .matrices import _operator_rows
 from .wavelets import (
     DecompositionResult,
     ExtensionMeta,
@@ -34,7 +34,8 @@ from .wavelets import (
     analyze,
     as_signal,
     extend_to_even,
-    synth_detail,
+    reconstruct,
+    synth_approx,
 )
 
 log = logging.getLogger(__name__)
@@ -119,22 +120,27 @@ def local_extrema(values) -> tuple[list[int], list[int]]:
     return maxima, minima
 
 
-def fixed_border_indices(M: ReconstructionMatrix, meta: ExtensionMeta) -> frozenset[int]:
+def _approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
+    # First column of the level-k approximation synthesis operator.
+    return synth_approx(np.eye(1, n >> k)[0], f, k, n)
+
+
+def fixed_border_indices(f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> frozenset[int]:
     """Coefficients that must stay fixed to keep the duplicated border valid.
 
     When a border sample was duplicated, the two border samples of the
     rebuilt signal must keep their (zero) difference.  That is guaranteed by
-    freezing every coefficient whose column has a nonzero entry in either of
-    the two border rows.  Returns an empty set when nothing was duplicated.
+    freezing every level-``k`` approximation coefficient whose synthesis
+    column has a nonzero entry in either of the two border rows; only those
+    two rows of the operator are computed.  Returns an empty set when
+    nothing was duplicated.
     """
     if meta.direction == "none" or meta.extended_length == meta.original_length:
         return frozenset()
-    if M.n != meta.extended_length:
-        raise PlanError(
-            f"matrix synthesizes length {M.n}, extension metadata describes {meta.extended_length}"
-        )
-    rows = (0, 1) if meta.direction == "left" else (M.n - 2, M.n - 1)
-    touched = np.abs(M.entries[list(rows), :]).max(axis=0) > RANK_TOL
+    n = meta.extended_length
+    rows = (0, 1) if meta.direction == "left" else (n - 2, n - 1)
+    border = _operator_rows(_approx_column(f, k, n), k, rows)
+    touched = np.abs(border).max(axis=0) > RANK_TOL
     return frozenset(int(j) + 1 for j in np.nonzero(touched)[0])
 
 
@@ -144,29 +150,25 @@ def _validate_indices(indices, m: int, label: str) -> None:
         raise PlanError(f"{label} indices {sorted(bad)} outside 1..{m}")
 
 
-def make_coefficients(
-    plan: RedistributionPlan, dec: DecompositionResult, M: ReconstructionMatrix
-) -> np.ndarray:
+def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.ndarray:
     """New approximation coefficients per the plan.
 
-    Fixed coefficients keep the values in ``dec.approx``.  Manual plans copy
-    ``free_values`` verbatim.  Solver plans choose the free coefficients by
-    least squares so the rebuilt approximation hits the target values at the
-    target positions; ``extremum_transition`` additionally flattens the
-    original extrema of the rebuilt approximation to its median (skipping
-    positions that only fixed coefficients can reach).
+    Fixed coefficients keep the values in ``dec.approx``; when the plan
+    leaves them unset they are derived from ``dec.meta`` with
+    :func:`fixed_border_indices`.  Manual plans copy ``free_values``
+    verbatim.  Solver plans choose the free coefficients by least squares so
+    the rebuilt approximation hits the target values at the target
+    positions; ``extremum_transition`` additionally flattens the original
+    extrema of the rebuilt approximation to its median (skipping positions
+    that only fixed coefficients can reach).  Only the operator rows at the
+    target and extremum positions are computed, never the whole matrix.
     """
     a = dec.approx
     m = a.size
-    if M.m != m:
-        raise PlanError(f"matrix expects {M.m} coefficients, decomposition has {m}")
-    if M.n != dec.extended_length:
-        raise PlanError(
-            f"matrix synthesizes length {M.n}, decomposition describes {dec.extended_length}"
-        )
+    f, k, n = dec.filters, dec.level, dec.extended_length
     fixed = plan.fixed_indices
     if fixed is None:
-        fixed = fixed_border_indices(M, dec.meta)
+        fixed = fixed_border_indices(f, k, dec.meta)
     _validate_indices(fixed, m, "fixed")
 
     if plan.strategy == "manual":
@@ -185,30 +187,32 @@ def make_coefficients(
 
     targets = list(plan.targets)
     free_cols = sorted(set(range(m)) - {i - 1 for i in fixed})
+    column = _approx_column(f, k, n)
     if plan.strategy == "extremum_transition":
-        rebuilt = apply_matrix(M, a)
+        rebuilt = synth_approx(a, f, k, n)
         median = float(np.median(rebuilt))
         requested = {pos for pos, _ in targets}
         maxima, minima = local_extrema(rebuilt)
         for pos in maxima + minima:
             if pos in requested:
                 continue
-            reach = np.abs(M.entries[pos - 1, free_cols]).max() if free_cols else 0.0
+            row = _operator_rows(column, k, [pos - 1])[0]
+            reach = np.abs(row[free_cols]).max() if free_cols else 0.0
             if reach <= RANK_TOL:
                 log.debug("extremum at position %d is pinned by fixed coefficients; left as is", pos)
                 continue
             targets.append((pos, median))
     if not targets:
         raise PlanError(f"{plan.strategy} plans need at least one target")
-    _validate_indices([pos for pos, _ in targets], M.n, "target")
+    _validate_indices([pos for pos, _ in targets], n, "target")
     if len({pos for pos, _ in targets}) != len(targets):
         raise PlanError("duplicate target positions")
 
-    rows = [pos - 1 for pos, _ in targets]
+    rows = _operator_rows(column, k, [pos - 1 for pos, _ in targets])
     wanted = np.array([val for _, val in targets])
     fixed_cols = sorted(i - 1 for i in fixed)
-    coef_matrix = M.entries[np.ix_(rows, free_cols)] if free_cols else np.zeros((len(rows), 0))
-    rhs = wanted - M.entries[np.ix_(rows, fixed_cols)] @ a[fixed_cols]
+    coef_matrix = rows[:, free_cols]
+    rhs = wanted - rows[:, fixed_cols] @ a[fixed_cols]
     rank = np.linalg.matrix_rank(coef_matrix, tol=RANK_TOL) if free_cols else 0
     rank_aug = np.linalg.matrix_rank(np.column_stack([coef_matrix, rhs]), tol=RANK_TOL)
     if rank_aug > rank:
@@ -241,21 +245,11 @@ def redistribute(
         raise SignalError("concentration signal values must lie in [0, 1]")
     extended, meta = extend_to_even(original, direction)
     dec = analyze(extended, f, k, meta=meta)
-    M = build_reconstruction_matrix(f, meta.extended_length, k)
     fixed = plan.fixed_indices
     if fixed is None:
-        fixed = fixed_border_indices(M, meta)
-    resolved = RedistributionPlan(
-        strategy=plan.strategy,
-        fixed_indices=fixed,
-        free_values=plan.free_values,
-        targets=plan.targets,
-        floor=plan.floor,
-    )
-    ahat = make_coefficients(resolved, dec, M)
-    rebuilt = apply_matrix(M, ahat)
-    for u, d in enumerate(dec.details, start=1):
-        rebuilt = rebuilt + synth_detail(d, f, u, meta.extended_length)
+        fixed = fixed_border_indices(f, k, meta)
+    ahat = make_coefficients(plan, dec)
+    rebuilt = reconstruct(replace(dec, approx=ahat))
     if not np.all(np.isfinite(rebuilt)):
         raise SignalError("rebuilt signal is not finite")
 
@@ -280,7 +274,7 @@ def redistribute(
     )
     checks = verify_outcome(extended, final_extended, f, k, meta)
     report = {
-        "strategy": resolved.strategy,
+        "strategy": plan.strategy,
         "level": k,
         "extension": meta.direction,
         "fixed_indices": sorted(fixed),

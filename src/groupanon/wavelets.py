@@ -4,9 +4,11 @@ Signals are plain 1-D float arrays.  Analysis splits an even-length signal
 into half-length approximation and detail coefficient arrays; synthesis maps
 coefficient arrays back to full length.  Both sides use circular indexing
 with the tap window for output j anchored at sample 2j - 1 (0-based), which
-makes analysis the exact transpose of the circulant synthesis operator
-materialized in :mod:`groupanon.matrices`.  Odd-length signals are first made
-even by duplicating one border sample (see :func:`extend_to_even`).
+makes analysis the exact transpose of the circulant synthesis operator.
+``_synth_once`` is the only synthesis kernel: the pipeline runs on it
+directly, and :mod:`groupanon.matrices` derives the dense operators shown to
+analysts from it.  Odd-length signals are first made even by duplicating one
+border sample (see :func:`extend_to_even`).
 """
 
 from __future__ import annotations

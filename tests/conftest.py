@@ -65,7 +65,7 @@ def random_redistribution_case(rng, filters):
     k = int(rng.integers(1, min(3, max_level(meta.extended_length)) + 1))
     matrix = build_reconstruction_matrix(filters, meta.extended_length, k)
     dec = analyze(extended, filters, k, meta=meta)
-    fixed = fixed_border_indices(matrix, meta)
+    fixed = fixed_border_indices(filters, k, meta)
     free = sorted(set(range(1, matrix.m + 1)) - fixed)
     if not free:
         plan = RedistributionPlan(

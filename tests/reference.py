@@ -14,9 +14,24 @@ tests:
   signal - approximation at that position is 0.0168 - 0.0169 = -0.0002
   (and the printed redistributed signal value 0.6656 = 0.6657 - 0.0002
   agrees); -0.0007 fails both identities.
+
+``_single_level`` is an independent brute-force oracle for the filter bank:
+the single-level circulant synthesis operator, built entry by entry from the
+taps.  The package synthesizes with a vectorized kernel instead, so tests
+compare that kernel and the display matrices against products of these.
 """
 
 import numpy as np
+
+
+def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
+    m = n // 2
+    mat = np.zeros((n, m))
+    for j in range(m):
+        for i in range(taps.size):
+            # += so taps folding onto the same row (n < tap count) accumulate
+            mat[(2 * j + i - 1) % n, j] += taps[i]
+    return mat
 
 DISPLAY_TOL = 5e-4
 

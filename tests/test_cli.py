@@ -159,6 +159,44 @@ def test_anonymize_unknown_attribute(small_run, capsys):
     assert "REGION" in report["error"]["message"]
 
 
+def test_anonymize_ratio_above_one_names_group(tmp_path, capsys):
+    # Group A has 3 vital records but only 2 records pass the denominator
+    # filter (SEX == 1), so its ratio would be 1.5.
+    input_path = tmp_path / "input.csv"
+    rows = [("A", "X", "1"), ("A", "Y", "1"), ("A", "X", "2"), ("A", "Z", "2"),
+            ("B", "X", "1"), ("B", "Z", "1"), ("B", "W", "2"),
+            ("C", "Y", "1"), ("C", "Z", "1"), ("C", "W", "2")]
+    write_microfile(Microfile(["REG", "JOB", "SEX"], rows), input_path)
+    config_path = write_config(tmp_path / "config.json", input_path, ["A", "B", "C"], NONIDENTITY_PLAN)
+    config = json.loads(config_path.read_text())
+    config["attributes"]["denominator"] = {"attribute": "SEX", "values": ["1"]}
+    config_path.write_text(json.dumps(config))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    assert "'A' has 3 vital records but a denominator of 2" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MicrofileError"
+    assert "'A' has 3 vital records but a denominator of 2" in report["error"]["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_anonymize_even_length_rejects_unknown_extension(tmp_path):
+    # Even-length signals skip extend_to_even's own direction check, so the
+    # config check is the only one that sees this value.
+    input_path = tmp_path / "input.csv"
+    regions = write_small_input(input_path, [100, 200, 300, 100, 200, 300, 100, 200])
+    config_path = write_config(
+        tmp_path / "config.json", input_path, regions, IDENTITY_PLAN,
+        wavelet={"name": "db2", "level": 1, "extension": "up"},
+    )
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    error = json.loads(report_path.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert "'up'" in error["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_anonymize_requires_output(small_run):
     _, config_path = small_run
     config = load_config(config_path)
@@ -280,3 +318,15 @@ def test_verify_detects_tampering(small_run):
 def test_verify_requires_existing_output(small_run):
     _, config_path = small_run
     assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
+
+
+def test_verify_rejects_report_that_is_not_json(small_run, capsys):
+    tmp_path, config_path = small_run
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report_path.read_text()[:40])
+    assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
+    assert f"report {report_path} is not valid JSON" in capsys.readouterr().err
+    error = json.loads(report_path.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert str(report_path) in error["message"]

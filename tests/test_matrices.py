@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from groupanon import (
     build_reconstruction_matrix,
     db2_filter,
     extend_to_even,
+    filter_by_name,
+    max_level,
     synth_approx,
     synth_detail,
 )
-from groupanon.matrices import _single_level
 
 import reference as ref
+from reference import _single_level
 
 
 def test_census_matrix_entries(db2):
@@ -34,11 +38,25 @@ def test_columns_are_orthonormal(db2):
         np.testing.assert_allclose(M.entries.T @ M.entries, np.eye(M.m), atol=1e-10)
 
 
-def test_level2_matrix_is_product_of_level1(db2):
-    M = build_reconstruction_matrix(db2, 16, 2)
-    product = _single_level(db2.lowpass, 16) @ _single_level(db2.lowpass, 8)
-    np.testing.assert_allclose(M.entries, product, atol=1e-14)
-    assert M.entries.shape == (16, 4)
+# n = 2 and n = 4 are shorter than the db2 taps, so the taps wrap.
+PRODUCT_CASES = [
+    (name, n, k)
+    for name in ("db2", "haar")
+    for n in (2, 4, 6, 8, 14, 16, 24, 32, 64)
+    for k in range(1, max_level(n) + 1)
+]
+
+
+@pytest.mark.parametrize("name, n, k", PRODUCT_CASES)
+def test_display_matrices_match_oracle_products(name, n, k):
+    f = filter_by_name(name)
+    lows = [_single_level(f.lowpass, n >> stage) for stage in range(k)]
+    high = _single_level(f.highpass, n >> (k - 1))
+    M = build_reconstruction_matrix(f, n, k)
+    H = build_detail_synthesis_matrix(f, n, k)
+    assert M.entries.shape == H.entries.shape == (n, n >> k)
+    np.testing.assert_allclose(M.entries, reduce(np.matmul, lows), atol=1e-14)
+    np.testing.assert_allclose(H.entries, reduce(np.matmul, lows[:-1] + [high]), atol=1e-14)
 
 
 def test_row_sparsity_level1(db2):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,27 +47,28 @@ def test_plan_validation():
 
 # ---------------------------------------------------------------- fixed set
 
-def test_border_indices_census(census_parts):
-    _, meta, _, matrix = census_parts
-    assert fixed_border_indices(matrix, meta) == frozenset({1, 2, 7})
+def test_border_indices_census(db2, census_parts):
+    _, meta, _, _ = census_parts
+    assert fixed_border_indices(db2, 1, meta) == frozenset({1, 2, 7})
 
 
 def test_border_indices_no_extension(db2):
     from groupanon import ExtensionMeta
 
-    matrix = build_reconstruction_matrix(db2, 14, 1)
-    assert fixed_border_indices(matrix, ExtensionMeta("none", 14, 14)) == frozenset()
+    assert fixed_border_indices(db2, 1, ExtensionMeta("none", 14, 14)) == frozenset()
 
 
-def test_border_indices_right_extension(db2):
-    extended, meta = extend_to_even(np.linspace(0.1, 0.9, 15), "right")
-    matrix = build_reconstruction_matrix(db2, 16, 1)
-    got = fixed_border_indices(matrix, meta)
-    # Brute-force oracle: scan the nonzero pattern of the two bottom rows.
+@pytest.mark.parametrize("direction, k", [(d, k) for d in ("left", "right") for k in (1, 2, 3)])
+def test_border_indices_match_display_rows(db2, direction, k):
+    _, meta = extend_to_even(np.linspace(0.1, 0.9, 15), direction)
+    matrix = build_reconstruction_matrix(db2, 16, k)
+    got = fixed_border_indices(db2, k, meta)
+    # Brute-force oracle: scan the nonzero pattern of the two border rows.
+    top, bottom = (0, 1) if direction == "left" else (14, 15)
     expected = {
         j + 1
         for j in range(matrix.m)
-        if abs(matrix.entries[14, j]) > 0 or abs(matrix.entries[15, j]) > 0
+        if abs(matrix.entries[top, j]) > 0 or abs(matrix.entries[bottom, j]) > 0
     }
     assert got == frozenset(expected)
 
@@ -73,25 +76,23 @@ def test_border_indices_right_extension(db2):
 # ---------------------------------------------------------------- coefficients
 
 def test_manual_coefficients_census(census_parts):
-    _, _, dec, matrix = census_parts
+    _, _, dec, _ = census_parts
     plan = RedistributionPlan(strategy="manual", free_values=ref.FREE_VALUES)
-    ahat = make_coefficients(plan, dec, matrix)
+    ahat = make_coefficients(plan, dec)
     np.testing.assert_allclose(ahat, ref.NEW_COEFFS, atol=ref.DISPLAY_TOL)
     np.testing.assert_array_equal(ahat[[0, 1, 6]], dec.approx[[0, 1, 6]])
 
 
 def test_identity_plan_keeps_coefficients(census_parts):
-    _, _, dec, matrix = census_parts
+    _, _, dec, _ = census_parts
     plan = RedistributionPlan(strategy="manual", fixed_indices=frozenset(range(1, 8)))
-    np.testing.assert_array_equal(make_coefficients(plan, dec, matrix), dec.approx)
+    np.testing.assert_array_equal(make_coefficients(plan, dec), dec.approx)
 
 
 def test_manual_plan_coverage_errors(census_parts):
-    _, _, dec, matrix = census_parts
+    _, _, dec, _ = census_parts
     with pytest.raises(PlanError, match="neither fixed nor assigned"):
-        make_coefficients(
-            RedistributionPlan(strategy="manual", free_values={3: 1.0}), dec, matrix
-        )
+        make_coefficients(RedistributionPlan(strategy="manual", free_values={3: 1.0}), dec)
     with pytest.raises(PlanError, match="both fixed and free"):
         make_coefficients(
             RedistributionPlan(
@@ -100,18 +101,15 @@ def test_manual_plan_coverage_errors(census_parts):
                 free_values={3: 1.0},
             ),
             dec,
-            matrix,
         )
     with pytest.raises(PlanError, match="outside 1..7"):
-        make_coefficients(
-            RedistributionPlan(strategy="manual", free_values={9: 1.0}), dec, matrix
-        )
+        make_coefficients(RedistributionPlan(strategy="manual", free_values={9: 1.0}), dec)
 
 
 def test_alleged_extrema_creates_maximum(census_parts):
     _, _, dec, matrix = census_parts
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((13, 1.0),))
-    ahat = make_coefficients(plan, dec, matrix)
+    ahat = make_coefficients(plan, dec)
     rebuilt = apply_matrix(matrix, ahat)
     assert abs(rebuilt[12] - 1.0) < 1e-9
     maxima, _ = local_extrema(rebuilt)
@@ -123,7 +121,7 @@ def test_extremum_transition_flattens(census_parts):
     _, _, dec, matrix = census_parts
     before = apply_matrix(matrix, dec.approx)
     plan = RedistributionPlan(strategy="extremum_transition", targets=((5, 1.0),))
-    ahat = make_coefficients(plan, dec, matrix)
+    ahat = make_coefficients(plan, dec)
     after = apply_matrix(matrix, ahat)
     max_after, min_after = local_extrema(after)
     assert 5 in max_after
@@ -133,19 +131,19 @@ def test_extremum_transition_flattens(census_parts):
 
 
 def test_infeasible_targets_report_rank(census_parts):
-    _, _, dec, matrix = census_parts
+    _, _, dec, _ = census_parts
     # Rows 1, 2, 14 are spanned by the fixed coefficients alone, so any
     # off-current target there is unreachable.
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((1, 5.0),))
     with pytest.raises(InfeasibleTargetsError, match="rank"):
-        make_coefficients(plan, dec, matrix)
+        make_coefficients(plan, dec)
 
 
 def test_duplicate_targets_rejected(census_parts):
-    _, _, dec, matrix = census_parts
+    _, _, dec, _ = census_parts
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((13, 1.0), (13, 2.0)))
     with pytest.raises(PlanError, match="duplicate"):
-        make_coefficients(plan, dec, matrix)
+        make_coefficients(plan, dec)
 
 
 # ---------------------------------------------------------------- redistribute
@@ -227,6 +225,24 @@ def test_redistribute_level2_coefficient_tracking(db2):
     chosen = np.array(report["coefficients_after"])
     expected = record.scale * (chosen + record.shift * 2.0)
     np.testing.assert_allclose(dec.approx, expected, atol=1e-9)
+
+
+def test_redistribute_long_domain_memory(db2):
+    # 8,191 categories at level 2: the dense 8,192 x 2,048 operator alone
+    # would take 128 MiB, so a peak this low means no step builds it.
+    rng = np.random.default_rng(8191)
+    c = rng.uniform(0.05, 0.95, 8191)
+    targets = tuple((64 + 128 * j, 0.9) for j in range(64))
+    plan = RedistributionPlan(strategy="alleged_extrema", targets=targets, floor=2.0)
+    tracemalloc.start()
+    try:
+        final, _, report = redistribute(c, plan, db2, 2, "left")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert final.shape == c.shape
+    assert report["checks"]["border_equality"] and report["checks"]["positivity"]
 
 
 def test_random_redistribution_properties(db2):

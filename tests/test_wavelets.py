@@ -19,9 +19,9 @@ from groupanon import (
     synth_approx,
     synth_detail,
 )
-from groupanon.matrices import _single_level
 
 import reference as ref
+from reference import _single_level
 
 
 # ---------------------------------------------------------------- filters
