@@ -6,43 +6,89 @@ is described by an :class:`AttributeSpec`: which attribute/value
 combinations mark the sensitive ("vital") records, and which attribute
 partitions the records into the categories the concentration signal ranges
 over.
+
+A :class:`Microfile` is held by column and dictionary-encoded: per attribute
+one ``int32`` array with a code per record, plus a vocabulary mapping codes
+to values (loading numbers values in order of first appearance; a rewrite
+appends the values it introduces).  Signals are vocabulary lookups and
+``np.bincount``; the rewrite assigns codes.  The microfile also keeps the
+raw bytes it was read from and each record's span in them, so writing copies
+every record the rewrite did not touch verbatim (quotes and line terminators
+included) and re-serialises only the edited ones.  No Python object per
+record outlives :func:`load_microfile`.
+
+Two parsers build the same codes and vocabularies.  Text with no quote
+character and no carriage return takes the plain path: record spans come
+from a vectorised scan for newlines, whole lines are dictionary-encoded in
+chunks of rows, and only the distinct lines are split into fields and
+checked for their field count.  Everything else goes through :mod:`csv`,
+whose line count gives each record's span.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
-import sys
-from dataclasses import dataclass
+from itertools import count, filterfalse
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import MicrofileError, RewriteError
 
+# Rows split per step of the plain-text parser; bounds its transient memory.
+_CHUNK_ROWS = 1 << 15
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class Microfile:
-    """Ordered attribute names plus records of categorical values."""
+    """Dictionary-encoded columns plus the raw text they were read from.
+
+    ``codes[j]`` holds one ``int32`` code per record for ``attributes[j]``
+    and ``vocabularies[j][code]`` is its value.  Record ``r`` is
+    ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
+    ``raw[:bounds[0]]`` is the header.  ``edited`` lists in ascending order
+    the records whose codes no longer match their raw bytes.  Code arrays
+    are never changed in place; a rewrite copies the columns it changes.
+    """
 
     attributes: list[str]
-    records: list[tuple[str, ...]]
+    codes: list[np.ndarray]
+    vocabularies: list[list[str]]
+    raw: bytes
+    bounds: np.ndarray
+    delimiter: str
+    edited: np.ndarray
 
-    def __post_init__(self):
-        q = len(self.attributes)
-        for i, record in enumerate(self.records):
-            if len(record) != q:
-                raise MicrofileError(
-                    f"record {i + 1} has {len(record)} fields, expected {q}"
-                )
+    @classmethod
+    def from_rows(cls, attributes: Iterable[str], rows: Iterable[Iterable[str]],
+                  delimiter: str = ",") -> Microfile:
+        """Serialise ``rows`` under a header of ``attributes`` and parse the text."""
+        lines = _format_rows([attributes, *rows], delimiter)
+        return _parse(("\n".join(lines) + "\n").encode("utf-8"), None, delimiter)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
 
     def column_index(self, attribute: str) -> int:
         try:
             return self.attributes.index(attribute)
         except ValueError:
             raise MicrofileError(f"unknown attribute {attribute!r}") from None
+
+    def lookup(self, attribute: str, table: dict, default) -> np.ndarray:
+        """Per record, ``table`` applied to its value of ``attribute``.
+
+        Values missing from ``table`` map to ``default``.  The table is
+        applied once per vocabulary entry, then gathered by code.
+        """
+        j = self.column_index(attribute)
+        mapped = np.array([table.get(value, default) for value in self.vocabularies[j]])
+        return mapped[self.codes[j]]
 
 
 @dataclass(frozen=True)
@@ -131,22 +177,41 @@ class ConcentrationSignal:
 
 
 def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str = ",") -> Microfile:
-    """Read a delimited text microfile with a header row.
+    """Read a delimited UTF-8 text microfile with a header row.
 
-    ``schema``, when given, is the exact attribute set the file must carry.
+    ``source`` is a path or an object whose ``read()`` returns text or
+    bytes.  ``schema``, when given, is the exact attribute set the file
+    must carry.
     """
     if hasattr(source, "read"):
-        return _parse(source, schema, delimiter)
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _parse(handle, schema, delimiter)
+        data = source.read()
+    else:
+        with open(source, "rb") as handle:
+            data = handle.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _parse(data, schema, delimiter)
 
 
-def _parse(handle, schema, delimiter) -> Microfile:
-    reader = csv.reader(handle, delimiter=delimiter)
+def _parse(data: bytes, schema, delimiter: str) -> Microfile:
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise MicrofileError(
+            f"delimiter must be one character other than a quote or line break, got {delimiter!r}"
+        )
+    if not data:
+        raise MicrofileError("empty file")
+    plain = delimiter.isascii() and b'"' not in data and b"\r" not in data
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MicrofileError("empty file") from None
+        split = _split_plain if plain else _split_csv
+        attributes, codes, vocabularies, bounds = split(data, delimiter, schema)
+    except UnicodeDecodeError as exc:
+        raise MicrofileError(f"input is not UTF-8 text: {exc}") from None
+    return Microfile(
+        attributes, codes, vocabularies, data, bounds, delimiter, np.empty(0, dtype=np.intp)
+    )
+
+
+def _header_attributes(header: list[str], schema) -> list[str]:
     attributes = [name.strip() for name in header]
     if len(set(attributes)) != len(attributes):
         raise MicrofileError("duplicate attribute names in header")
@@ -159,72 +224,189 @@ def _parse(handle, schema, delimiter) -> Microfile:
             raise MicrofileError(f"unknown attributes {sorted(unknown)} not in schema")
         if missing:
             raise MicrofileError(f"attributes {sorted(missing)} missing from file")
+    return attributes
+
+
+def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Codes of ``values``; unseen values join ``index`` in order of appearance."""
+    fresh = filterfalse(index.__contains__, dict.fromkeys(values))
+    index.update(zip(fresh, count(len(index))))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _split_plain(data: bytes, delimiter: str, schema):
+    """Parser for text without quotes or carriage returns: every line is one record."""
+    bounds = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    bounds += 1
+    if not bounds.size or bounds[-1] != len(data):
+        bounds = np.append(bounds, len(data))
+    header = data[: bounds[0]].decode("utf-8").rstrip("\n")
+    attributes = _header_attributes(header.split(delimiter) if header else [], schema)
     q = len(attributes)
-    intern = sys.intern
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != q:
-            raise MicrofileError(f"line {line_no} has {len(row)} fields, expected {q}")
-        records.append(tuple(intern(cell) for cell in row))
-    if not records:
+    n = len(bounds) - 1
+    if n == 0:
         raise MicrofileError("empty file")
-    return Microfile(attributes, records)
+    # Records repeat, so each chunk's lines are encoded whole first and
+    # only its distinct lines are split into fields.
+    indexes = [{} for _ in range(q)]
+    codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
+    for r0 in range(0, n, _CHUNK_ROWS):
+        r1 = min(r0 + _CHUNK_ROWS, n)
+        lines = data[bounds[r0] : bounds[r1]].decode("utf-8").split("\n")
+        del lines[r1 - r0 :]  # what follows the chunk's last "\n"
+        distinct: dict[str, int] = {}
+        line_codes = _encode(lines, distinct)
+        fields = np.fromiter(
+            (line.count(delimiter) + 1 if line else 0 for line in distinct),
+            dtype=np.int64, count=len(distinct),
+        )
+        if np.any(fields != q):
+            r = int(np.argmax(fields[line_codes] != q))
+            raise MicrofileError(f"line {r0 + r + 2} has {fields[line_codes[r]]} fields, expected {q}")
+        cells = delimiter.join(distinct).split(delimiter)
+        for j in range(q):
+            codes[j][r0:r1] = _encode(cells[j::q], indexes[j])[line_codes]
+    return attributes, codes, [list(index) for index in indexes], bounds
 
 
-def write_microfile(mf: Microfile, sink, delimiter: str = ",") -> None:
-    """Write the microfile back out; inverse of :func:`load_microfile`."""
+def _split_csv(data: bytes, delimiter: str, schema):
+    """Parser for any text the csv module reads; records may span lines."""
+    # Lines end at "\n", "\r" or "\r\n", as csv expects of a file opened
+    # with newline=""; the end offsets of all lines come from one scan.
+    buf = np.frombuffer(data, dtype=np.uint8)
+    breaks = buf == ord("\n")
+    breaks[:-1] |= (buf[:-1] == ord("\r")) & ~breaks[1:]
+    breaks[-1] |= buf[-1] == ord("\r")
+    offsets = np.concatenate(([0], np.flatnonzero(breaks) + 1))
+    if offsets[-1] != len(data):
+        offsets = np.append(offsets, len(data))
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""), delimiter=delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MicrofileError("empty file")
+        attributes = _header_attributes(header, schema)
+        q = len(attributes)
+        indexes = [{} for _ in range(q)]
+        chunks = [[] for _ in range(q)]
+        starts = [reader.line_num]
+        # Cells go into one flat list, so no row list outlives its record
+        # for the garbage collector to scan.
+        cells: list[str] = []
+
+        def flush():
+            for j in range(q):
+                chunks[j].append(_encode(cells[j::q], indexes[j]))
+            cells.clear()
+
+        for row in reader:
+            if len(row) != q:
+                raise MicrofileError(f"line {len(starts) + 1} has {len(row)} fields, expected {q}")
+            cells.extend(row)
+            starts.append(reader.line_num)
+            if len(cells) >= q * _CHUNK_ROWS:
+                flush()
+        flush()
+    except csv.Error as exc:
+        raise MicrofileError(f"line {reader.line_num}: {exc}") from None
+    if len(starts) == 1:
+        raise MicrofileError("empty file")
+    codes = [np.concatenate(chunk) for chunk in chunks]
+    return attributes, codes, [list(index) for index in indexes], offsets[starts]
+
+
+def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
+    """Records as the csv module quotes them, without line terminators."""
+    buffer = io.StringIO()
+    # "\r\n" makes the writer quote fields holding either line-break character.
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\r\n")
+    ends = []
+    for row in rows:
+        writer.writerow(row)
+        ends.append(buffer.tell())
+    text = buffer.getvalue()
+    return [text[start : end - 2] for start, end in zip([0] + ends, ends)]
+
+
+def _terminator(line: bytes) -> bytes:
+    if line.endswith(b"\r\n"):
+        return b"\r\n"
+    return line[-1:] if line[-1:] in (b"\n", b"\r") else b""
+
+
+def write_microfile(mf: Microfile, sink) -> None:
+    """Write the microfile back out; inverse of :func:`load_microfile`.
+
+    The header and every record the rewrite did not edit are copied from the
+    raw text, so writing a loaded file gives back its bytes.  Edited records
+    are re-serialised with csv quoting in the file's own delimiter and keep
+    their own line terminator.  ``sink`` is a path or a text or binary file
+    object.
+    """
+    raw = memoryview(mf.raw)
+    columns = [
+        np.asarray(vocabulary, dtype=object)[codes[mf.edited]]
+        for codes, vocabulary in zip(mf.codes, mf.vocabularies)
+    ]
+    records = _format_rows(zip(*columns), mf.delimiter)
+    starts = mf.bounds[mf.edited].tolist()
+    ends = mf.bounds[mf.edited + 1].tolist()
+    pieces = []
+    position = 0
+    for record, start, end in zip(records, starts, ends):
+        pieces.append(raw[position:start])
+        pieces.append(record.encode("utf-8") + _terminator(mf.raw[start:end]))
+        position = end
+    pieces.append(raw[position:])
     if hasattr(sink, "write"):
-        _emit(mf, sink, delimiter)
+        if isinstance(sink, io.TextIOBase):
+            sink.write(b"".join(pieces).decode("utf-8"))
+        else:
+            sink.writelines(pieces)
         return
     path = Path(sink)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        _emit(mf, handle, delimiter)
+    with open(path, "wb") as handle:
+        handle.writelines(pieces)
 
 
-def _emit(mf: Microfile, handle, delimiter) -> None:
-    writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(mf.attributes)
-    writer.writerows(mf.records)
+def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
+    """Per record, its parameter value's index in ``spec``; unlisted values get the count of values."""
+    order = {value: i for i, value in enumerate(spec.parameter_values)}
+    return mf.lookup(spec.parameter_attribute, order, len(order))
 
 
-def _vital_predicate(mf: Microfile, spec: AttributeSpec) -> Callable[[tuple[str, ...]], bool]:
-    positions = [mf.column_index(a) for a in spec.vital_attributes]
-    combos = set(spec.vital_combinations)
-    return lambda record: tuple(record[p] for p in positions) in combos
+def _vital_mask(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
+    vital = np.zeros(len(mf), dtype=bool)
+    for combo in spec.vital_combinations:
+        match = np.ones(len(mf), dtype=bool)
+        for attribute, value in zip(spec.vital_attributes, combo):
+            match &= mf.lookup(attribute, {value: True}, False)
+        vital |= match
+    return vital
 
 
 def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSignal:
     """Vital-record share per parameter value, ordered by ``spec.parameter_values``."""
-    param_pos = mf.column_index(spec.parameter_attribute)
     for attr in spec.referenced_attributes():
         mf.column_index(attr)
-    is_vital = _vital_predicate(mf, spec)
-    order = {value: i for i, value in enumerate(spec.parameter_values)}
-    numerators = np.zeros(len(order), dtype=int)
-    denominators = np.zeros(len(order), dtype=int)
+    m = len(spec.parameter_values)
+    slots = _group_slots(mf, spec)
+    numerators = np.bincount(slots[_vital_mask(mf, spec)], minlength=m + 1)[:m]
     if spec.denominator == "custom_filter":
-        filter_pos = mf.column_index(spec.denominator_filter[0])
-        allowed = set(spec.denominator_filter[1])
-        in_denominator = lambda record: record[filter_pos] in allowed
-    else:
-        in_denominator = lambda record: True
-    for record in mf.records:
-        slot = order.get(record[param_pos])
-        if slot is None:
-            continue
-        if in_denominator(record):
-            denominators[slot] += 1
-        if is_vital(record):
-            numerators[slot] += 1
-    for value, slot in order.items():
+        attribute, allowed = spec.denominator_filter
+        slots = slots[mf.lookup(attribute, dict.fromkeys(allowed, True), False)]
+    denominators = np.bincount(slots, minlength=m + 1)[:m]
+    bad = np.flatnonzero((denominators == 0) | (numerators > denominators))
+    if bad.size:
+        slot = bad[0]
+        value = spec.parameter_values[slot]
         if denominators[slot] == 0:
             raise MicrofileError(f"parameter value {value!r} has a zero denominator")
-        if numerators[slot] > denominators[slot]:
-            raise MicrofileError(
-                f"parameter value {value!r} has {numerators[slot]} vital records but a "
-                f"denominator of {denominators[slot]}; its ratio would exceed 1"
-            )
+        raise MicrofileError(
+            f"parameter value {value!r} has {numerators[slot]} vital records but a "
+            f"denominator of {denominators[slot]}; its ratio would exceed 1"
+        )
     return ConcentrationSignal(spec.parameter_values, numerators, denominators)
 
 
@@ -257,7 +439,7 @@ def rewrite_microfile(
     old_counts,
     new_counts,
     seed: int,
-    donor_filter: Callable[[tuple[str, ...]], bool] | None = None,
+    donor_filter=None,
 ) -> Microfile:
     """Return a copy of ``mf`` whose vital counts per parameter value equal ``new_counts``.
 
@@ -265,63 +447,94 @@ def rewrite_microfile(
     randomly chosen non-vital records of the group; shrinkage rewrites
     randomly chosen vital records to ``spec.fallback_combination``.  Only
     vital-attribute cells change; the record count per group is untouched.
-    Record selection is deterministic for a given seed.  ``donor_filter``
-    optionally narrows which non-vital records may become vital.
+    Record selection is deterministic for a given seed.  ``donor_filter``,
+    a boolean mask with one entry per record, optionally narrows which
+    non-vital records may become vital.
+
+    Every group is checked before any cell changes: its vital count must
+    match ``old_counts``, its new count must lie between 1 and its capacity
+    (vital plus donor records), and shrinking needs a fallback.  The first
+    group at fault is named in a :class:`RewriteError`.
     """
     old = np.asarray(old_counts, dtype=int)
     new = np.asarray(new_counts, dtype=int)
     values = spec.parameter_values
-    if old.shape != (len(values),) or new.shape != (len(values),):
-        raise RewriteError(
-            f"counts must have one entry per parameter value ({len(values)})"
-        )
-    param_pos = mf.column_index(spec.parameter_attribute)
-    vital_positions = [mf.column_index(a) for a in spec.vital_attributes]
-    is_vital = _vital_predicate(mf, spec)
+    m = len(values)
+    if old.shape != (m,) or new.shape != (m,):
+        raise RewriteError(f"counts must have one entry per parameter value ({m})")
+    vital = _vital_mask(mf, spec)
+    donor = ~vital
+    if donor_filter is not None:
+        allowed = np.asarray(donor_filter, dtype=bool)
+        if allowed.shape != (len(mf),):
+            raise RewriteError(
+                f"donor_filter must hold one flag per record ({len(mf)}), got shape {allowed.shape}"
+            )
+        donor &= allowed
 
-    vital_rows: dict[str, list[int]] = {value: [] for value in values}
-    donor_rows: dict[str, list[int]] = {value: [] for value in values}
-    for row, record in enumerate(mf.records):
-        value = record[param_pos]
-        if value not in vital_rows:
-            continue
-        if is_vital(record):
-            vital_rows[value].append(row)
-        elif donor_filter is None or donor_filter(record):
-            donor_rows[value].append(row)
+    # One stable sort splits the rows by (group, vital): bucket 2g holds the
+    # vital rows of group g and bucket 2g + 1 its donors, each ascending;
+    # rows of unlisted groups and non-donors land at 2m or beyond.
+    buckets = 2 * _group_slots(mf, spec) + donor
+    buckets[~vital & ~donor] = 2 * m
+    buckets = buckets.astype(np.min_scalar_type(2 * m + 1))
+    order = np.argsort(buckets, kind="stable")
+    sizes = np.bincount(buckets, minlength=2 * m + 2)
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    found, donors = sizes[0 : 2 * m : 2], sizes[1 : 2 * m : 2]
+    capacity = found + donors
+
+    fault = (found != old) | (new < 1) | (new > capacity)
+    if spec.fallback_combination is None:
+        fault |= new < old
+    if fault.any():
+        g = int(np.argmax(fault))
+        value = values[g]
+        if found[g] != old[g]:
+            raise RewriteError(
+                f"parameter value {value!r}: expected {old[g]} vital records, found {found[g]}"
+            )
+        if new[g] > capacity[g]:
+            raise RewriteError(
+                f"parameter value {value!r}: need {new[g] - old[g]} donor records, only "
+                f"{donors[g]} available (new vital count {new[g]}, capacity {capacity[g]})"
+            )
+        if new[g] < 1:
+            raise RewriteError(
+                f"parameter value {value!r}: new vital count {new[g]} is below 1 "
+                f"(capacity {capacity[g]}); the release would empty the vital group"
+            )
+        raise RewriteError(
+            f"parameter value {value!r}: shrinking the vital group requires a fallback_combination"
+        )
 
     rng = random.Random(seed)
-    records = list(mf.records)
-    combos = spec.vital_combinations
-    for slot, value in enumerate(values):
-        found = len(vital_rows[value])
-        if found != old[slot]:
-            raise RewriteError(
-                f"parameter value {value!r}: expected {old[slot]} vital records, found {found}"
-            )
-        delta = int(new[slot] - old[slot])
+    grown, cycle, shrunk = [], [], []
+    for g in np.flatnonzero(new != old).tolist():
+        delta = int(new[g] - old[g])
+        bucket = 2 * g + (delta > 0)
+        pool = order[edges[bucket] : edges[bucket + 1]]
+        # Sampling positions of the ascending pool draws what sampling the
+        # pool's row list itself would.
+        picked = np.sort(pool[rng.sample(range(len(pool)), abs(delta))])
         if delta > 0:
-            donors = donor_rows[value]
-            if len(donors) < delta:
-                raise RewriteError(
-                    f"parameter value {value!r}: need {delta} donor records, only {len(donors)} available"
-                )
-            chosen = sorted(rng.sample(donors, delta))
-            for i, row in enumerate(chosen):
-                _assign(records, row, vital_positions, combos[i % len(combos)])
-        elif delta < 0:
-            if spec.fallback_combination is None:
-                raise RewriteError(
-                    f"parameter value {value!r}: shrinking the vital group requires a fallback_combination"
-                )
-            chosen = sorted(rng.sample(vital_rows[value], -delta))
-            for row in chosen:
-                _assign(records, row, vital_positions, spec.fallback_combination)
-    return Microfile(list(mf.attributes), records)
+            grown.append(picked)
+            cycle.append(np.arange(delta) % len(spec.vital_combinations))
+        else:
+            shrunk.append(picked)
 
-
-def _assign(records: list, row: int, positions: list[int], combo: tuple[str, ...]) -> None:
-    fields = list(records[row])
-    for pos, value in zip(positions, combo):
-        fields[pos] = value
-    records[row] = tuple(fields)
+    codes = list(mf.codes)
+    vocabularies = list(mf.vocabularies)
+    for position, attribute in enumerate(spec.vital_attributes):
+        j = mf.column_index(attribute)
+        # Values the column has not seen yet extend its vocabulary.
+        index = {value: code for code, value in enumerate(vocabularies[j])}
+        column = codes[j].copy()
+        if grown:
+            combos = [combo[position] for combo in spec.vital_combinations]
+            column[np.concatenate(grown)] = _encode(combos, index)[np.concatenate(cycle)]
+        if shrunk:
+            column[np.concatenate(shrunk)] = _encode([spec.fallback_combination[position]], index)
+        codes[j], vocabularies[j] = column, list(index)
+    edited = np.union1d(mf.edited, np.concatenate(grown + shrunk + [np.empty(0, dtype=np.intp)]))
+    return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)

@@ -40,12 +40,22 @@ def census_microfile(census_file):
 
 
 def make_microfile(rows, attributes=("REG", "JOB", "SEX")):
-    return Microfile(list(attributes), [tuple(r) for r in rows])
+    return Microfile.from_rows(attributes, rows)
 
 
-def microfile_text(mf, delimiter=","):
+def column_values(mf):
+    """Per attribute, the record values as an object array (a view for tests)."""
+    return [np.asarray(v, dtype=object)[c] for c, v in zip(mf.codes, mf.vocabularies)]
+
+
+def records(mf):
+    """The microfile as value tuples, one per record (a view for tests)."""
+    return list(zip(*column_values(mf)))
+
+
+def microfile_text(mf):
     buffer = io.StringIO()
-    write_microfile(mf, buffer, delimiter=delimiter)
+    write_microfile(mf, buffer)
     return buffer.getvalue()
 
 

@@ -12,6 +12,7 @@ from groupanon.cli import (
     main,
     run_anonymize,
     run_inspect,
+    run_verify,
 )
 from groupanon.errors import ConfigError
 from groupanon.microdata import Microfile
@@ -26,7 +27,7 @@ def write_small_input(path, counts, per_group=1000):
         for j in range(per_group):
             job = ("X", "Y")[j % 2] if j < count else ("Z", "W")[j % 2]
             rows.append((region, job, ("1", "2")[j % 2]))
-    write_microfile(Microfile(["REG", "JOB", "SEX"], rows), path)
+    write_microfile(Microfile.from_rows(["REG", "JOB", "SEX"], rows), path)
     return [f"R{i + 1}" for i in range(len(counts))]
 
 
@@ -166,7 +167,7 @@ def test_anonymize_ratio_above_one_names_group(tmp_path, capsys):
     rows = [("A", "X", "1"), ("A", "Y", "1"), ("A", "X", "2"), ("A", "Z", "2"),
             ("B", "X", "1"), ("B", "Z", "1"), ("B", "W", "2"),
             ("C", "Y", "1"), ("C", "Z", "1"), ("C", "W", "2")]
-    write_microfile(Microfile(["REG", "JOB", "SEX"], rows), input_path)
+    write_microfile(Microfile.from_rows(["REG", "JOB", "SEX"], rows), input_path)
     config_path = write_config(tmp_path / "config.json", input_path, ["A", "B", "C"], NONIDENTITY_PLAN)
     config = json.loads(config_path.read_text())
     config["attributes"]["denominator"] = {"attribute": "SEX", "values": ["1"]}
@@ -178,6 +179,62 @@ def test_anonymize_ratio_above_one_names_group(tmp_path, capsys):
     assert report["error"]["type"] == "MicrofileError"
     assert "'A' has 3 vital records but a denominator of 2" in report["error"]["message"]
     assert not (tmp_path / "out.csv").exists()
+
+
+def _anonymize_fails_before_output(tmp_path, capsys, counts, wavelet, free_values, message):
+    input_path = tmp_path / "input.csv"
+    regions = write_small_input(input_path, counts, per_group=2)
+    plan = {"strategy": "manual", "free_values": free_values, "floor": 2.0}
+    config_path = write_config(
+        tmp_path / "config.json", input_path, regions, plan,
+        wavelet={"name": wavelet, "level": 1, "extension": "left"},
+    )
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "RewriteError"
+    assert message in report["error"]["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_anonymize_count_rounded_to_zero_fails_before_output(tmp_path, capsys):
+    # Four groups of two records, one vital each: the final ratios
+    # [0.757, 0.243, 0.243, 0.757] round to counts [2, 0, 0, 2], which
+    # would leave groups R2 and R3 without a vital record.
+    _anonymize_fails_before_output(
+        tmp_path, capsys, [1, 1, 1, 1], "haar", {"1": 3.0, "2": -3.0},
+        "'R2': new vital count 0 is below 1 (capacity 2)",
+    )
+
+
+def test_anonymize_too_few_donors_fails_before_output(tmp_path, capsys):
+    # Final ratios [0.43, 1.0, 1.267, 0.804] ask for 3 vital records in
+    # group R3, which has only 2 records.
+    _anonymize_fails_before_output(
+        tmp_path, capsys, [1, 2, 2, 2], "db2", {"1": -3.0, "2": 1.0},
+        "'R3': need 1 donor records, only 0 available (new vital count 3, capacity 2)",
+    )
+
+
+def test_reports_carry_timings_and_sizes(small_run):
+    _, config_path = small_run
+    config = load_config(config_path)
+    status, report = run_anonymize(config)
+    assert status == EXIT_OK
+    assert set(report["timings"]) == {
+        "load", "signal", "redistribute", "quantities", "rewrite", "write", "recount"
+    }
+    sizes = report["sizes"]
+    assert set(sizes) == {"records", "categories", "extended_length", "level", "records_changed"}
+    assert sizes["records"] == 7000 and sizes["categories"] == 7
+    assert sizes["records_changed"] == sum(
+        abs(a - b) for a, b in zip(report["counts"]["old"], report["counts"]["new"])
+    )
+    status, checked = run_verify(config)
+    assert status == EXIT_OK
+    assert set(checked["timings"]) == {"load", "signal", "outcome", "compare"}
+    assert checked["sizes"] == sizes
 
 
 def test_anonymize_even_length_rejects_unknown_extension(tmp_path):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupanon import (
     AttributeSpec,
@@ -15,11 +17,12 @@ from groupanon import (
     rewrite_microfile,
     write_microfile,
 )
-from groupanon.fixture import EMPLOYED, SCIENTISTS, census_attribute_spec
+from groupanon import Microfile, microdata
+from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribute_spec
 from groupanon.microdata import round_half_away_from_zero
 
 import reference as ref
-from conftest import make_microfile, microfile_text
+from conftest import make_microfile, microfile_text, records
 
 
 def small_spec(**overrides):
@@ -50,7 +53,7 @@ SMALL_ROWS = [
 
 def test_load_census_fixture(census_microfile):
     assert census_microfile.attributes == ["REGNUK", "OCC", "SEX"]
-    assert len(census_microfile.records) == sum(EMPLOYED)
+    assert len(census_microfile) == sum(EMPLOYED)
 
 
 def test_load_empty_body():
@@ -81,17 +84,18 @@ def test_roundtrip_is_value_identical():
     text = microfile_text(mf)
     again = load_microfile(io.StringIO(text))
     assert again.attributes == mf.attributes
-    assert again.records == mf.records
+    assert records(again) == records(mf)
     assert text.splitlines()[0] == "REG,JOB,SEX"
     # Writing what was loaded reproduces the text byte for byte.
     assert microfile_text(again) == text
 
 
 def test_custom_delimiter_roundtrip():
-    mf = make_microfile(SMALL_ROWS)
-    text = microfile_text(mf, delimiter=";")
+    mf = Microfile.from_rows(("REG", "JOB", "SEX"), SMALL_ROWS, delimiter=";")
+    text = microfile_text(mf)
+    assert text.splitlines()[1] == "A;X;1"
     again = load_microfile(io.StringIO(text), delimiter=";")
-    assert again.records == mf.records
+    assert records(again) == records(mf) == SMALL_ROWS
 
 
 # ------------------------------------------------------- attribute spec
@@ -219,21 +223,22 @@ def test_rewrite_census_counts(census_microfile):
     recount = concentration_signal(rewritten, spec)
     np.testing.assert_array_equal(recount.numerators, ref.FINAL_COUNTS)
     np.testing.assert_array_equal(recount.denominators, EMPLOYED)
-    assert len(rewritten.records) == len(census_microfile.records)
+    assert len(rewritten) == len(census_microfile)
 
 
 def test_rewrite_noop_when_counts_unchanged():
     mf = make_microfile(SMALL_ROWS)
     out = rewrite_microfile(mf, small_spec(), [2, 1], [2, 1], seed=0)
-    assert out.records == mf.records
+    assert records(out) == records(mf)
 
 
 def test_rewrite_only_touches_vital_cells():
     mf = make_microfile(SMALL_ROWS)
-    out = rewrite_microfile(mf, small_spec(), [2, 1], [3, 0], seed=1)
+    # Group A shrinks and group B grows.
+    out = rewrite_microfile(mf, small_spec(), [2, 1], [1, 3], seed=1)
     recount = concentration_signal(out, small_spec())
-    assert recount.numerators.tolist() == [3, 0]
-    for before, after in zip(mf.records, out.records):
+    assert recount.numerators.tolist() == [1, 3]
+    for before, after in zip(records(mf), records(out)):
         assert before[0] == after[0]  # REG untouched
         assert before[2] == after[2]  # SEX untouched
 
@@ -244,7 +249,7 @@ def test_rewrite_cycles_vital_combinations():
     mf = make_microfile(rows)
     spec = small_spec(parameter_values=("A",))
     out = rewrite_microfile(mf, spec, [0], [6], seed=3)
-    jobs = [r[1] for r in out.records]
+    jobs = [r[1] for r in records(out)]
     assert sorted(jobs) == ["X", "X", "X", "Y", "Y", "Y"]
 
 
@@ -254,11 +259,11 @@ def test_rewrite_determinism_and_seed_variation():
     spec = small_spec(parameter_values=("A",))
     first = rewrite_microfile(mf, spec, [1], [5], seed=7)
     second = rewrite_microfile(mf, spec, [1], [5], seed=7)
-    assert first.records == second.records
+    assert records(first) == records(second)
     other = rewrite_microfile(mf, spec, [1], [5], seed=8)
     recount = concentration_signal(other, spec)
     assert recount.numerators.tolist() == [5]
-    assert other.records != first.records
+    assert records(other) != records(first)
 
 
 def test_rewrite_insufficient_donors_names_value():
@@ -284,12 +289,12 @@ def test_rewrite_donor_filter():
     mf = make_microfile(SMALL_ROWS)
     out = rewrite_microfile(
         mf, small_spec(), [2, 1], [3, 1], seed=0,
-        donor_filter=lambda record: record[2] == "1",
+        donor_filter=np.array([record[2] == "1" for record in SMALL_ROWS]),
     )
     # The promoted record must be one of the SEX=1 donors.
-    changed = [i for i, (a, b) in enumerate(zip(mf.records, out.records)) if a != b]
+    changed = [i for i, (a, b) in enumerate(zip(records(mf), records(out))) if a != b]
     assert len(changed) == 1
-    assert mf.records[changed[0]][2] == "1"
+    assert records(mf)[changed[0]][2] == "1"
 
 
 def test_write_then_reload_census(tmp_path, census_microfile):
@@ -304,3 +309,147 @@ def test_write_then_reload_census(tmp_path, census_microfile):
     recount = concentration_signal(again, spec)
     np.testing.assert_array_equal(recount.numerators, ref.FINAL_COUNTS)
     assert again.attributes == census_microfile.attributes
+
+
+def test_rewrite_new_count_below_one_names_group():
+    mf = make_microfile(SMALL_ROWS)
+    with pytest.raises(RewriteError, match="'B': new vital count 0 is below 1 \\(capacity 4\\)"):
+        rewrite_microfile(mf, small_spec(), [2, 1], [3, 0], seed=0)
+
+
+def test_rewrite_checks_every_group_before_sampling():
+    # Group B is at fault, so nothing may be drawn for group A first: the
+    # error is the same whatever the seed, and the input stays untouched.
+    mf = make_microfile(SMALL_ROWS)
+    before = records(mf)
+    for seed in range(3):
+        with pytest.raises(RewriteError, match="'B': need 4 donor records, only 3 available"):
+            rewrite_microfile(mf, small_spec(), [2, 1], [3, 5], seed=seed)
+    assert records(mf) == before
+
+
+def test_rewrite_donor_filter_must_cover_every_record():
+    mf = make_microfile(SMALL_ROWS)
+    with pytest.raises(RewriteError, match="one flag per record \\(8\\)"):
+        rewrite_microfile(mf, small_spec(), [2, 1], [3, 1], seed=0, donor_filter=[True, False])
+
+
+# ------------------------------------------------- columns and raw bytes
+
+def test_census_columns_are_int32_codes(census_microfile):
+    n = sum(EMPLOYED)
+    for codes, vocabulary in zip(census_microfile.codes, census_microfile.vocabularies):
+        assert isinstance(codes, np.ndarray) and codes.dtype == np.int32 and codes.shape == (n,)
+        assert 0 <= codes.min() and codes.max() < len(vocabulary) <= 13
+    assert census_microfile.vocabularies[0] == list(REGION_CODES)
+
+
+ROADMAP_PROBE = 'A,B\r\n"x, y",1\r\nz,"2"\r\n'
+
+
+def test_quoted_crlf_roundtrip_is_byte_identical():
+    mf = load_microfile(io.StringIO(ROADMAP_PROBE))
+    assert records(mf) == [("x, y", "1"), ("z", "2")]
+    assert microfile_text(mf) == ROADMAP_PROBE
+    buffer = io.BytesIO()
+    write_microfile(mf, buffer)
+    assert buffer.getvalue() == ROADMAP_PROBE.encode()
+
+
+def test_rewritten_crlf_record_keeps_its_terminator():
+    text = 'REG,JOB,SEX\r\nA,X,"1"\r\nA,Z,"2"\r\nA,Z,1\nB,X,1\r\nB,Z,2'
+    spec = small_spec(parameter_values=("A", "B"))
+    mf = load_microfile(io.StringIO(text))
+    out = rewrite_microfile(mf, spec, [1, 1], [1, 2], seed=0)
+    assert microfile_text(out) == 'REG,JOB,SEX\r\nA,X,"1"\r\nA,Z,"2"\r\nA,Z,1\nB,X,1\r\nB,X,2'
+    out = rewrite_microfile(mf, spec, [1, 1], [3, 1], seed=0)
+    assert microfile_text(out) == 'REG,JOB,SEX\r\nA,X,"1"\r\nA,X,2\r\nA,Y,1\nB,X,1\r\nB,Z,2'
+
+
+def test_load_ragged_quoted_row_names_line():
+    with pytest.raises(MicrofileError, match="line 3 has 2 fields, expected 3"):
+        load_microfile(io.StringIO('REG,JOB,SEX\r\nA,"X",1\r\nA,X\r\n'))
+    with pytest.raises(MicrofileError, match="line 2 has 0 fields, expected 3"):
+        load_microfile(io.StringIO("REG,JOB,SEX\n\nA,X,1\n"))
+
+
+def test_load_rejects_bad_text_and_delimiters():
+    with pytest.raises(MicrofileError, match="not UTF-8"):
+        load_microfile(io.BytesIO(b"REG,JOB\n\xff,X\n"))
+    with pytest.raises(MicrofileError, match="line 2: field larger than field limit"):
+        load_microfile(io.StringIO('REG,JOB\nA,"' + "x" * 200_000 + '"\n'))
+    with pytest.raises(MicrofileError, match="delimiter"):
+        load_microfile(io.StringIO("REG,JOB\nA,X\n"), delimiter=",,")
+
+
+_DELIMITERS = (",", ";", "\t", "|")
+_VALUES = ("x", "y", "", "a b", "é", "x{d}y", 'q"q', "l\nm", "c\rr")
+
+
+def _field(value, quote):
+    if quote or any(c in value for c in '"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def microfile_texts(draw):
+    """Random microfile text: tiny groups, LF or CRLF, optional quotes, any delimiter."""
+    d = draw(st.sampled_from(_DELIMITERS))
+    q = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    values = st.sampled_from(_VALUES).map(lambda v: v.format(d=d))
+    lines = []
+    for row in [[f"A{j}" for j in range(q)]] + [draw(st.lists(values, min_size=q, max_size=q)) for _ in range(n)]:
+        fields = []
+        for value in row:
+            quote = draw(st.booleans()) or d in value or (q == 1 and value == "")
+            fields.append(_field(value, quote))
+        lines.append(d.join(fields))
+    final = draw(st.sampled_from([terminator, ""]))
+    return terminator.join(lines) + final, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(microfile_texts())
+def test_write_of_load_is_byte_identical(case):
+    text, d = case
+    mf = load_microfile(io.BytesIO(text.encode()), delimiter=d)
+    buffer = io.BytesIO()
+    write_microfile(mf, buffer)
+    assert buffer.getvalue() == text.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_DELIMITERS),
+    st.integers(1, 3),
+    st.lists(st.lists(st.sampled_from(["x", "y", "", "é", "a b"]), min_size=3, max_size=3), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_plain_and_csv_parsers_agree(d, q, rows, final_newline):
+    rows = [row[:q] for row in rows if q > 1 or row[0]]
+    if not rows:
+        return
+    text = "\n".join(d.join(row) for row in [[f"A{j}" for j in range(q)]] + rows)
+    data = (text + ("\n" if final_newline else "")).encode()
+    plain = microdata._split_plain(data, d, None)
+    via_csv = microdata._split_csv(data, d, None)
+    assert plain[0] == via_csv[0]
+    assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
+    assert plain[2] == via_csv[2]
+    np.testing.assert_array_equal(plain[3], via_csv[3])
+    assert records(load_microfile(io.BytesIO(data), delimiter=d)) == [tuple(row) for row in rows]
+
+
+def test_parsers_agree_across_chunks(monkeypatch):
+    rows = SMALL_ROWS + [("C", "Y", "3"), ("A", "W", "1")]
+    lf = microfile_text(make_microfile(rows))
+    whole = load_microfile(io.StringIO(lf))
+    monkeypatch.setattr(microdata, "_CHUNK_ROWS", 3)
+    for text in (lf, lf.replace("\n", "\r\n")):
+        chunked = load_microfile(io.StringIO(text))
+        assert all(np.array_equal(a, b) for a, b in zip(chunked.codes, whole.codes))
+        assert chunked.vocabularies == whole.vocabularies
+        assert microfile_text(chunked) == text
