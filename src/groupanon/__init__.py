@@ -9,18 +9,10 @@ new shares while the signal mean is preserved exactly and all detail
 coefficients survive up to one common scale factor.
 """
 
-from .errors import (
-    ConfigError,
-    GroupAnonError,
-    InfeasibleTargetsError,
-    MicrofileError,
-    PlanError,
-    RewriteError,
-    SignalError,
-)
+from .errors import ConfigError, GroupAnonError
+from .matrices import build_reconstruction_matrix
 from .microdata import (
     AttributeSpec,
-    ConcentrationSignal,
     Microfile,
     concentration_signal,
     load_microfile,
@@ -30,61 +22,24 @@ from .microdata import (
 )
 from .redistribution import (
     RedistributionPlan,
-    ShiftScaleRecord,
     fixed_border_indices,
     format_plot_data,
-    local_extrema,
-    make_coefficients,
     redistribute,
     verify_outcome,
 )
-from .wavelets import (
-    DecompositionResult,
-    ExtensionMeta,
-    WaveletFilterPair,
-    analyze,
-    analyze_once,
-    as_signal,
-    db2_filter,
-    extend_to_even,
-    filter_by_name,
-    haar_filter,
-    max_level,
-    reconstruct,
-    synth_approx,
-    synth_detail,
-)
-from .matrices import (
-    ReconstructionMatrix,
-    apply_matrix,
-    build_detail_synthesis_matrix,
-    build_reconstruction_matrix,
-)
+from .wavelets import analyze, db2_filter, extend_to_even, filter_by_name
 
 __version__ = "0.1.0"
 
+# The names the README and the command line use; everything else is
+# imported from its module.
 __all__ = [
     "AttributeSpec",
-    "ConcentrationSignal",
     "ConfigError",
-    "DecompositionResult",
-    "ExtensionMeta",
     "GroupAnonError",
-    "InfeasibleTargetsError",
     "Microfile",
-    "MicrofileError",
-    "PlanError",
-    "ReconstructionMatrix",
     "RedistributionPlan",
-    "RewriteError",
-    "ShiftScaleRecord",
-    "SignalError",
-    "WaveletFilterPair",
     "analyze",
-    "analyze_once",
-    "apply_matrix",
-    "as_signal",
-    "build_detail_synthesis_matrix",
     "build_reconstruction_matrix",
     "concentration_signal",
     "db2_filter",
@@ -92,17 +47,10 @@ __all__ = [
     "filter_by_name",
     "fixed_border_indices",
     "format_plot_data",
-    "haar_filter",
     "load_microfile",
-    "local_extrema",
-    "make_coefficients",
-    "max_level",
     "new_quantities",
-    "reconstruct",
     "redistribute",
     "rewrite_microfile",
-    "synth_approx",
-    "synth_detail",
     "verify_outcome",
     "write_microfile",
 ]

@@ -6,10 +6,18 @@ signal, decompose, redistribute, integer quantities, rewrite, report);
 coefficient set without writing anything; ``verify`` re-checks an already
 anonymized file against its original.
 
+``anonymize`` and ``verify`` build their ``checks`` the same way: the rows
+of :func:`groupanon.redistribution.verify_outcome` (mean, details,
+positivity, border) plus file-level rows, each ``{value, tolerance,
+passed}``.  A file-level row counts mismatches and has tolerance 0.  The
+run passes when every row passes.  Both print ``status``, ``checks``,
+``timings`` and ``sizes`` as JSON on stdout.
+
 Exit status: 0 = success with all invariant checks passing, 2 = pipeline
 ran but an invariant check failed (outputs are still written for
-debugging), 1 = hard error (a machine-readable error report is written
-when a report path is known).
+debugging; stderr names each failed check with its value and tolerance),
+1 = hard error (a machine-readable error report is written when a report
+path is known).
 """
 
 from __future__ import annotations
@@ -36,11 +44,12 @@ from .microdata import (
     write_microfile,
 )
 from .redistribution import (
-    CHECK_TOL,
     RedistributionPlan,
+    check_row,
     fixed_border_indices,
     format_plot_data,
     redistribute,
+    rounding_tolerances,
     verify_outcome,
 )
 from .wavelets import analyze, extend_to_even, filter_by_name
@@ -93,6 +102,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"config is missing required key {key!r}")
     spec = _parse_attributes(data["attributes"])
     wavelet_cfg = data.get("wavelet", {})
+    if not isinstance(wavelet_cfg, dict):
+        raise ConfigError("'wavelet' must be an object")
     plan = _parse_plan(data.get("plan", {}))
     return RunConfig(
         input=Path(data["input"]),
@@ -100,13 +111,21 @@ def load_config(path) -> RunConfig:
         report=Path(data["report"]) if data.get("report") else None,
         plot_data=Path(data["plot_data"]) if data.get("plot_data") else None,
         delimiter=data.get("delimiter", ","),
-        seed=int(data.get("seed", 0)),
+        seed=_parse("seed", data.get("seed", 0), int),
         spec=spec,
         wavelet=wavelet_cfg.get("name", "db2"),
-        level=int(wavelet_cfg.get("level", 1)),
+        level=_parse("wavelet.level", wavelet_cfg.get("level", 1), int),
         extension=wavelet_cfg.get("extension", "left"),
         plan=plan,
     )
+
+
+def _parse(key: str, value, convert):
+    """``convert(value)``; a value it cannot take becomes a ConfigError naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError):
+        raise ConfigError(f"config key {key!r} has a malformed value: {value!r}") from None
 
 
 def _parse_attributes(section) -> AttributeSpec:
@@ -123,7 +142,8 @@ def _parse_attributes(section) -> AttributeSpec:
     denominator_filter = None
     if isinstance(denominator, dict):
         try:
-            denominator_filter = (denominator["attribute"], tuple(denominator["values"]))
+            values = _parse("attributes.denominator.values", denominator["values"], tuple)
+            denominator_filter = (denominator["attribute"], values)
         except KeyError as exc:
             raise ConfigError(f"denominator filter is missing {exc.args[0]!r}") from None
         denominator = "custom_filter"
@@ -131,13 +151,17 @@ def _parse_attributes(section) -> AttributeSpec:
     if isinstance(fallback, str):
         fallback = (fallback,)
     elif fallback is not None:
-        fallback = tuple(fallback)
+        fallback = _parse("attributes.fallback", fallback, tuple)
+    combos = _parse(
+        "attributes.vital_combinations", combos,
+        lambda v: tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in v),
+    )
     try:
         return AttributeSpec(
-            vital_attributes=tuple(vital),
-            vital_combinations=tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in combos),
+            vital_attributes=_parse("attributes.vital", vital, tuple),
+            vital_combinations=combos,
             parameter_attribute=parameter,
-            parameter_values=tuple(parameter_values),
+            parameter_values=_parse("attributes.parameter_values", parameter_values, tuple),
             denominator=denominator,
             denominator_filter=denominator_filter,
             fallback_combination=fallback,
@@ -150,30 +174,27 @@ def _parse_plan(section) -> RedistributionPlan:
     if not isinstance(section, dict):
         raise ConfigError("'plan' must be an object")
     fixed = section.get("fixed_indices")
+    if fixed is not None:
+        fixed = _parse("plan.fixed_indices", fixed, lambda v: frozenset(int(i) for i in v))
     free = section.get("free_values")
     if free is not None:
-        try:
-            free = {int(i): float(v) for i, v in free.items()}
-        except (TypeError, ValueError, AttributeError):
-            raise ConfigError("'free_values' must map coefficient indices to numbers") from None
-    targets = tuple((int(p), float(v)) for p, v in section.get("targets", []))
+        free = _parse("plan.free_values", free, lambda v: {int(i): float(x) for i, x in v.items()})
+    targets = _parse(
+        "plan.targets", section.get("targets", []), lambda v: tuple((int(p), float(x)) for p, x in v)
+    )
     floor = section["floor"] if "floor" in section else 2.0
+    if floor is not None:
+        floor = _parse("plan.floor", floor, float)
     try:
         return RedistributionPlan(
             strategy=section.get("strategy", "manual"),
-            fixed_indices=frozenset(int(i) for i in fixed) if fixed is not None else None,
+            fixed_indices=fixed,
             free_values=free,
             targets=targets,
             floor=floor,
         )
     except GroupAnonError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _check_attributes(mf: Microfile, spec: AttributeSpec) -> None:
-    for name in spec.referenced_attributes():
-        if name not in mf.attributes:
-            raise ConfigError(f"unknown attribute {name!r} (file has {mf.attributes})")
 
 
 @contextmanager
@@ -196,7 +217,6 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
     timings: dict[str, float] = {}
     with _stage(timings, "load"):
         mf = load_microfile(config.input, delimiter=config.delimiter)
-    _check_attributes(mf, config.spec)
     with _stage(timings, "signal"):
         signal = concentration_signal(mf, config.spec)
     filters = filter_by_name(config.wavelet)
@@ -213,24 +233,10 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
     with _stage(timings, "recount"):
         recount = concentration_signal(rewritten, config.spec)
 
-    checks = dict(red_report["checks"])
-    checks["mean_preserved"] = abs(checks["mean_delta"]) < CHECK_TOL
-    checks["details_proportional"] = checks["detail_residual"] < CHECK_TOL
-    checks["recount_matches"] = bool(np.array_equal(recount.numerators, counts))
-    checks["denominators_unchanged"] = bool(
-        np.array_equal(recount.denominators, signal.denominators)
-    )
-    passed = all(
-        checks[key]
-        for key in (
-            "mean_preserved",
-            "details_proportional",
-            "positivity",
-            "border_equality",
-            "recount_matches",
-            "denominators_unchanged",
-        )
-    )
+    checks = red_report.pop("checks")
+    checks["recount_matches"] = _mismatch_row(recount.numerators, counts)
+    checks["denominators_unchanged"] = _mismatch_row(recount.denominators, signal.denominators)
+    passed = all(row["passed"] for row in checks.values())
     report = {
         "status": "ok" if passed else "invariant_violation",
         "input": str(config.input),
@@ -274,7 +280,6 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
 def run_inspect(config: RunConfig) -> tuple[int, str]:
     """Compute and render the decomposition view; writes nothing."""
     mf = load_microfile(config.input, delimiter=config.delimiter)
-    _check_attributes(mf, config.spec)
     signal = concentration_signal(mf, config.spec)
     filters = filter_by_name(config.wavelet)
     extended, meta = extend_to_even(signal.ratios, config.extension)
@@ -305,9 +310,9 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     """Re-check an anonymized file against its original.
 
     Counts in the rewritten file are integers, so the recomputed ratios
-    carry rounding noise; the mean and detail checks therefore use bounds
-    derived from the worst-case effect of a half-count per group instead of
-    the exact in-pipeline tolerances.
+    carry rounding noise; the mean and detail checks therefore use the
+    bounds of :func:`groupanon.redistribution.rounding_tolerances` instead
+    of the exact in-pipeline tolerance.
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")
@@ -315,45 +320,32 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     with _stage(timings, "load"):
         original = load_microfile(config.input, delimiter=config.delimiter)
         final = load_microfile(config.output, delimiter=config.delimiter)
-    _check_attributes(original, config.spec)
-    _check_attributes(final, config.spec)
     with _stage(timings, "signal"):
         sig_before = concentration_signal(original, config.spec)
         sig_after = concentration_signal(final, config.spec)
     filters = filter_by_name(config.wavelet)
     _, meta = extend_to_even(sig_before.ratios, config.extension)
+    mean_tol, detail_tol = rounding_tolerances(sig_before.denominators, filters, config.level)
     with _stage(timings, "outcome"):
-        outcome = verify_outcome(sig_before.ratios, sig_after.ratios, filters, config.level, meta)
-
-    # Worst-case ratio perturbation from rounding one count: half a record.
-    eps = float(0.5 / sig_before.denominators.min())
-    gain_low = float(np.abs(filters.lowpass).sum())
-    gain_high = float(np.abs(filters.highpass).sum())
-    mean_tol = float((0.5 / sig_before.denominators).mean()) + 1e-12
-    detail_tol = 2.0 * eps * gain_high * gain_low ** (config.level - 1) + 1e-12
+        checks, outcome = verify_outcome(
+            sig_before.ratios, sig_after.ratios, filters, config.level, meta,
+            mean_tol=mean_tol, detail_tol=detail_tol,
+        )
 
     same_shape = len(original) == len(final) and original.attributes == final.attributes
     changed = np.zeros(len(original), dtype=bool)
-    conserved = same_shape
+    # Files of another shape cannot be compared cell by cell; count the larger one's records.
+    altered = 0 if same_shape else max(len(original), len(final))
     with _stage(timings, "compare"):
         for attribute in original.attributes if same_shape else ():
             differs = _cells_differ(original, final, attribute)
             if attribute in config.spec.vital_attributes:
                 changed |= differs
-            elif differs.any():
-                conserved = False
-    checks = {
-        "record_count_unchanged": len(original) == len(final),
-        "non_vital_cells_unchanged": conserved,
-        "denominators_unchanged": bool(
-            np.array_equal(sig_before.denominators, sig_after.denominators)
-        ),
-        "positivity": outcome["positivity"],
-        "border_equality": outcome["border_equality"],
-        "mean_within_rounding": abs(outcome["mean_delta"]) <= mean_tol,
-        "details_within_rounding": outcome["detail_residual"] <= detail_tol,
-    }
-    counts_match = None
+            else:
+                altered += int(np.count_nonzero(differs))
+    checks["record_count_unchanged"] = _count_row(abs(len(original) - len(final)))
+    checks["non_vital_cells_unchanged"] = _count_row(altered)
+    checks["denominators_unchanged"] = _mismatch_row(sig_before.denominators, sig_after.denominators)
     if config.report is not None and config.report.exists():
         try:
             previous = json.loads(config.report.read_text(encoding="utf-8"))
@@ -361,14 +353,12 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
         wanted = previous.get("counts", {}).get("new")
         if wanted is not None:
-            counts_match = sig_after.numerators.tolist() == wanted
-            checks["counts_match_report"] = counts_match
-    passed = all(v for v in checks.values() if v is not None)
+            checks["counts_match_report"] = _mismatch_row(sig_after.numerators, wanted)
+    passed = all(row["passed"] for row in checks.values())
     report = {
         "status": "ok" if passed else "invariant_violation",
         "input": str(config.input),
         "output": str(config.output),
-        "tolerances": {"mean": mean_tol, "detail": detail_tol},
         "outcome": outcome,
         "counts": {
             "old": sig_before.numerators.tolist(),
@@ -385,6 +375,19 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         },
     }
     return (EXIT_OK if passed else EXIT_INVARIANT), report
+
+
+def _count_row(count: int) -> dict:
+    """A file-level check row: ``count`` mismatches, of which none are allowed."""
+    return check_row(count, 0, count == 0)
+
+
+def _mismatch_row(actual, expected) -> dict:
+    """Row counting the entries where ``actual`` and ``expected`` differ."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    if actual.shape != expected.shape:
+        return _count_row(max(actual.size, expected.size))
+    return _count_row(int(np.count_nonzero(actual != expected)))
 
 
 def _cells_differ(before: Microfile, after: Microfile, attribute: str) -> np.ndarray:
@@ -427,15 +430,18 @@ def main(argv=None) -> int:
         if args.report is not None:
             config = replace(config, report=Path(args.report))
         report_path = config.report
-        if args.command == "anonymize":
-            status, report = run_anonymize(config)
-            print(json.dumps(report["checks"], indent=2, sort_keys=True))
-        elif args.command == "inspect":
+        if args.command == "inspect":
             status, text = run_inspect(config)
             print(text)
-        else:
-            status, report = run_verify(config)
-            print(json.dumps(report["checks"], indent=2, sort_keys=True))
+            return status
+        run = run_anonymize if args.command == "anonymize" else run_verify
+        status, report = run(config)
+        summary = {key: report[key] for key in ("status", "checks", "timings", "sizes")}
+        print(json.dumps(summary, indent=2, sort_keys=True))
+        for name, row in sorted(report["checks"].items()):
+            if not row["passed"]:
+                print(f"check failed: {name}: value {row['value']} (tolerance {row['tolerance']})",
+                      file=sys.stderr)
         return status
     except (GroupAnonError, OSError) as exc:
         if report_path is not None:

@@ -84,10 +84,3 @@ def build_detail_synthesis_matrix(f: WaveletFilterPair, n: int, u: int) -> Recon
     column = synth_detail(np.eye(1, n >> u)[0], f, u, n)
     return ReconstructionMatrix(_operator_rows(column, u, np.arange(n)), u, f)
 
-
-def apply_matrix(M: ReconstructionMatrix, a) -> np.ndarray:
-    """Matrix-vector product mapping coefficients to the synthesized signal."""
-    coef = np.asarray(a, dtype=float)
-    if coef.shape != (M.m,):
-        raise SignalError(f"expected {M.m} coefficients, got shape {coef.shape}")
-    return M.entries @ coef

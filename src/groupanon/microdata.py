@@ -78,7 +78,9 @@ class Microfile:
         try:
             return self.attributes.index(attribute)
         except ValueError:
-            raise MicrofileError(f"unknown attribute {attribute!r}") from None
+            raise MicrofileError(
+                f"unknown attribute {attribute!r} (file has {list(self.attributes)})"
+            ) from None
 
     def lookup(self, attribute: str, table: dict, default) -> np.ndarray:
         """Per record, ``table`` applied to its value of ``attribute``.
@@ -281,6 +283,9 @@ def _split_csv(data: bytes, delimiter: str, schema):
     if offsets[-1] != len(data):
         offsets = np.append(offsets, len(data))
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""), delimiter=delimiter)
+    # The plain parser takes a cell of any length, so this one must too; the
+    # limit is process-wide, hence restored afterwards.
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(data)))
     try:
         header = next(reader, None)
         if header is None:
@@ -309,6 +314,8 @@ def _split_csv(data: bytes, delimiter: str, schema):
         flush()
     except csv.Error as exc:
         raise MicrofileError(f"line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if len(starts) == 1:
         raise MicrofileError("empty file")
     codes = [np.concatenate(chunk) for chunk in chunks]

@@ -237,8 +237,8 @@ def redistribute(
     """Rewrite concentration signal ``c`` per ``plan``; see the module docstring.
 
     Returns the final signal at the original length, the applied
-    shift/scale, and a JSON-ready report with the intermediate arrays and
-    all invariant checks.
+    shift/scale, and a JSON-ready report with the intermediate arrays, the
+    diagnostics of :func:`verify_outcome` and its check rows under ``checks``.
     """
     original = as_signal(c)
     if np.any(original < 0.0) or np.any(original > 1.0):
@@ -272,7 +272,9 @@ def redistribute(
         scale=scale,
         informative_range=(info.start + 1, info.stop),
     )
-    checks = verify_outcome(extended, final_extended, f, k, meta)
+    checks, diagnostics = verify_outcome(
+        extended, final_extended, f, k, meta, mean_tol=CHECK_TOL, detail_tol=CHECK_TOL
+    )
     report = {
         "strategy": plan.strategy,
         "level": k,
@@ -286,12 +288,37 @@ def redistribute(
         "coefficients_after": ahat.tolist(),
         "extended_before": extended.tolist(),
         "extended_after": final_extended.tolist(),
+        **diagnostics,
         "checks": checks,
     }
     return final_extended[info], record, report
 
 
-def verify_outcome(c, c_final, f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> dict:
+def check_row(value, tolerance, passed) -> dict:
+    """One invariant check as reported: the measured value next to its tolerance."""
+    return {"value": value, "tolerance": tolerance, "passed": bool(passed)}
+
+
+def rounding_tolerances(denominators, f: WaveletFilterPair, k: int) -> tuple[float, float]:
+    """Mean and detail tolerances for ratios recomputed from integer counts.
+
+    Rounding one count moves its ratio by at most half a record over its
+    denominator.  The mean moves by at most the average of those moves; a
+    level-k detail coefficient by at most twice the largest move times the
+    absolute tap sums of one high-pass and k - 1 low-pass stages.
+    """
+    den = np.asarray(denominators, dtype=float)
+    gain_low = float(np.abs(f.lowpass).sum())
+    gain_high = float(np.abs(f.highpass).sum())
+    mean_tol = float((0.5 / den).mean()) + 1e-12
+    detail_tol = 2.0 * float(0.5 / den.min()) * gain_high * gain_low ** (k - 1) + 1e-12
+    return mean_tol, detail_tol
+
+
+def verify_outcome(
+    c, c_final, f: WaveletFilterPair, k: int, meta: ExtensionMeta,
+    *, mean_tol: float, detail_tol: float,
+) -> tuple[dict, dict]:
     """Check the redistribution contracts on an original/final signal pair.
 
     Accepts the signals either at the original length (they are re-extended
@@ -299,6 +326,14 @@ def verify_outcome(c, c_final, f: WaveletFilterPair, k: int, meta: ExtensionMeta
     is measured against the least-squares scale between the two detail
     coefficient sets, so the check needs no knowledge of the shift/scale
     record.
+
+    Returns ``(checks, diagnostics)``.  ``checks`` maps ``mean_preserved``,
+    ``details_proportional``, ``positivity`` and ``border_equality`` to
+    :func:`check_row` rows: the absolute mean change against ``mean_tol``,
+    the largest detail residual against ``detail_tol`` and the border gap
+    against ``CHECK_TOL``, each passing below its tolerance, and the number
+    of non-positive samples, which must be 0.  ``diagnostics`` holds the
+    fitted ``detail_scale`` and the 1-based extrema before and after.
     """
     before = as_signal(c)
     after = as_signal(c_final)
@@ -313,7 +348,7 @@ def verify_outcome(c, c_final, f: WaveletFilterPair, k: int, meta: ExtensionMeta
             f"nor the extended ({meta.extended_length}) length"
         )
     info = meta.informative_slice
-    mean_delta = float(after[info].mean() - before[info].mean())
+    mean_change = abs(float(after[info].mean() - before[info].mean()))
 
     dec_before = analyze(before, f, k, meta=meta)
     dec_after = analyze(after, f, k, meta=meta)
@@ -324,23 +359,27 @@ def verify_outcome(c, c_final, f: WaveletFilterPair, k: int, meta: ExtensionMeta
     detail_residual = float(np.abs(flat_after - detail_scale * flat_before).max())
 
     if meta.direction == "left" and meta.extended_length != meta.original_length:
-        border_equal = abs(float(after[0] - after[1])) < CHECK_TOL
+        border_gap = abs(float(after[0] - after[1]))
     elif meta.direction == "right" and meta.extended_length != meta.original_length:
-        border_equal = abs(float(after[-1] - after[-2])) < CHECK_TOL
+        border_gap = abs(float(after[-1] - after[-2]))
     else:
-        border_equal = True
+        border_gap = 0.0
+    non_positive = int(np.count_nonzero(~(after > 0.0)))
 
     max_before, min_before = local_extrema(before)
     max_after, min_after = local_extrema(after)
-    return {
-        "mean_delta": mean_delta,
+    checks = {
+        "mean_preserved": check_row(mean_change, mean_tol, mean_change < mean_tol),
+        "details_proportional": check_row(detail_residual, detail_tol, detail_residual < detail_tol),
+        "positivity": check_row(non_positive, 0, non_positive == 0),
+        "border_equality": check_row(border_gap, CHECK_TOL, border_gap < CHECK_TOL),
+    }
+    diagnostics = {
         "detail_scale": detail_scale,
-        "detail_residual": detail_residual,
-        "positivity": bool(after.min() > 0.0),
-        "border_equality": border_equal,
         "extrema_before": {"maxima": max_before, "minima": min_before},
         "extrema_after": {"maxima": max_after, "minima": min_after},
     }
+    return checks, diagnostics
 
 
 def format_plot_data(before, after, delimiter: str = "\t") -> str:

@@ -10,9 +10,9 @@ from groupanon import (
     extend_to_even,
     fixed_border_indices,
     load_microfile,
-    max_level,
     write_microfile,
 )
+from groupanon.wavelets import max_level
 from groupanon.fixture import EMPLOYED, SCIENTISTS, write_census_fixture
 from groupanon.microdata import Microfile
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,30 @@ def test_config_errors(tmp_path):
         load_config(incomplete)
 
 
+@pytest.mark.parametrize("section, key, value, name", [
+    ("plan", "targets", [[1]], "plan.targets"),
+    (None, "seed", "abc", "seed"),
+    ("wavelet", "level", "x", "wavelet.level"),
+    ("plan", "fixed_indices", ["a"], "plan.fixed_indices"),
+    ("plan", "floor", "low", "plan.floor"),
+    ("attributes", "vital", 5, "attributes.vital"),
+    ("attributes", "parameter_values", 7, "attributes.parameter_values"),
+])
+def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    (config[section] if section else config)[key] = value
+    config_path.write_text(json.dumps(config))
+    # The config cannot be read, so the report path comes from the flag.
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    assert repr(name) in capsys.readouterr().err
+    error = json.loads(report_path.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert repr(name) in error["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ---------------------------------------------------------------- anonymize
 
 def test_anonymize_small_file(small_run):
@@ -103,7 +128,7 @@ def test_anonymize_small_file(small_run):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "ok"
     assert all(
-        report["checks"][key]
+        report["checks"][key]["passed"]
         for key in ("mean_preserved", "details_proportional", "positivity",
                     "border_equality", "recount_matches", "denominators_unchanged")
     )
@@ -300,7 +325,7 @@ def test_anonymize_census_golden(census_file, tmp_path):
     assert report["redistribution"]["fixed_indices"] == [1, 2, 7]
     # Extended positions 9 and 13 (regions 40 and 70) carry the new maxima;
     # the original single peak is no longer identifiable.
-    assert report["redistribution"]["checks"]["extrema_after"]["maxima"] == [9, 13]
+    assert report["redistribution"]["extrema_after"]["maxima"] == [9, 13]
     assert abs(report["counts"]["achieved_mean"] - ref.FINAL_COUNTS_MEAN) < 0.05
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
 
@@ -359,9 +384,10 @@ def test_verify_after_anonymize(small_run):
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
 
 
-def test_verify_detects_tampering(small_run):
+def test_verify_detects_tampering(small_run, capsys):
     tmp_path, config_path = small_run
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
     out = tmp_path / "out.csv"
     lines = out.read_text().splitlines()
     # Change a non-vital cell: conservation must fail.
@@ -370,6 +396,51 @@ def test_verify_detects_tampering(small_run):
     lines[1] = ",".join(row)
     out.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", str(config_path)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "check failed: non_vital_cells_unchanged: value 1 (tolerance 0)" in captured.err
+    summary = json.loads(captured.out)
+    assert summary["status"] == "invariant_violation"
+    assert summary["checks"]["non_vital_cells_unchanged"]["passed"] is False
+    assert set(summary["timings"]) == {"load", "signal", "outcome", "compare"}
+    assert summary["sizes"]["records"] == 7000
+
+
+def test_both_commands_report_check_rows(small_run, capsys):
+    _, config_path = small_run
+    summaries = {}
+    for command in ("anonymize", "verify"):
+        assert main([command, "--config", str(config_path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summaries[command] = json.loads(captured.out)
+    for command, summary in summaries.items():
+        assert set(summary) == {"status", "checks", "timings", "sizes"}, command
+        assert summary["status"] == "ok"
+        for name, row in summary["checks"].items():
+            assert set(row) == {"value", "tolerance", "passed"}, (command, name)
+            assert row["passed"] is True, (command, name)
+    anonymize, verify = (set(summaries[c]["checks"]) for c in ("anonymize", "verify"))
+    assert anonymize & verify == {
+        "mean_preserved", "details_proportional", "positivity", "border_equality",
+        "denominators_unchanged",
+    }
+    assert anonymize - verify == {"recount_matches"}
+    assert verify - anonymize == {"record_count_unchanged", "non_vital_cells_unchanged",
+                                  "counts_match_report"}
+
+
+def test_readme_imports_are_exported():
+    import groupanon
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    names = [
+        name.strip()
+        for line in readme.splitlines() if line.startswith("from groupanon import ")
+        for name in line.removeprefix("from groupanon import ").split(",")
+    ]
+    assert names
+    assert set(names) <= set(groupanon.__all__)
+    assert all(hasattr(groupanon, name) for name in groupanon.__all__)
 
 
 def test_verify_requires_existing_output(small_run):

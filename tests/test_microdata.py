@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -7,8 +8,6 @@ from hypothesis import strategies as st
 
 from groupanon import (
     AttributeSpec,
-    MicrofileError,
-    RewriteError,
     analyze,
     concentration_signal,
     extend_to_even,
@@ -18,6 +17,7 @@ from groupanon import (
     write_microfile,
 )
 from groupanon import Microfile, microdata
+from groupanon.errors import MicrofileError, RewriteError
 from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribute_spec
 from groupanon.microdata import round_half_away_from_zero
 
@@ -376,10 +376,24 @@ def test_load_ragged_quoted_row_names_line():
 def test_load_rejects_bad_text_and_delimiters():
     with pytest.raises(MicrofileError, match="not UTF-8"):
         load_microfile(io.BytesIO(b"REG,JOB\n\xff,X\n"))
-    with pytest.raises(MicrofileError, match="line 2: field larger than field limit"):
-        load_microfile(io.StringIO('REG,JOB\nA,"' + "x" * 200_000 + '"\n'))
     with pytest.raises(MicrofileError, match="delimiter"):
         load_microfile(io.StringIO("REG,JOB\nA,X\n"), delimiter=",,")
+
+
+def test_long_cell_loads_in_every_parser():
+    # 200,000 characters is above csv's default field limit of 131,072.
+    cell = "x" * 200_000
+    limit = csv.field_size_limit()
+    texts = {
+        "plain": f"REG,JOB\nA,{cell}\nB,y\n",
+        "quoted": f'REG,JOB\nA,"{cell}"\nB,y\n',
+        "crlf": f"REG,JOB\r\nA,{cell}\r\nB,y\r\n",
+    }
+    loaded = {name: load_microfile(io.StringIO(text)) for name, text in texts.items()}
+    for name, mf in loaded.items():
+        assert mf.vocabularies == loaded["plain"].vocabularies, name
+        assert microfile_text(mf) == texts[name], name
+    assert csv.field_size_limit() == limit
 
 
 _DELIMITERS = (",", ";", "\t", "|")

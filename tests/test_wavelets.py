@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupanon import (
+from groupanon import analyze, db2_filter, extend_to_even, filter_by_name
+from groupanon.errors import SignalError
+from groupanon.wavelets import (
     DecompositionResult,
-    SignalError,
     WaveletFilterPair,
-    analyze,
     analyze_once,
     as_signal,
-    db2_filter,
-    extend_to_even,
     haar_filter,
-    filter_by_name,
     max_level,
     reconstruct,
     synth_approx,
