@@ -16,8 +16,10 @@ run passes when every row passes.  Both print ``status``, ``checks``,
 Exit status: 0 = success with all invariant checks passing, 2 = pipeline
 ran but an invariant check failed (outputs are still written for
 debugging; stderr names each failed check with its value and tolerance),
-1 = hard error (a machine-readable error report is written when a report
-path is known).
+1 = hard error (only ``anonymize`` writes a machine-readable error report,
+when a report path is known).  Each config object has one key table: a key
+maps onto one dataclass field and one converter, defaults live on the
+dataclasses, and an unknown key is an error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +67,10 @@ class RunConfig:
 
     input: Path
     spec: AttributeSpec
-    wavelet: str
-    level: int
-    extension: str
-    plan: RedistributionPlan
+    wavelet: str = "db2"
+    level: int = 1
+    extension: str = "left"
+    plan: RedistributionPlan = field(default_factory=RedistributionPlan)
     seed: int = 0
     delimiter: str = ","
     output: Path | None = None
@@ -82,6 +84,118 @@ class RunConfig:
             raise ConfigError(f"extension must be 'left' or 'right', got {self.extension!r}")
 
 
+def _of(kind):
+    """The converter that takes a value of JSON type ``kind`` as it is."""
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    return convert
+
+
+_string, _list = _of(str), _of(list)
+
+
+def _strings(value) -> tuple[str, ...]:
+    return tuple(map(_string, _list(value)))
+
+
+def _string_or_strings(value) -> tuple[str, ...]:
+    """A list of strings, or one bare string standing for a list of one."""
+    return (value,) if isinstance(value, str) else _strings(value)
+
+
+def _path(value) -> Path:
+    if not _string(value):
+        raise ValueError(value)
+    return Path(value)
+
+
+def _optional(convert):
+    """``convert``, except that JSON null stands for None."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _object(name: str, data, table: dict, required=()) -> dict:
+    """The fields config object ``name`` sets; ``table``: key -> (field, converter).
+
+    Keys left out keep their dataclass default.  A field of None takes the
+    fields its converter returns.  An unknown key, a missing required key
+    and a value its converter cannot take are each a ConfigError naming
+    ``name.key``.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(data)
+    prefix = f"{name}." if name else ""
+    unknown = [prefix + key for key in data if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"config is missing required key {prefix + key!r}")
+    fields = {}
+    for key, value in data.items():
+        field_name, convert = table[key]
+        try:
+            converted = convert(value)
+        except ConfigError:
+            raise
+        except GroupAnonError as exc:  # the dataclass's own validation
+            raise ConfigError(str(exc)) from None
+        except (TypeError, ValueError, AttributeError):
+            message = f"config key {prefix + key!r} has a malformed value: {value!r}"
+            raise ConfigError(message) from None
+        fields.update(converted if field_name is None else {field_name: converted})
+    return fields
+
+
+def _denominator(value) -> dict:
+    """A rule name, or an object naming the records the denominator counts."""
+    if isinstance(value, str):
+        return {"denominator": value}
+    rule = _object("attributes.denominator", value, _DENOMINATOR, ("attribute", "values"))
+    return {"denominator": "custom_filter",
+            "denominator_filter": (rule["attribute"], rule["values"])}
+
+
+# One key table per config object: JSON key -> (dataclass field, converter).
+_DENOMINATOR = {"attribute": ("attribute", _string), "values": ("values", _strings)}
+_ATTRIBUTES = {
+    "vital": ("vital_attributes", _strings),
+    "vital_combinations": (
+        "vital_combinations", lambda v: tuple(map(_string_or_strings, _list(v)))
+    ),
+    "parameter": ("parameter_attribute", _string),
+    "parameter_values": ("parameter_values", _strings),
+    "denominator": (None, _denominator),
+    "fallback": ("fallback_combination", _optional(_string_or_strings)),
+}
+_WAVELET = {
+    "name": ("wavelet", _string),
+    "level": ("level", int),
+    "extension": ("extension", _string),
+}
+_PLAN = {
+    "strategy": ("strategy", _string),
+    "fixed_indices": ("fixed_indices", _optional(lambda v: frozenset(int(i) for i in _list(v)))),
+    "free_values": ("free_values", _optional(lambda v: {int(i): float(x) for i, x in v.items()})),
+    "targets": ("targets", lambda v: tuple((int(p), float(x)) for p, x in map(_list, _list(v)))),
+    "floor": ("floor", _optional(float)),
+}
+_RUN = {
+    "input": ("input", _path),
+    "output": ("output", _optional(_path)),
+    "report": ("report", _optional(_path)),
+    "plot_data": ("plot_data", _optional(_path)),
+    "delimiter": ("delimiter", _string),
+    "seed": ("seed", int),
+    "attributes": ("spec", lambda v: AttributeSpec(**_object("attributes", v, _ATTRIBUTES, (
+        "vital", "vital_combinations", "parameter", "parameter_values")))),
+    "wavelet": (None, lambda v: _object("wavelet", v, _WAVELET)),
+    "plan": ("plan", lambda v: RedistributionPlan(**_object("plan", v, _PLAN))),
+}
+
+
 def load_config(path) -> RunConfig:
     """Parse the JSON run configuration at ``path``."""
     try:
@@ -92,109 +206,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"input", "output", "report", "plot_data", "delimiter", "seed",
-             "attributes", "wavelet", "plan"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("input", "attributes"):
-        if key not in data:
-            raise ConfigError(f"config is missing required key {key!r}")
-    spec = _parse_attributes(data["attributes"])
-    wavelet_cfg = data.get("wavelet", {})
-    if not isinstance(wavelet_cfg, dict):
-        raise ConfigError("'wavelet' must be an object")
-    plan = _parse_plan(data.get("plan", {}))
-    return RunConfig(
-        input=Path(data["input"]),
-        output=Path(data["output"]) if data.get("output") else None,
-        report=Path(data["report"]) if data.get("report") else None,
-        plot_data=Path(data["plot_data"]) if data.get("plot_data") else None,
-        delimiter=data.get("delimiter", ","),
-        seed=_parse("seed", data.get("seed", 0), int),
-        spec=spec,
-        wavelet=wavelet_cfg.get("name", "db2"),
-        level=_parse("wavelet.level", wavelet_cfg.get("level", 1), int),
-        extension=wavelet_cfg.get("extension", "left"),
-        plan=plan,
-    )
-
-
-def _parse(key: str, value, convert):
-    """``convert(value)``; a value it cannot take becomes a ConfigError naming ``key``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, AttributeError):
-        raise ConfigError(f"config key {key!r} has a malformed value: {value!r}") from None
-
-
-def _parse_attributes(section) -> AttributeSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("'attributes' must be an object")
-    try:
-        vital = section["vital"]
-        combos = section["vital_combinations"]
-        parameter = section["parameter"]
-        parameter_values = section["parameter_values"]
-    except KeyError as exc:
-        raise ConfigError(f"'attributes' is missing {exc.args[0]!r}") from None
-    denominator = section.get("denominator", "group_total")
-    denominator_filter = None
-    if isinstance(denominator, dict):
-        try:
-            values = _parse("attributes.denominator.values", denominator["values"], tuple)
-            denominator_filter = (denominator["attribute"], values)
-        except KeyError as exc:
-            raise ConfigError(f"denominator filter is missing {exc.args[0]!r}") from None
-        denominator = "custom_filter"
-    fallback = section.get("fallback")
-    if isinstance(fallback, str):
-        fallback = (fallback,)
-    elif fallback is not None:
-        fallback = _parse("attributes.fallback", fallback, tuple)
-    combos = _parse(
-        "attributes.vital_combinations", combos,
-        lambda v: tuple(tuple(c) if isinstance(c, (list, tuple)) else (c,) for c in v),
-    )
-    try:
-        return AttributeSpec(
-            vital_attributes=_parse("attributes.vital", vital, tuple),
-            vital_combinations=combos,
-            parameter_attribute=parameter,
-            parameter_values=_parse("attributes.parameter_values", parameter_values, tuple),
-            denominator=denominator,
-            denominator_filter=denominator_filter,
-            fallback_combination=fallback,
-        )
-    except GroupAnonError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_plan(section) -> RedistributionPlan:
-    if not isinstance(section, dict):
-        raise ConfigError("'plan' must be an object")
-    fixed = section.get("fixed_indices")
-    if fixed is not None:
-        fixed = _parse("plan.fixed_indices", fixed, lambda v: frozenset(int(i) for i in v))
-    free = section.get("free_values")
-    if free is not None:
-        free = _parse("plan.free_values", free, lambda v: {int(i): float(x) for i, x in v.items()})
-    targets = _parse(
-        "plan.targets", section.get("targets", []), lambda v: tuple((int(p), float(x)) for p, x in v)
-    )
-    floor = section["floor"] if "floor" in section else 2.0
-    if floor is not None:
-        floor = _parse("plan.floor", floor, float)
-    try:
-        return RedistributionPlan(
-            strategy=section.get("strategy", "manual"),
-            fixed_indices=fixed,
-            free_values=free,
-            targets=targets,
-            floor=floor,
-        )
-    except GroupAnonError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**_object("", data, _RUN, ("input", "attributes")))
 
 
 @contextmanager
@@ -221,7 +233,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         signal = concentration_signal(mf, config.spec)
     filters = filter_by_name(config.wavelet)
     with _stage(timings, "redistribute"):
-        final_ratios, record, red_report = redistribute(
+        final_ratios, red_report = redistribute(
             signal.ratios, config.plan, filters, config.level, config.extension
         )
     with _stage(timings, "quantities"):
@@ -234,7 +246,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         recount = concentration_signal(rewritten, config.spec)
 
     checks = red_report.pop("checks")
-    checks["recount_matches"] = _mismatch_row(recount.numerators, counts)
+    checks["released_counts_match"] = _mismatch_row(recount.numerators, counts)
     checks["denominators_unchanged"] = _mismatch_row(recount.denominators, signal.denominators)
     passed = all(row["passed"] for row in checks.values())
     report = {
@@ -353,7 +365,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
         wanted = previous.get("counts", {}).get("new")
         if wanted is not None:
-            checks["counts_match_report"] = _mismatch_row(sig_after.numerators, wanted)
+            checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
     passed = all(row["passed"] for row in checks.values())
     report = {
         "status": "ok" if passed else "invariant_violation",
@@ -444,7 +456,9 @@ def main(argv=None) -> int:
                       file=sys.stderr)
         return status
     except (GroupAnonError, OSError) as exc:
-        if report_path is not None:
+        # Only anonymize writes an error report: verify's report path names
+        # the report it checks, and inspect writes nothing.
+        if args.command == "anonymize" and report_path is not None:
             try:
                 _write_json(report_path, {
                     "status": "error",

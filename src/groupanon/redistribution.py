@@ -92,26 +92,6 @@ class RedistributionPlan:
             raise PlanError(f"{self.strategy} plans take targets, not free_values")
 
 
-@dataclass(frozen=True)
-class ShiftScaleRecord:
-    """Shift and rescale applied after rebuilding the signal.
-
-    ``scale`` is (sum of original informative samples) / (sum of shifted
-    informative samples); ``informative_range`` is the 1-based inclusive
-    interval of extended positions that carry original data.
-    """
-
-    shift: float
-    scale: float
-    informative_range: tuple[int, int]
-
-    def __post_init__(self):
-        if not (np.isfinite(self.shift) and self.shift >= 0):
-            raise PlanError(f"shift must be finite and >= 0, got {self.shift}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise PlanError(f"scale must be finite and positive, got {self.scale}")
-
-
 def local_extrema(values) -> tuple[list[int], list[int]]:
     """Strict interior local (maxima, minima) as 1-based positions."""
     v = np.asarray(values, dtype=float)
@@ -233,12 +213,15 @@ def redistribute(
     f: WaveletFilterPair,
     k: int,
     direction: str = "left",
-) -> tuple[np.ndarray, ShiftScaleRecord, dict]:
+) -> tuple[np.ndarray, dict]:
     """Rewrite concentration signal ``c`` per ``plan``; see the module docstring.
 
-    Returns the final signal at the original length, the applied
-    shift/scale, and a JSON-ready report with the intermediate arrays, the
-    diagnostics of :func:`verify_outcome` and its check rows under ``checks``.
+    Returns the final signal at the original length and a JSON-ready report:
+    the applied ``shift`` and ``scale``, the 1-based inclusive
+    ``informative_range`` of extended positions that carry original data,
+    the intermediate arrays, the diagnostics of :func:`verify_outcome` and
+    its check rows under ``checks``.  ``scale`` is (sum of original
+    informative samples) / (sum of shifted informative samples).
     """
     original = as_signal(c)
     if np.any(original < 0.0) or np.any(original > 1.0):
@@ -267,11 +250,6 @@ def redistribute(
         raise SignalError(f"mean-preserving scale must be positive, got {scale}")
     final_extended = scale * shifted
 
-    record = ShiftScaleRecord(
-        shift=shift,
-        scale=scale,
-        informative_range=(info.start + 1, info.stop),
-    )
     checks, diagnostics = verify_outcome(
         extended, final_extended, f, k, meta, mean_tol=CHECK_TOL, detail_tol=CHECK_TOL
     )
@@ -283,7 +261,7 @@ def redistribute(
         "floor": plan.floor,
         "shift": shift,
         "scale": scale,
-        "informative_range": list(record.informative_range),
+        "informative_range": [info.start + 1, info.stop],
         "coefficients_before": dec.approx.tolist(),
         "coefficients_after": ahat.tolist(),
         "extended_before": extended.tolist(),
@@ -291,7 +269,7 @@ def redistribute(
         **diagnostics,
         "checks": checks,
     }
-    return final_extended[info], record, report
+    return final_extended[info], report
 
 
 def check_row(value, tolerance, passed) -> dict:

@@ -104,6 +104,10 @@ def test_config_errors(tmp_path):
     ("plan", "floor", "low", "plan.floor"),
     ("attributes", "vital", 5, "attributes.vital"),
     ("attributes", "parameter_values", 7, "attributes.parameter_values"),
+    # A bare string where a list of strings belongs is not split into characters.
+    ("attributes", "vital", "JOB", "attributes.vital"),
+    ("attributes", "parameter_values", "R1", "attributes.parameter_values"),
+    (None, "delimiter", 5, "delimiter"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -120,6 +124,46 @@ def test_malformed_config_value_names_key(small_run, capsys, section, key, value
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("path", [
+    ("sede",),
+    ("attributes", "fallbak"),
+    ("attributes", "denominator", "valeus"),
+    ("wavelet", "levle"),
+    ("plan", "flor"),
+], ids=".".join)
+def test_misspelled_config_key_names_object_and_key(small_run, capsys, path):
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config["attributes"]["denominator"] = {"attribute": "SEX", "values": ["1", "2"]}
+    obj = config
+    for part in path[:-1]:
+        obj = obj[part]
+    obj[path[-1]] = 1
+    config_path.write_text(json.dumps(config))
+    name = ".".join(path)
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    assert repr(name) in capsys.readouterr().err
+    error = json.loads(report_path.read_text())["error"]
+    assert error["type"] == "ConfigError"
+    assert f"unknown config keys: [{name!r}]" == error["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_readme_config_loads(tmp_path):
+    # The complete configuration in the README goes through the key tables.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A complete configuration:\n\n```json\n", 1)[1].split("```", 1)[0]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(block)
+    data = json.loads(block)
+    config = load_config(config_path)
+    assert config.input == Path(data["input"]) and config.plot_data == Path(data["plot_data"])
+    assert config.spec.parameter_values == tuple(data["attributes"]["parameter_values"])
+    assert config.spec.fallback_combination == ("999",)
+    assert config.plan.free_values == {3: -2.0, 4: 0.0, 5: 1.0, 6: -5.0}
+
+
 # ---------------------------------------------------------------- anonymize
 
 def test_anonymize_small_file(small_run):
@@ -130,7 +174,7 @@ def test_anonymize_small_file(small_run):
     assert all(
         report["checks"][key]["passed"]
         for key in ("mean_preserved", "details_proportional", "positivity",
-                    "border_equality", "recount_matches", "denominators_unchanged")
+                    "border_equality", "released_counts_match", "denominators_unchanged")
     )
     assert report["counts"]["new"] == [245, 255, 218, 240, 237, 260, 245]
     plot_lines = (tmp_path / "plot.tsv").read_text().splitlines()
@@ -422,11 +466,10 @@ def test_both_commands_report_check_rows(small_run, capsys):
     anonymize, verify = (set(summaries[c]["checks"]) for c in ("anonymize", "verify"))
     assert anonymize & verify == {
         "mean_preserved", "details_proportional", "positivity", "border_equality",
-        "denominators_unchanged",
+        "denominators_unchanged", "released_counts_match",
     }
-    assert anonymize - verify == {"recount_matches"}
-    assert verify - anonymize == {"record_count_unchanged", "non_vital_cells_unchanged",
-                                  "counts_match_report"}
+    assert anonymize - verify == set()
+    assert verify - anonymize == {"record_count_unchanged", "non_vital_cells_unchanged"}
 
 
 def test_readme_imports_are_exported():
@@ -444,8 +487,13 @@ def test_readme_imports_are_exported():
 
 
 def test_verify_requires_existing_output(small_run):
-    _, config_path = small_run
+    # The error leaves the anonymize report that verify would check as it was.
+    tmp_path, config_path = small_run
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    (tmp_path / "out.csv").unlink()
+    written = (tmp_path / "report.json").read_bytes()
     assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
+    assert (tmp_path / "report.json").read_bytes() == written
 
 
 def test_verify_rejects_report_that_is_not_json(small_run, capsys):
@@ -453,8 +501,19 @@ def test_verify_rejects_report_that_is_not_json(small_run, capsys):
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
     report_path = tmp_path / "report.json"
     report_path.write_text(report_path.read_text()[:40])
+    written = report_path.read_bytes()
     assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
     assert f"report {report_path} is not valid JSON" in capsys.readouterr().err
-    error = json.loads(report_path.read_text())["error"]
-    assert error["type"] == "ConfigError"
-    assert str(report_path) in error["message"]
+    assert report_path.read_bytes() == written
+
+
+def test_inspect_error_writes_no_report(small_run, capsys):
+    tmp_path, config_path = small_run
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    written = (tmp_path / "report.json").read_bytes()
+    config = json.loads(config_path.read_text())
+    config["attributes"]["parameter"] = "REGION"
+    config_path.write_text(json.dumps(config))
+    assert main(["inspect", "--config", str(config_path)]) == EXIT_ERROR
+    assert "REGION" in capsys.readouterr().err
+    assert (tmp_path / "report.json").read_bytes() == written

@@ -146,11 +146,11 @@ def test_duplicate_targets_rejected(census_parts):
 
 def test_redistribute_census_golden(db2, census_ratios):
     plan = RedistributionPlan(strategy="manual", free_values=ref.FREE_VALUES, floor=ref.FLOOR)
-    final, record, report = redistribute(census_ratios, plan, db2, 1, "left")
-    assert abs(record.shift - ref.SHIFT) < 1e-3
-    assert abs(record.scale - ref.SCALE) < 1e-4
-    assert record.informative_range == (2, 14)
-    shifted = np.array(report["extended_after"]) / record.scale
+    final, report = redistribute(census_ratios, plan, db2, 1, "left")
+    assert abs(report["shift"] - ref.SHIFT) < 1e-3
+    assert abs(report["scale"] - ref.SCALE) < 1e-4
+    assert report["informative_range"] == [2, 14]
+    shifted = np.array(report["extended_after"]) / report["scale"]
     np.testing.assert_allclose(shifted, ref.SHIFTED_SIGNAL, atol=ref.DISPLAY_TOL)
     np.testing.assert_allclose(shifted[:5], [6.3252, 6.3252, 6.3238, 5.3484, 4.6365],
                                atol=ref.DISPLAY_TOL)
@@ -165,8 +165,8 @@ def test_redistribute_identity_plan(db2, census_ratios):
     plan = RedistributionPlan(
         strategy="manual", fixed_indices=frozenset(range(1, 8)), floor=None
     )
-    final, record, _ = redistribute(census_ratios, plan, db2, 1, "left")
-    assert record.shift == 0.0
+    final, report = redistribute(census_ratios, plan, db2, 1, "left")
+    assert report["shift"] == 0.0
     np.testing.assert_allclose(final, census_ratios, atol=1e-15)
 
 
@@ -174,8 +174,8 @@ def test_redistribute_identity_with_floor_rescales(db2, census_ratios):
     # With the floor active the identity plan shifts and rescales, but the
     # mean and the detail proportions still survive.
     plan = RedistributionPlan(strategy="manual", fixed_indices=frozenset(range(1, 8)))
-    final, record, report = redistribute(census_ratios, plan, db2, 1, "left")
-    assert record.shift > 0
+    final, report = redistribute(census_ratios, plan, db2, 1, "left")
+    assert report["shift"] > 0
     assert abs(final.mean() - census_ratios.mean()) < 1e-12
     assert report["checks"]["details_proportional"]["value"] < 1e-12
 
@@ -199,11 +199,11 @@ def test_redistribute_fixed_coefficients_track_shift_and_scale(db2, census_ratio
     # scale * (original + shift * sqrt(2)**k): the shift is a constant
     # signal, and one low-pass analysis step scales constants by sqrt(2).
     plan = RedistributionPlan(strategy="manual", free_values=ref.FREE_VALUES, floor=ref.FLOOR)
-    final, record, report = redistribute(census_ratios, plan, db2, 1, "left")
+    final, report = redistribute(census_ratios, plan, db2, 1, "left")
     extended, meta = extend_to_even(final, "left")
     dec = analyze(extended, db2, 1, meta=meta)
     original = np.array(report["coefficients_after"])
-    expected = record.scale * (original + record.shift * np.sqrt(2.0))
+    expected = report["scale"] * (original + report["shift"] * np.sqrt(2.0))
     np.testing.assert_allclose(dec.approx, expected, atol=1e-9)
 
 
@@ -216,10 +216,10 @@ def test_redistribute_level2_coefficient_tracking(db2):
         strategy="manual", free_values={i: float(rng.uniform(-2, 2)) for i in range(1, 5)},
         fixed_indices=frozenset(), floor=2.0,
     )
-    final, record, report = redistribute(c, plan, db2, 2, "left")
+    final, report = redistribute(c, plan, db2, 2, "left")
     dec = analyze(final, db2, 2)
     chosen = np.array(report["coefficients_after"])
-    expected = record.scale * (chosen + record.shift * 2.0)
+    expected = report["scale"] * (chosen + report["shift"] * 2.0)
     np.testing.assert_allclose(dec.approx, expected, atol=1e-9)
 
 
@@ -232,7 +232,7 @@ def test_redistribute_long_domain_memory(db2):
     plan = RedistributionPlan(strategy="alleged_extrema", targets=targets, floor=2.0)
     tracemalloc.start()
     try:
-        final, _, report = redistribute(c, plan, db2, 2, "left")
+        final, report = redistribute(c, plan, db2, 2, "left")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -245,14 +245,14 @@ def test_random_redistribution_properties(db2):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         c, plan, k, direction = random_redistribution_case(rng, db2)
-        final, record, report = redistribute(c, plan, db2, k, direction)
+        final, report = redistribute(c, plan, db2, k, direction)
         assert final.shape == c.shape
         assert abs(final.mean() - c.mean()) < 1e-9
         checks = report["checks"]
         assert checks["details_proportional"]["value"] < 1e-9
         assert checks["positivity"]["passed"]
         assert checks["border_equality"]["passed"]
-        assert abs(report["detail_scale"] - record.scale) < 1e-9
+        assert abs(report["detail_scale"] - report["scale"]) < 1e-9
 
 
 # ---------------------------------------------------------------- verification
@@ -262,7 +262,7 @@ EXACT = {"mean_tol": CHECK_TOL, "detail_tol": CHECK_TOL}
 
 def test_verify_outcome_census(db2, census_ratios):
     plan = RedistributionPlan(strategy="manual", free_values=ref.FREE_VALUES, floor=ref.FLOOR)
-    final, _, _ = redistribute(census_ratios, plan, db2, 1, "left")
+    final, _ = redistribute(census_ratios, plan, db2, 1, "left")
     _, meta = extend_to_even(census_ratios, "left")
     checks, outcome = verify_outcome(census_ratios, final, db2, 1, meta, **EXACT)
     assert checks["positivity"]["passed"] is True
