@@ -46,6 +46,7 @@ from .microdata import (
     write_microfile,
 )
 from .redistribution import (
+    STRATEGIES,
     RedistributionPlan,
     check_row,
     fixed_border_indices,
@@ -59,6 +60,7 @@ from .wavelets import analyze, extend_to_even, filter_by_name
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INVARIANT = 2
+EXTENSIONS = ("left", "right")
 
 
 @dataclass
@@ -80,20 +82,31 @@ class RunConfig:
     def __post_init__(self):
         if self.level < 1:
             raise ConfigError(f"wavelet level must be >= 1, got {self.level}")
-        if self.extension not in ("left", "right"):
+        if self.extension not in EXTENSIONS:
             raise ConfigError(f"extension must be 'left' or 'right', got {self.extension!r}")
 
 
-def _of(kind):
-    """The converter that takes a value of JSON type ``kind`` as it is."""
+def _of(*kinds):
+    """The converter that takes a value of one of the JSON types ``kinds`` as it is."""
     def convert(value):
-        if not isinstance(value, kind):
+        # JSON true and false are not numbers, though Python's bool is an int.
+        if isinstance(value, bool) or not isinstance(value, kinds):
             raise TypeError(value)
         return value
     return convert
 
 
-_string, _list = _of(str), _of(list)
+_string, _list, _object_of = _of(str), _of(list), _of(dict)
+_integer, _number = _of(int), _of(int, float)
+
+
+def _choice(options):
+    """The converter that takes one of ``options`` as it is."""
+    def convert(value):
+        if value not in options:
+            raise ValueError(f"expected one of {list(options)}")
+        return value
+    return convert
 
 
 def _strings(value) -> tuple[str, ...]:
@@ -142,8 +155,10 @@ def _object(name: str, data, table: dict, required=()) -> dict:
             raise
         except GroupAnonError as exc:  # the dataclass's own validation
             raise ConfigError(str(exc)) from None
-        except (TypeError, ValueError, AttributeError):
+        except (TypeError, ValueError) as exc:
             message = f"config key {prefix + key!r} has a malformed value: {value!r}"
+            if isinstance(exc, ValueError) and str(exc):
+                message += f" ({exc})"
             raise ConfigError(message) from None
         fields.update(converted if field_name is None else {field_name: converted})
     return fields
@@ -172,15 +187,17 @@ _ATTRIBUTES = {
 }
 _WAVELET = {
     "name": ("wavelet", _string),
-    "level": ("level", int),
-    "extension": ("extension", _string),
+    "level": ("level", _integer),
+    "extension": ("extension", _choice(EXTENSIONS)),
 }
+# Free-value keys are JSON object keys, hence strings holding the index.
 _PLAN = {
-    "strategy": ("strategy", _string),
-    "fixed_indices": ("fixed_indices", _optional(lambda v: frozenset(int(i) for i in _list(v)))),
-    "free_values": ("free_values", _optional(lambda v: {int(i): float(x) for i, x in v.items()})),
-    "targets": ("targets", lambda v: tuple((int(p), float(x)) for p, x in map(_list, _list(v)))),
-    "floor": ("floor", _optional(float)),
+    "strategy": ("strategy", _choice(STRATEGIES)),
+    "fixed_indices": ("fixed_indices", _optional(lambda v: frozenset(map(_integer, _list(v))))),
+    "free_values": ("free_values", _optional(
+        lambda v: {int(i): _number(x) for i, x in _object_of(v).items()})),
+    "targets": ("targets", lambda v: tuple((_integer(p), _number(x)) for p, x in map(_list, _list(v)))),
+    "floor": ("floor", _optional(_number)),
 }
 _RUN = {
     "input": ("input", _path),
@@ -188,7 +205,7 @@ _RUN = {
     "report": ("report", _optional(_path)),
     "plot_data": ("plot_data", _optional(_path)),
     "delimiter": ("delimiter", _string),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
     "attributes": ("spec", lambda v: AttributeSpec(**_object("attributes", v, _ATTRIBUTES, (
         "vital", "vital_combinations", "parameter", "parameter_values")))),
     "wavelet": (None, lambda v: _object("wavelet", v, _WAVELET)),
@@ -324,14 +341,16 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     Counts in the rewritten file are integers, so the recomputed ratios
     carry rounding noise; the mean and detail checks therefore use the
     bounds of :func:`groupanon.redistribution.rounding_tolerances` instead
-    of the exact in-pipeline tolerance.
+    of the exact in-pipeline tolerance.  The anonymized file is read as a
+    delta of the original: only its records that differ from the
+    original's record at the same position are parsed (``records_reparsed``).
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")
     timings: dict[str, float] = {}
     with _stage(timings, "load"):
         original = load_microfile(config.input, delimiter=config.delimiter)
-        final = load_microfile(config.output, delimiter=config.delimiter)
+        final = load_microfile(config.output, delimiter=config.delimiter, like=original)
     with _stage(timings, "signal"):
         sig_before = concentration_signal(original, config.spec)
         sig_after = concentration_signal(final, config.spec)
@@ -384,6 +403,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             "extended_length": meta.extended_length,
             "level": config.level,
             "records_changed": int(changed.sum()),
+            "records_reparsed": final.parsed,
         },
     }
     return (EXIT_OK if passed else EXIT_INVARIANT), report

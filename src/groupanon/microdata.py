@@ -17,19 +17,25 @@ every record the rewrite did not touch verbatim (quotes and line terminators
 included) and re-serialises only the edited ones.  No Python object per
 record outlives :func:`load_microfile`.
 
-Two parsers build the same codes and vocabularies.  Text with no quote
-character and no carriage return takes the plain path: record spans come
-from a vectorised scan for newlines, whole lines are dictionary-encoded in
-chunks of rows, and only the distinct lines are split into fields and
-checked for their field count.  Everything else goes through :mod:`csv`,
-whose line count gives each record's span.
+Two parsers build the same codes and vocabularies.  Text in which every
+record is one line (no quote character, and every carriage return part of a
+``\r\n`` terminator) takes the plain path: record spans come from a
+vectorised scan for newlines, whole lines are dictionary-encoded in chunks
+of rows, and only the distinct lines lose their ``\r`` and are split into
+fields and checked for their field count.  Everything else goes through
+:mod:`csv`, whose line count gives each record's span.
+
+A load may name a microfile the text is expected to repeat (``like``, for
+``verify`` the original of a release).  On the plain path a record whose
+bytes equal that file's record at the same position then takes its codes,
+and only the other records are split.  An identical line parses to
+identical cells, so this gives the cell values of a full parse.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
@@ -52,8 +58,10 @@ class Microfile:
     and ``vocabularies[j][code]`` is its value.  Record ``r`` is
     ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
     ``raw[:bounds[0]]`` is the header.  ``edited`` lists in ascending order
-    the records whose codes no longer match their raw bytes.  Code arrays
-    are never changed in place; a rewrite copies the columns it changes.
+    the records whose codes no longer match their raw bytes.  ``parsed``
+    counts the records the load split into cells; the others took their
+    codes from the microfile passed as ``like``.  Code arrays are never
+    changed in place; a rewrite copies the columns it changes.
     """
 
     attributes: list[str]
@@ -63,6 +71,7 @@ class Microfile:
     bounds: np.ndarray
     delimiter: str
     edited: np.ndarray
+    parsed: int
 
     @classmethod
     def from_rows(cls, attributes: Iterable[str], rows: Iterable[Iterable[str]],
@@ -178,12 +187,24 @@ class ConcentrationSignal:
         return self.numerators / self.denominators
 
 
-def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str = ",") -> Microfile:
+def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str = ",",
+                   *, like: Microfile | None = None) -> Microfile:
     """Read a delimited UTF-8 text microfile with a header row.
 
     ``source`` is a path or an object whose ``read()`` returns text or
     bytes.  ``schema``, when given, is the exact attribute set the file
     must carry.
+
+    ``like`` is a microfile the text mostly repeats, such as the original
+    of a release.  Each record whose bytes equal ``like``'s record at the
+    same position takes ``like``'s codes; only the other records are
+    re-parsed, with every check of a full parse, and their new values join
+    the end of ``like``'s vocabularies.  This is exact because on the plain
+    path a record is one line, and an identical line parses to identical
+    cells.  Every record counts as changed, which is a full parse, when
+    either text needs the csv parser, when the headers or delimiters
+    differ, or when a rewrite has edited ``like``.  The decoded values
+    never depend on ``like``; the codes and vocabularies may.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -192,25 +213,38 @@ def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str =
             data = handle.read()
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return _parse(data, schema, delimiter)
+    return _parse(data, schema, delimiter, like)
 
 
-def _parse(data: bytes, schema, delimiter: str) -> Microfile:
+def _parse(data: bytes, schema, delimiter: str, like: Microfile | None = None) -> Microfile:
     if len(delimiter) != 1 or delimiter in '"\r\n':
         raise MicrofileError(
             f"delimiter must be one character other than a quote or line break, got {delimiter!r}"
         )
     if not data:
         raise MicrofileError("empty file")
-    plain = delimiter.isascii() and b'"' not in data and b"\r" not in data
-    try:
-        split = _split_plain if plain else _split_csv
-        attributes, codes, vocabularies, bounds = split(data, delimiter, schema)
-    except UnicodeDecodeError as exc:
-        raise MicrofileError(f"input is not UTF-8 text: {exc}") from None
-    return Microfile(
-        attributes, codes, vocabularies, data, bounds, delimiter, np.empty(0, dtype=np.intp)
+    if _is_plain(data, delimiter):
+        split = _split_plain(data, delimiter, schema, like)
+    else:
+        split = _split_csv(data, delimiter, schema)
+    attributes, codes, vocabularies, bounds, parsed = split
+    return Microfile(attributes, codes, vocabularies, data, bounds, delimiter,
+                     np.empty(0, dtype=np.intp), parsed)
+
+
+def _is_plain(data: bytes, delimiter: str) -> bool:
+    """Whether every record is one line: no quote, and no CR outside a CRLF."""
+    return delimiter.isascii() and b'"' not in data and (
+        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
     )
+
+
+def _decode(text: bytes, line_at) -> str:
+    """``text`` as UTF-8; an error names the line ``line_at`` gives for the bad byte's offset."""
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MicrofileError(f"line {line_at(exc.start)} is not UTF-8 text ({exc.reason})") from None
 
 
 def _header_attributes(header: list[str], schema) -> list[str]:
@@ -236,39 +270,92 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_plain(data: bytes, delimiter: str, schema):
-    """Parser for text without quotes or carriage returns: every line is one record."""
-    bounds = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = None):
+    """Parser for text whose records are single lines; see :func:`load_microfile` for ``like``."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.flatnonzero(buf == ord("\n"))
     bounds += 1
     if not bounds.size or bounds[-1] != len(data):
         bounds = np.append(bounds, len(data))
-    header = data[: bounds[0]].decode("utf-8").rstrip("\n")
+    header = _decode(data[: bounds[0]], lambda offset: 1).removesuffix("\n").removesuffix("\r")
     attributes = _header_attributes(header.split(delimiter) if header else [], schema)
     q = len(attributes)
     n = len(bounds) - 1
     if n == 0:
         raise MicrofileError("empty file")
-    # Records repeat, so each chunk's lines are encoded whole first and
-    # only its distinct lines are split into fields.
-    indexes = [{} for _ in range(q)]
-    codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
+    if like is not None and not (
+        like.delimiter == delimiter and not like.edited.size
+        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter)
+    ):
+        like = None
+    if like is None:
+        shared = 0
+        indexes = [{} for _ in range(q)]
+        codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
+    else:
+        shared = min(n, len(like))
+        indexes = [dict(zip(vocabulary, count())) for vocabulary in like.vocabularies]
+        # Copies cut or padded to n rows; rows past like's end are all parsed.
+        codes = [np.resize(column, n) for column in like.codes]
+    crlf = b"\r" in data
+    parsed = 0
     for r0 in range(0, n, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, n)
-        lines = data[bounds[r0] : bounds[r1]].decode("utf-8").split("\n")
-        del lines[r1 - r0 :]  # what follows the chunk's last "\n"
+        todo = np.ones(r1 - r0, dtype=bool)
+        if r0 < shared:
+            todo[: min(r1, shared) - r0] = _changed(data, bounds, like, r0, min(r1, shared))
+        rows = r0 + np.flatnonzero(todo)
+        if not rows.size:
+            continue
+        parsed += rows.size
+        sizes = np.diff(bounds[r0 : r1 + 1])
+        if rows.size == r1 - r0:
+            at, chunk = slice(r0, r1), data[bounds[r0] : bounds[r1]]
+        else:
+            at, chunk = rows, buf[bounds[r0] : bounds[r1]][np.repeat(todo, sizes)].tobytes()
+            sizes = sizes[todo]
+        lines = _decode(
+            chunk, lambda offset: rows[np.searchsorted(np.cumsum(sizes), offset, side="right")] + 2
+        ).split("\n")
+        del lines[rows.size :]  # what follows the chunk's last "\n"
+        # Records repeat, so each chunk's lines are encoded whole first and
+        # only its distinct lines are split into fields.
         distinct: dict[str, int] = {}
         line_codes = _encode(lines, distinct)
+        keys = [line.removesuffix("\r") for line in distinct] if crlf else list(distinct)
         fields = np.fromiter(
-            (line.count(delimiter) + 1 if line else 0 for line in distinct),
-            dtype=np.int64, count=len(distinct),
+            (key.count(delimiter) + 1 if key else 0 for key in keys),
+            dtype=np.int64, count=len(keys),
         )
         if np.any(fields != q):
             r = int(np.argmax(fields[line_codes] != q))
-            raise MicrofileError(f"line {r0 + r + 2} has {fields[line_codes[r]]} fields, expected {q}")
-        cells = delimiter.join(distinct).split(delimiter)
+            raise MicrofileError(f"line {rows[r] + 2} has {fields[line_codes[r]]} fields, expected {q}")
+        cells = delimiter.join(keys).split(delimiter)
         for j in range(q):
-            codes[j][r0:r1] = _encode(cells[j::q], indexes[j])[line_codes]
-    return attributes, codes, [list(index) for index in indexes], bounds
+            codes[j][at] = _encode(cells[j::q], indexes[j])[line_codes]
+    return attributes, codes, [list(index) for index in indexes], bounds, parsed
+
+
+def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int) -> np.ndarray:
+    """Per record ``r0 <= r < r1``, whether its bytes differ from ``like``'s record ``r``.
+
+    Records of another length differ.  The records of equal length are
+    compacted out of both texts by a byte mask, compared in one step, and
+    each differing byte marks its record.
+    """
+    lengths = np.diff(bounds[r0 : r1 + 1])
+    old_lengths = np.diff(like.bounds[r0 : r1 + 1])
+    same = lengths == old_lengths
+    new = np.frombuffer(data, dtype=np.uint8, count=bounds[r1] - bounds[r0], offset=bounds[r0])
+    old = np.frombuffer(like.raw, dtype=np.uint8, count=like.bounds[r1] - like.bounds[r0],
+                        offset=like.bounds[r0])
+    if not same.all():
+        new, old = new[np.repeat(same, lengths)], old[np.repeat(same, old_lengths)]
+    differing = np.flatnonzero(new != old)
+    if differing.size:
+        kept = np.flatnonzero(same)
+        same[kept[np.searchsorted(np.cumsum(lengths[kept]), differing, side="right")]] = False
+    return ~same
 
 
 def _split_csv(data: bytes, delimiter: str, schema):
@@ -282,7 +369,8 @@ def _split_csv(data: bytes, delimiter: str, schema):
     offsets = np.concatenate(([0], np.flatnonzero(breaks) + 1))
     if offsets[-1] != len(data):
         offsets = np.append(offsets, len(data))
-    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""), delimiter=delimiter)
+    text = _decode(data, lambda offset: np.searchsorted(offsets, offset, side="right"))
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     # The plain parser takes a cell of any length, so this one must too; the
     # limit is process-wide, hence restored afterwards.
     limit = csv.field_size_limit(max(csv.field_size_limit(), len(data)))
@@ -319,7 +407,7 @@ def _split_csv(data: bytes, delimiter: str, schema):
     if len(starts) == 1:
         raise MicrofileError("empty file")
     codes = [np.concatenate(chunk) for chunk in chunks]
-    return attributes, codes, [list(index) for index in indexes], offsets[starts]
+    return attributes, codes, [list(index) for index in indexes], offsets[starts], len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
@@ -417,10 +505,6 @@ def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSig
     return ConcentrationSignal(spec.parameter_values, numerators, denominators)
 
 
-def round_half_away_from_zero(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
-
-
 def new_quantities(final_ratios, denominators) -> tuple[np.ndarray, float]:
     """Integer vital counts realizing the final ratios, plus their mean.
 
@@ -434,9 +518,11 @@ def new_quantities(final_ratios, denominators) -> tuple[np.ndarray, float]:
         raise MicrofileError(
             f"ratios and denominators differ in length: {ratios.shape} vs {denom.shape}"
         )
-    if np.any(ratios <= 0.0):
-        raise MicrofileError("final ratios must be positive")
-    counts = np.array([round_half_away_from_zero(r * d) for r, d in zip(ratios, denom)])
+    if not np.all(np.isfinite(ratios) & (ratios > 0.0)):
+        raise MicrofileError("final ratios must be positive and finite")
+    products = ratios * denom
+    # Half away from zero, in one array operation for all categories.
+    counts = np.where(products >= 0, np.floor(products + 0.5), np.ceil(products - 0.5)).astype(np.int64)
     return counts, float(counts.mean())
 
 

@@ -19,7 +19,11 @@ tests:
 the single-level circulant synthesis operator, built entry by entry from the
 taps.  The package synthesizes with a vectorized kernel instead, so tests
 compare that kernel and the display matrices against products of these.
+``round_half_away_from_zero`` is the scalar oracle for the counts that
+``new_quantities`` rounds as one array.
 """
+
+import math
 
 import numpy as np
 
@@ -32,6 +36,11 @@ def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
             # += so taps folding onto the same row (n < tap count) accumulate
             mat[(2 * j + i - 1) % n, j] += taps[i]
     return mat
+
+
+def round_half_away_from_zero(x: float) -> int:
+    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
+
 
 DISPLAY_TOL = 5e-4
 

@@ -108,6 +108,19 @@ def test_config_errors(tmp_path):
     ("attributes", "vital", "JOB", "attributes.vital"),
     ("attributes", "parameter_values", "R1", "attributes.parameter_values"),
     (None, "delimiter", 5, "delimiter"),
+    # Numeric keys take only the JSON number type they need, never true or false.
+    ("wavelet", "level", 1.7, "wavelet.level"),
+    ("wavelet", "level", True, "wavelet.level"),
+    (None, "seed", True, "seed"),
+    (None, "seed", 1.0, "seed"),
+    ("plan", "floor", "2", "plan.floor"),
+    ("plan", "floor", True, "plan.floor"),
+    ("plan", "fixed_indices", [1.5], "plan.fixed_indices"),
+    ("plan", "fixed_indices", [False], "plan.fixed_indices"),
+    ("plan", "targets", [[1.0, 0.5]], "plan.targets"),
+    ("plan", "targets", [[1, "0.5"]], "plan.targets"),
+    ("plan", "free_values", {"3": "0.1"}, "plan.free_values"),
+    ("plan", "free_values", {"3": True}, "plan.free_values"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -122,6 +135,35 @@ def test_malformed_config_value_names_key(small_run, capsys, section, key, value
     assert error["type"] == "ConfigError"
     assert repr(name) in error["message"]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value, allowed", [
+    ("plan", "strategy", "bogus", "['manual', 'alleged_extrema', 'extremum_transition']"),
+    ("wavelet", "extension", "up", "['left', 'right']"),
+])
+def test_value_outside_choices_names_key(small_run, capsys, section, key, value, allowed):
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config[section][key] = value
+    config_path.write_text(json.dumps(config))
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    message = (f"config key '{section}.{key}' has a malformed value: {value!r} "
+               f"(expected one of {allowed})")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(report_path.read_text())["error"]["message"] == message
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_numeric_keys_take_integers_for_floats(small_run):
+    # A JSON integer is a number too: floor 2 and free value 0 load as floats.
+    _, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config["plan"].update(floor=2, free_values={"3": 0})
+    config_path.write_text(json.dumps(config))
+    plan = load_config(config_path).plan
+    assert plan.floor == 2.0 and plan.free_values == {3: 0.0}
+    assert isinstance(plan.floor, float) and isinstance(plan.free_values[3], float)
 
 
 @pytest.mark.parametrize("path", [
@@ -303,7 +345,8 @@ def test_reports_carry_timings_and_sizes(small_run):
     status, checked = run_verify(config)
     assert status == EXIT_OK
     assert set(checked["timings"]) == {"load", "signal", "outcome", "compare"}
-    assert checked["sizes"] == sizes
+    # verify parses only the records whose bytes the rewrite changed.
+    assert checked["sizes"] == {**sizes, "records_reparsed": sizes["records_changed"]}
 
 
 def test_anonymize_even_length_rejects_unknown_extension(tmp_path):
@@ -447,6 +490,40 @@ def test_verify_detects_tampering(small_run, capsys):
     assert summary["checks"]["non_vital_cells_unchanged"]["passed"] is False
     assert set(summary["timings"]) == {"load", "signal", "outcome", "compare"}
     assert summary["sizes"]["records"] == 7000
+
+
+def _tamper_and_verify(tmp_path, config_path, capsys, edit):
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    out.write_text(edit(out.read_text()))
+    assert main(["verify", "--config", str(config_path)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    return json.loads(captured.out), captured.err
+
+
+def test_verify_detects_tampering_in_record_of_new_length(small_run, capsys):
+    # The tampered record is longer, so it is re-parsed, not byte-compared.
+    tmp_path, config_path = small_run
+
+    def edit(text):
+        lines = text.split("\n")
+        region, job, sex = lines[5].split(",")
+        lines[5] = ",".join((region, job + "Q", sex + "9"))
+        return "\n".join(lines)
+
+    summary, err = _tamper_and_verify(tmp_path, config_path, capsys, edit)
+    assert "check failed: non_vital_cells_unchanged: value 1 (tolerance 0)" in err
+    assert summary["checks"]["non_vital_cells_unchanged"]["passed"] is False
+    assert summary["sizes"]["records_reparsed"] >= 1
+
+
+def test_verify_detects_appended_record(small_run, capsys):
+    tmp_path, config_path = small_run
+    summary, err = _tamper_and_verify(tmp_path, config_path, capsys, lambda text: text + "R1,Z,1\n")
+    assert "check failed: record_count_unchanged: value 1 (tolerance 0)" in err
+    assert "check failed: non_vital_cells_unchanged: value 7001 (tolerance 0)" in err
+    assert summary["status"] == "invariant_violation"
 
 
 def test_both_commands_report_check_rows(small_run, capsys):

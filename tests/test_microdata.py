@@ -1,5 +1,6 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from groupanon import (
 from groupanon import Microfile, microdata
 from groupanon.errors import MicrofileError, RewriteError
 from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribute_spec
-from groupanon.microdata import round_half_away_from_zero
 
 import reference as ref
+from reference import round_half_away_from_zero
 from conftest import make_microfile, microfile_text, records
 
 
@@ -185,11 +186,38 @@ def test_round_half_away_from_zero():
     assert round_half_away_from_zero(2.4999) == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(1, 10**6), st.integers(0, 10**6), st.floats(1e-9, 1.0)),
+    min_size=1, max_size=20,
+))
+def test_new_quantities_rounds_like_the_scalar_function(cases):
+    # An odd k makes an exact tie: with d a power of two, r = (2m + 1) / (2d) gives r * d = m + 0.5.
+    ratios, denominators = [], []
+    for d, k, r in cases:
+        if k % 2:
+            d = 1 << (d % 20 + 1)
+            r = (2 * (k % d) + 1) / (2 * d)
+        ratios.append(r)
+        denominators.append(d)
+    counts, mean = new_quantities(ratios, denominators)
+    expected = [round_half_away_from_zero(r * float(d)) for r, d in zip(ratios, denominators)]
+    assert counts.tolist() == expected
+    assert mean == float(np.mean(expected))
+
+
+def test_new_quantities_rounds_ties_away_from_zero():
+    counts, _ = new_quantities([0.625, 0.375, 0.125], [4, 4, 4])
+    assert counts.tolist() == [3, 2, 1]
+
+
 def test_new_quantities_validation():
     with pytest.raises(MicrofileError, match="differ in length"):
         new_quantities([0.5, 0.5], [4])
     with pytest.raises(MicrofileError, match="positive"):
         new_quantities([0.0], [4])
+    with pytest.raises(MicrofileError, match="positive and finite"):
+        new_quantities([float("nan")], [4])
 
 
 def test_rounded_counts_perturb_details_slightly(db2, census_ratios):
@@ -435,6 +463,15 @@ def test_write_of_load_is_byte_identical(case):
     assert buffer.getvalue() == text.encode()
 
 
+def _assert_parsers_agree(data, d):
+    plain = microdata._split_plain(data, d, None)
+    via_csv = microdata._split_csv(data, d, None)
+    assert plain[0] == via_csv[0]
+    assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
+    assert plain[2] == via_csv[2]
+    np.testing.assert_array_equal(plain[3], via_csv[3])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(_DELIMITERS),
@@ -448,12 +485,7 @@ def test_plain_and_csv_parsers_agree(d, q, rows, final_newline):
         return
     text = "\n".join(d.join(row) for row in [[f"A{j}" for j in range(q)]] + rows)
     data = (text + ("\n" if final_newline else "")).encode()
-    plain = microdata._split_plain(data, d, None)
-    via_csv = microdata._split_csv(data, d, None)
-    assert plain[0] == via_csv[0]
-    assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
-    assert plain[2] == via_csv[2]
-    np.testing.assert_array_equal(plain[3], via_csv[3])
+    _assert_parsers_agree(data, d)
     assert records(load_microfile(io.BytesIO(data), delimiter=d)) == [tuple(row) for row in rows]
 
 
@@ -467,3 +499,124 @@ def test_parsers_agree_across_chunks(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(chunked.codes, whole.codes))
         assert chunked.vocabularies == whole.vocabularies
         assert microfile_text(chunked) == text
+
+
+def test_crlf_census_takes_plain_path(census_file):
+    # Unquoted CRLF text splits on "\n" and drops one "\r" per line.
+    data = census_file.read_bytes().replace(b"\n", b"\r\n")
+    assert microdata._is_plain(data, ",")
+    _assert_parsers_agree(data, ",")
+    buffer = io.BytesIO()
+    write_microfile(load_microfile(io.BytesIO(data)), buffer)
+    assert buffer.getvalue() == data
+
+
+def test_bare_cr_and_quotes_stay_on_csv():
+    assert microdata._is_plain(b"A,B\r\nx,y\r\nz,w\n", ",")
+    assert not microdata._is_plain(b"A,B\rx,y\n", ",")
+    assert not microdata._is_plain(b"A,B\r\nx,y\r", ",")
+    assert not microdata._is_plain(b'A,B\r\n"x",y\r\n', ",")
+
+
+# --------------------------------------------------------------- delta read
+
+def _load_or_error(data, delimiter, like=None):
+    try:
+        return load_microfile(io.BytesIO(data), delimiter=delimiter, like=like)
+    except MicrofileError as exc:
+        return str(exc)
+
+
+_EDITS = ("keep", "keep", "keep", "same_length", "other_length", "ragged", "drop",
+          "quote", "bare_cr", "not_utf8")
+
+
+@st.composite
+def delta_cases(draw):
+    """An original microfile text and a release made from it by random edits."""
+    d = draw(st.sampled_from(_DELIMITERS))
+    q = draw(st.integers(1, 3))
+    pool = ["x", "y", "xy", "é", "a b"] + ([""] if q > 1 else [])
+    values = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
+    header = d.join(f"A{j}" for j in range(q)).encode()
+    rows = [d.join(draw(values)).encode() for _ in range(draw(st.integers(1, 8)))]
+
+    def text(lines, terminator, final):
+        return terminator.join(lines) + (terminator if final else b"")
+
+    original = text([header] + rows, draw(st.sampled_from([b"\n", b"\r\n"])), draw(st.booleans()))
+    released = []
+    for line in rows:
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "same_length":
+            line = line.replace(b"x", b"y") if b"x" in line else line.replace(b"y", b"x")
+        elif edit == "other_length":
+            line += b"z"
+        elif edit == "ragged":
+            line += d.encode()
+        elif edit == "drop":
+            continue
+        elif edit == "quote":
+            line = b'"' + line.replace(b'"', b'""') + b'"' if q == 1 else b'"q"' + line[line.index(d.encode()):]
+        elif edit == "bare_cr":
+            line = line[:1] + b"\r" + line[1:]
+        elif edit == "not_utf8":
+            line += b"\xff"
+        released.append(line)
+    released += [d.join(draw(values)).encode() for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        header = header.replace(b"A0", b"B0")
+    terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return d, original, text([header] + released, terminator, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_cases(), st.sampled_from([2, 3, 1 << 15]))
+def test_delta_read_equals_full_read(case, chunk_rows):
+    d, original, released = case
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
+        like = load_microfile(io.BytesIO(original), delimiter=d)
+        delta = _load_or_error(released, d, like)
+        full = _load_or_error(released, d)
+    if isinstance(full, str):
+        assert delta == full
+        return
+    assert not isinstance(delta, str), delta
+    assert delta.attributes == full.attributes
+    assert delta.raw == full.raw
+    np.testing.assert_array_equal(delta.bounds, full.bounds)
+    assert records(delta) == records(full)
+    assert delta.parsed <= full.parsed == len(full)
+    if released == original:
+        assert delta.parsed == 0
+
+
+def test_delta_read_parses_only_changed_records():
+    original = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
+    like = load_microfile(io.StringIO(original))
+    released = load_microfile(io.StringIO("REG,JOB,SEX\nA,X,1\nA,Y,2\nB,ZZ,1\nB,X,2\nC,W,1\n"), like=like)
+    assert released.parsed == 3
+    assert records(released) == [("A", "X", "1"), ("A", "Y", "2"), ("B", "ZZ", "1"),
+                                 ("B", "X", "2"), ("C", "W", "1")]
+    # Unchanged records keep the original's codes; new values join the end.
+    assert released.vocabularies[1][: len(like.vocabularies[1])] == like.vocabularies[1]
+    np.testing.assert_array_equal(released.codes[1][[0, 3]], like.codes[1][[0, 3]])
+
+
+def test_delta_read_error_names_line_in_released_file():
+    original = "".join(["REG,JOB,SEX\n"] + [f"A,X,{i}\n" for i in range(6)])
+    like = load_microfile(io.StringIO(original))
+    released = original.replace("A,X,4\n", "A,X\n")
+    with pytest.raises(MicrofileError, match="^line 6 has 2 fields, expected 3$"):
+        load_microfile(io.StringIO(released), like=like)
+    broken = original.encode().replace(b"A,X,3\n", b"A,\xff,3\n")
+    with pytest.raises(MicrofileError, match="^line 5 is not UTF-8 text"):
+        load_microfile(io.BytesIO(broken), like=like)
+
+
+def test_delta_read_ignores_an_edited_like():
+    mf = make_microfile(SMALL_ROWS)
+    rewritten = rewrite_microfile(mf, small_spec(), [2, 1], [1, 3], seed=1)
+    again = load_microfile(io.StringIO(microfile_text(mf)), like=rewritten)
+    assert again.parsed == len(mf)
+    assert records(again) == SMALL_ROWS
