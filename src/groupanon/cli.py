@@ -81,7 +81,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.level < 1:
-            raise ConfigError(f"wavelet level must be >= 1, got {self.level}")
+            raise ConfigError(f"wavelet level must be >= 1, got {self.level}", field="level")
         if self.extension not in EXTENSIONS:
             raise ConfigError(f"extension must be 'left' or 'right', got {self.extension!r}")
 
@@ -98,6 +98,15 @@ def _of(*kinds):
 
 _string, _list, _object_of = _of(str), _of(list), _of(dict)
 _integer, _number = _of(int), _of(int, float)
+
+
+def _positive(convert):
+    """``convert``, taking only a value above 0."""
+    def check(value):
+        if not convert(value) > 0:
+            raise ValueError("must be positive")
+        return value
+    return check
 
 
 def _choice(options):
@@ -129,13 +138,14 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _object(name: str, data, table: dict, required=()) -> dict:
-    """The fields config object ``name`` sets; ``table``: key -> (field, converter).
+def _object(name: str, data, table: dict, required=(), build=dict):
+    """``build`` called with the fields config object ``name`` sets.
 
-    Keys left out keep their dataclass default.  A field of None takes the
-    fields its converter returns.  An unknown key, a missing required key
-    and a value its converter cannot take are each a ConfigError naming
-    ``name.key``.
+    ``table`` maps each key to (field, converter).  Keys left out keep their
+    dataclass default.  A field of None takes the fields its converter
+    returns.  An unknown key, a missing required key, a value its converter
+    cannot take and a value ``build`` rejects (its error naming the field)
+    are each a ConfigError naming ``name.key``.
     """
     if not isinstance(data, dict):
         raise TypeError(data)
@@ -153,15 +163,23 @@ def _object(name: str, data, table: dict, required=()) -> dict:
             converted = convert(value)
         except ConfigError:
             raise
-        except GroupAnonError as exc:  # the dataclass's own validation
-            raise ConfigError(str(exc)) from None
         except (TypeError, ValueError) as exc:
-            message = f"config key {prefix + key!r} has a malformed value: {value!r}"
-            if isinstance(exc, ValueError) and str(exc):
-                message += f" ({exc})"
-            raise ConfigError(message) from None
+            raise _malformed(prefix + key, value, exc) from None
         fields.update(converted if field_name is None else {field_name: converted})
-    return fields
+    try:
+        return build(**fields)
+    except GroupAnonError as exc:  # the dataclass's own validation
+        keys = [key for key in data if exc.field is not None and table[key][0] == exc.field]
+        if not keys:
+            raise ConfigError(str(exc)) from None
+        raise _malformed(prefix + keys[0], data[keys[0]], exc) from None
+
+
+def _malformed(key: str, value, exc: Exception) -> ConfigError:
+    message = f"config key {key!r} has a malformed value: {value!r}"
+    if isinstance(exc, ValueError) and str(exc):
+        message += f" ({exc})"
+    return ConfigError(message)
 
 
 def _denominator(value) -> dict:
@@ -187,7 +205,7 @@ _ATTRIBUTES = {
 }
 _WAVELET = {
     "name": ("wavelet", _string),
-    "level": ("level", _integer),
+    "level": ("level", _positive(_integer)),
     "extension": ("extension", _choice(EXTENSIONS)),
 }
 # Free-value keys are JSON object keys, hence strings holding the index.
@@ -197,7 +215,7 @@ _PLAN = {
     "free_values": ("free_values", _optional(
         lambda v: {int(i): _number(x) for i, x in _object_of(v).items()})),
     "targets": ("targets", lambda v: tuple((_integer(p), _number(x)) for p, x in map(_list, _list(v)))),
-    "floor": ("floor", _optional(_number)),
+    "floor": ("floor", _optional(_positive(_number))),
 }
 _RUN = {
     "input": ("input", _path),
@@ -206,10 +224,10 @@ _RUN = {
     "plot_data": ("plot_data", _optional(_path)),
     "delimiter": ("delimiter", _string),
     "seed": ("seed", _integer),
-    "attributes": ("spec", lambda v: AttributeSpec(**_object("attributes", v, _ATTRIBUTES, (
-        "vital", "vital_combinations", "parameter", "parameter_values")))),
+    "attributes": ("spec", lambda v: _object("attributes", v, _ATTRIBUTES, (
+        "vital", "vital_combinations", "parameter", "parameter_values"), AttributeSpec)),
     "wavelet": (None, lambda v: _object("wavelet", v, _WAVELET)),
-    "plan": ("plan", lambda v: RedistributionPlan(**_object("plan", v, _PLAN))),
+    "plan": ("plan", lambda v: _object("plan", v, _PLAN, (), RedistributionPlan)),
 }
 
 
@@ -223,7 +241,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    return RunConfig(**_object("", data, _RUN, ("input", "attributes")))
+    return _object("", data, _RUN, ("input", "attributes"), RunConfig)
 
 
 @contextmanager
@@ -236,7 +254,9 @@ def _stage(timings: dict, name: str):
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # Without indent, json serialises with its C encoder, not its Python one.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def run_anonymize(config: RunConfig) -> tuple[int, dict]:
@@ -274,12 +294,13 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         "wavelet": {"name": config.wavelet, "level": config.level, "extension": config.extension},
         "signal": {
             "parameter_values": list(signal.parameter_values),
-            "numerators": signal.numerators.tolist(),
             "denominators": signal.denominators.tolist(),
             "ratios": signal.ratios.tolist(),
             "final_ratios": final_ratios.tolist(),
         },
-        "redistribution": red_report,
+        # The extended arrays repeat signal.ratios and final_ratios.
+        "redistribution": {key: value for key, value in red_report.items()
+                           if key not in ("extended_before", "extended_after")},
         "counts": {
             "old": signal.numerators.tolist(),
             "new": counts.tolist(),
@@ -296,13 +317,16 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
             "records_changed": len(rewritten.edited),
         },
     }
-    if config.report is not None:
-        _write_json(config.report, report)
-    if config.plot_data is not None:
-        config.plot_data.parent.mkdir(parents=True, exist_ok=True)
-        config.plot_data.write_text(
-            format_plot_data(signal.ratios, final_ratios), encoding="utf-8"
-        )
+    # The report file cannot hold its own write time; the returned report
+    # and the summary on stdout carry it.
+    with _stage(timings, "report"):
+        if config.report is not None:
+            _write_json(config.report, report)
+        if config.plot_data is not None:
+            config.plot_data.parent.mkdir(parents=True, exist_ok=True)
+            config.plot_data.write_text(
+                format_plot_data(signal.ratios, final_ratios), encoding="utf-8"
+            )
     return (EXIT_OK if passed else EXIT_INVARIANT), report
 
 

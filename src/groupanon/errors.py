@@ -2,7 +2,15 @@
 
 
 class GroupAnonError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``field``, when given, names the dataclass field a validation error is
+    about, so that the command line can name the config key that set it.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class SignalError(GroupAnonError, ValueError):

@@ -20,10 +20,19 @@ record outlives :func:`load_microfile`.
 Two parsers build the same codes and vocabularies.  Text in which every
 record is one line (no quote character, and every carriage return part of a
 ``\r\n`` terminator) takes the plain path: record spans come from a
-vectorised scan for newlines, whole lines are dictionary-encoded in chunks
-of rows, and only the distinct lines lose their ``\r`` and are split into
-fields and checked for their field count.  Everything else goes through
-:mod:`csv`, whose line count gives each record's span.
+vectorised scan for newlines, and the records are split in chunks of rows.
+Each chunk takes one of two modes, chosen from what earlier chunks showed:
+
+* while lines repeat, whole lines are dictionary-encoded first, and only
+  the distinct lines lose their ``\r`` and are split into fields and
+  checked for their field count;
+* once a chunk finds more distinct lines than half its rows, the dictionary
+  does not pay, and every later chunk is split into cells straight from its
+  text, with field counts taken from the delimiter and line-end positions
+  in its bytes.
+
+Everything else goes through :mod:`csv`, whose line count gives each
+record's span.
 
 A load may name a microfile the text is expected to repeat (``like``, for
 ``verify`` the original of a release).  On the plain path a record whose
@@ -131,25 +140,29 @@ class AttributeSpec:
         )
         object.__setattr__(self, "parameter_values", tuple(self.parameter_values))
         if not self.vital_attributes:
-            raise MicrofileError("at least one vital attribute is required")
+            raise MicrofileError("at least one vital attribute is required", field="vital_attributes")
         if not self.vital_combinations:
-            raise MicrofileError("at least one vital value combination is required")
+            raise MicrofileError(
+                "at least one vital value combination is required", field="vital_combinations"
+            )
         if self.parameter_attribute in self.vital_attributes:
             raise MicrofileError(
-                f"parameter attribute {self.parameter_attribute!r} cannot also be vital"
+                f"parameter attribute {self.parameter_attribute!r} cannot also be vital",
+                field="parameter_attribute",
             )
         arity = len(self.vital_attributes)
         for combo in self.vital_combinations:
             if len(combo) != arity:
                 raise MicrofileError(
-                    f"vital combination {combo!r} does not cover the {arity} vital attribute(s)"
+                    f"vital combination {combo!r} does not cover the {arity} vital attribute(s)",
+                    field="vital_combinations",
                 )
         if len(set(self.vital_combinations)) != len(self.vital_combinations):
-            raise MicrofileError("vital combinations must be distinct")
+            raise MicrofileError("vital combinations must be distinct", field="vital_combinations")
         if not self.parameter_values:
-            raise MicrofileError("at least one parameter value is required")
+            raise MicrofileError("at least one parameter value is required", field="parameter_values")
         if len(set(self.parameter_values)) != len(self.parameter_values):
-            raise MicrofileError("parameter values must be distinct")
+            raise MicrofileError("parameter values must be distinct", field="parameter_values")
         if self.denominator not in ("group_total", "custom_filter"):
             raise MicrofileError(f"unknown denominator rule {self.denominator!r}")
         if self.denominator == "custom_filter":
@@ -161,10 +174,13 @@ class AttributeSpec:
             fallback = tuple(self.fallback_combination)
             if len(fallback) != arity:
                 raise MicrofileError(
-                    f"fallback combination {fallback!r} does not cover the {arity} vital attribute(s)"
+                    f"fallback combination {fallback!r} does not cover the {arity} vital attribute(s)",
+                    field="fallback_combination",
                 )
             if fallback in self.vital_combinations:
-                raise MicrofileError("fallback combination must not itself be vital")
+                raise MicrofileError(
+                    "fallback combination must not itself be vital", field="fallback_combination"
+                )
             object.__setattr__(self, "fallback_combination", fallback)
 
     def referenced_attributes(self) -> tuple[str, ...]:
@@ -299,6 +315,7 @@ def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = N
         codes = [np.resize(column, n) for column in like.codes]
     crlf = b"\r" in data
     parsed = 0
+    repeating = True
     for r0 in range(0, n, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, n)
         todo = np.ones(r1 - r0, dtype=bool)
@@ -314,26 +331,53 @@ def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = N
         else:
             at, chunk = rows, buf[bounds[r0] : bounds[r1]][np.repeat(todo, sizes)].tobytes()
             sizes = sizes[todo]
-        lines = _decode(
+        text = _decode(
             chunk, lambda offset: rows[np.searchsorted(np.cumsum(sizes), offset, side="right")] + 2
-        ).split("\n")
-        del lines[rows.size :]  # what follows the chunk's last "\n"
-        # Records repeat, so each chunk's lines are encoded whole first and
-        # only its distinct lines are split into fields.
-        distinct: dict[str, int] = {}
-        line_codes = _encode(lines, distinct)
-        keys = [line.removesuffix("\r") for line in distinct] if crlf else list(distinct)
-        fields = np.fromiter(
-            (key.count(delimiter) + 1 if key else 0 for key in keys),
-            dtype=np.int64, count=len(keys),
         )
-        if np.any(fields != q):
-            r = int(np.argmax(fields[line_codes] != q))
-            raise MicrofileError(f"line {rows[r] + 2} has {fields[line_codes[r]]} fields, expected {q}")
-        cells = delimiter.join(keys).split(delimiter)
+        if repeating:
+            # Whole lines are encoded first and only the distinct ones are
+            # split into fields.  A chunk with more distinct lines than half
+            # its rows shows the dictionary does not pay; later chunks skip it.
+            lines = text.split("\n")
+            del lines[rows.size :]  # what follows the chunk's last "\n"
+            distinct: dict[str, int] = {}
+            line_codes = _encode(lines, distinct)
+            repeating = 2 * len(distinct) <= rows.size
+            keys = [line.removesuffix("\r") for line in distinct] if crlf else list(distinct)
+            fields = np.fromiter(
+                (key.count(delimiter) + 1 if key else 0 for key in keys),
+                dtype=np.int64, count=len(keys),
+            )[line_codes]
+            cells = delimiter.join(keys).split(delimiter)
+        else:
+            line_codes = None
+            fields = _field_counts(np.frombuffer(chunk, dtype=np.uint8), sizes, delimiter)
+            if crlf:
+                text = text.replace("\r", "")
+            cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
+        bad = np.flatnonzero(fields != q)
+        if bad.size:
+            r = bad[0]
+            raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
         for j in range(q):
-            codes[j][at] = _encode(cells[j::q], indexes[j])[line_codes]
+            column = _encode(cells[j::q], indexes[j])
+            codes[j][at] = column if line_codes is None else column[line_codes]
     return attributes, codes, [list(index) for index in indexes], bounds, parsed
+
+
+def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:
+    """Fields per line of the bytes ``chunk``, whose lines have the lengths ``sizes``.
+
+    A line has one field more than it has delimiters, except an empty line,
+    which has none.  Every byte of a multi-byte UTF-8 character is above
+    127, so an ASCII delimiter's byte is found only where the character is.
+    """
+    ends = np.cumsum(sizes)
+    fields = np.diff(np.searchsorted(np.flatnonzero(chunk == ord(delimiter)), ends), prepend=0) + 1
+    # Empty lines: a bare "\n", or a "\r\n" (the only place a "\r" may stand).
+    lf = (sizes == 1) & (chunk[ends - 1] == ord("\n"))
+    fields[lf | ((sizes == 2) & (chunk[ends - 2] == ord("\r")))] = 0
+    return fields
 
 
 def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int) -> np.ndarray:
@@ -602,19 +646,22 @@ def rewrite_microfile(
         )
 
     rng = random.Random(seed)
+    starts = edges.tolist()
     grown, cycle, shrunk = [], [], []
     for g in np.flatnonzero(new != old).tolist():
         delta = int(new[g] - old[g])
         bucket = 2 * g + (delta > 0)
-        pool = order[edges[bucket] : edges[bucket + 1]]
-        # Sampling positions of the ascending pool draws what sampling the
-        # pool's row list itself would.
-        picked = np.sort(pool[rng.sample(range(len(pool)), abs(delta))])
+        start = starts[bucket]
+        # The pool order[start:end] is ascending, so its sorted sampled
+        # positions pick the rows that sampling its row list itself would.
+        picked = sorted(rng.sample(range(starts[bucket + 1] - start), abs(delta)))
         if delta > 0:
-            grown.append(picked)
-            cycle.append(np.arange(delta) % len(spec.vital_combinations))
+            grown += [start + p for p in picked]
+            cycle += range(delta)
         else:
-            shrunk.append(picked)
+            shrunk += [start + p for p in picked]
+    rows = order[np.array(grown + shrunk, dtype=np.intp)]
+    grown, shrunk = rows[: len(grown)], rows[len(grown) :]
 
     codes = list(mf.codes)
     vocabularies = list(mf.vocabularies)
@@ -623,11 +670,11 @@ def rewrite_microfile(
         # Values the column has not seen yet extend its vocabulary.
         index = {value: code for code, value in enumerate(vocabularies[j])}
         column = codes[j].copy()
-        if grown:
+        if grown.size:
             combos = [combo[position] for combo in spec.vital_combinations]
-            column[np.concatenate(grown)] = _encode(combos, index)[np.concatenate(cycle)]
-        if shrunk:
-            column[np.concatenate(shrunk)] = _encode([spec.fallback_combination[position]], index)
+            column[grown] = _encode(combos, index)[np.array(cycle) % len(combos)]
+        if shrunk.size:
+            column[shrunk] = _encode([spec.fallback_combination[position]], index)
         codes[j], vocabularies[j] = column, list(index)
-    edited = np.union1d(mf.edited, np.concatenate(grown + shrunk + [np.empty(0, dtype=np.intp)]))
+    edited = np.union1d(mf.edited, rows)
     return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)

@@ -84,7 +84,7 @@ class RedistributionPlan:
         if self.floor is not None:
             floor = float(self.floor)
             if not floor > 0:
-                raise PlanError("floor must be positive (or None to disable the shift)")
+                raise PlanError("floor must be positive (or None to disable the shift)", field="floor")
             object.__setattr__(self, "floor", floor)
         if self.strategy == "manual" and self.targets:
             raise PlanError("manual plans take free_values, not targets")
@@ -95,9 +95,13 @@ class RedistributionPlan:
 def local_extrema(values) -> tuple[list[int], list[int]]:
     """Strict interior local (maxima, minima) as 1-based positions."""
     v = np.asarray(values, dtype=float)
-    maxima = [i + 1 for i in range(1, v.size - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
-    minima = [i + 1 for i in range(1, v.size - 1) if v[i] < v[i - 1] and v[i] < v[i + 1]]
-    return maxima, minima
+    if v.size < 3:
+        return [], []
+    inner, before, after = v[1:-1], v[:-2], v[2:]
+    # inner[k] is the sample at 1-based position k + 2.
+    maxima = np.flatnonzero((inner > before) & (inner > after)) + 2
+    minima = np.flatnonzero((inner < before) & (inner < after)) + 2
+    return maxima.tolist(), minima.tolist()
 
 
 def _approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:

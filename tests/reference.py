@@ -20,7 +20,9 @@ the single-level circulant synthesis operator, built entry by entry from the
 taps.  The package synthesizes with a vectorized kernel instead, so tests
 compare that kernel and the display matrices against products of these.
 ``round_half_away_from_zero`` is the scalar oracle for the counts that
-``new_quantities`` rounds as one array.
+``new_quantities`` rounds as one array, and ``local_extrema`` the loop oracle
+for the strict interior extrema that ``redistribution.local_extrema`` finds
+with array comparisons.
 """
 
 import math
@@ -40,6 +42,13 @@ def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
 
 def round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
+
+
+def local_extrema(values) -> tuple[list[int], list[int]]:
+    v = np.asarray(values, dtype=float)
+    maxima = [i + 1 for i in range(1, v.size - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
+    minima = [i + 1 for i in range(1, v.size - 1) if v[i] < v[i - 1] and v[i] < v[i + 1]]
+    return maxima, minima
 
 
 DISPLAY_TOL = 5e-4

@@ -121,6 +121,11 @@ def test_config_errors(tmp_path):
     ("plan", "targets", [[1, "0.5"]], "plan.targets"),
     ("plan", "free_values", {"3": "0.1"}, "plan.free_values"),
     ("plan", "free_values", {"3": True}, "plan.free_values"),
+    # Values the dataclasses reject, alone or with another key, name the key too.
+    ("wavelet", "level", 0, "wavelet.level"),
+    ("plan", "floor", -1, "plan.floor"),
+    ("attributes", "parameter", "JOB", "attributes.parameter"),
+    ("attributes", "fallback", "X", "attributes.fallback"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -334,7 +339,7 @@ def test_reports_carry_timings_and_sizes(small_run):
     status, report = run_anonymize(config)
     assert status == EXIT_OK
     assert set(report["timings"]) == {
-        "load", "signal", "redistribute", "quantities", "rewrite", "write", "recount"
+        "load", "signal", "redistribute", "quantities", "rewrite", "write", "recount", "report"
     }
     sizes = report["sizes"]
     assert set(sizes) == {"records", "categories", "extended_length", "level", "records_changed"}

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupanon import (
@@ -499,6 +499,85 @@ def test_parsers_agree_across_chunks(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(chunked.codes, whole.codes))
         assert chunked.vocabularies == whole.vocabularies
         assert microfile_text(chunked) == text
+
+
+_FAULTS = ("none", "none", "ragged", "short", "not_utf8")
+
+
+@st.composite
+def chunked_texts(draw):
+    """Plain text whose chunks of lines either all repeat or are all distinct.
+
+    Returns the delimiter, the chunk size, the text, a fault-free text
+    that differs from it in some lines, the number of lines that differ,
+    and the number of chunks after the first all-distinct one.  At most one
+    line is at fault.
+    """
+    d = draw(st.sampled_from(_DELIMITERS))
+    q = draw(st.integers(1, 3))
+    chunk_rows = draw(st.integers(2, 4))
+    pool = ["x", "é", "日本", "a b"] + ([""] if q > 1 else [])
+    row = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
+    kinds = draw(st.lists(st.sampled_from(["repeat", "distinct"]), min_size=1, max_size=4))
+    lines = []
+    for kind in kinds:
+        if kind == "repeat":
+            lines += [d.join(draw(row)).encode()] * chunk_rows
+        else:
+            # A multi-byte first cell unique to its line keeps the lines distinct.
+            lines += [d.join([f"ü{len(lines) + i}"] + draw(row)[1:]).encode() for i in range(chunk_rows)]
+    tail = draw(st.integers(0, chunk_rows - 1))
+    lines += [d.join(draw(row)).encode() for _ in range(tail)]
+    edits = [draw(st.integers(0, 3)) == 0 for _ in lines]
+    edited = [line + b"e" if edit else line for line, edit in zip(lines, edits)]
+    fault, at = draw(st.sampled_from(_FAULTS)), draw(st.integers(0, len(lines) - 1))
+    if fault == "ragged":
+        lines[at] += d.encode() + b"z"
+    elif fault == "short":
+        lines[at] = lines[at].rpartition(d.encode())[0]
+    elif fault == "not_utf8":
+        lines[at] += b"\xff"
+    terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
+    # An empty last line is a record only when a terminator follows it.
+    final = terminator if draw(st.booleans()) or not lines[-1] else b""
+    header = d.join(f"A{j}" for j in range(q)).encode()
+    text, like = (terminator.join([header] + body) + final for body in (lines, edited))
+    skipped = len(kinds) - kinds.index("distinct") - 1 + (tail > 0) if "distinct" in kinds else 0
+    return d, chunk_rows, text, like, sum(edits), skipped
+
+
+def _split_or_error(split, data, d):
+    try:
+        return split(data, d, None)
+    except MicrofileError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_texts())
+# An empty line in a chunk that skips the dictionary, after LF and CRLF.
+@example((",", 2, b"A0\nu0\nu1\nx\n\n", b"A0\nu0\nu1\nx\nx\n", 0, 1))
+@example((",", 2, b"A0\r\nu0\r\nu1\r\nx\r\n\r\n", b"A0\r\nu0\r\nu1\r\nx\r\nx\r\n", 0, 1))
+def test_plain_parser_modes_agree_with_csv(case):
+    # The plain parser encodes whole lines while they repeat; from the chunk
+    # after one with more distinct lines than half its rows, it splits cells
+    # straight from the text and counts fields on the bytes.
+    d, chunk_rows, text, like_text, edited, skipped = case
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
+        expected = _split_or_error(microdata._split_csv, text, d)
+        like = load_microfile(io.BytesIO(like_text), delimiter=d)
+        delta = _load_or_error(text, d, like)
+        if isinstance(expected, str):
+            # The one fault is reported at the same line by every read.
+            assert _split_or_error(microdata._split_plain, text, d) == delta == expected
+            return
+        with mock.patch.object(microdata, "_field_counts", wraps=microdata._field_counts) as spy:
+            _assert_parsers_agree(text, d)
+    assert spy.call_count == skipped
+    assert not isinstance(delta, str), delta
+    assert delta.parsed == edited
+    values = [np.asarray(v, dtype=object)[c] for c, v in zip(expected[1], expected[2])]
+    assert records(delta) == list(zip(*values))
 
 
 def test_crlf_census_takes_plain_path(census_file):

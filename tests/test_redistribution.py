@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupanon import (
     RedistributionPlan,
@@ -111,6 +113,21 @@ def test_alleged_extrema_creates_maximum(census_parts):
     maxima, _ = local_extrema(rebuilt)
     assert 13 in maxima
     np.testing.assert_array_equal(ahat[[0, 1, 6]], dec.approx[[0, 1, 6]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, float("nan"), float("inf")]), max_size=8))
+@example([]).via("length 0")
+@example([1.0]).via("length 1")
+@example([1.0, 0.0]).via("length 2")
+@example([0.0, 1.0, 0.0]).via("length 3")
+@example([0.0, 1.0, 1.0, 0.0]).via("plateau")
+@example([0.0, float("nan"), 0.0]).via("NaN")
+def test_local_extrema_matches_the_loop(values):
+    # Few distinct values, so ties and plateaus are common; lengths 0-3 included.
+    assert local_extrema(values) == ref.local_extrema(values)
+    maxima, minima = local_extrema(values)
+    assert all(type(p) is int for p in maxima + minima)
 
 
 def test_extremum_transition_flattens(census_parts):
