@@ -10,7 +10,6 @@ coefficients survive up to one common scale factor.
 """
 
 from .errors import ConfigError, GroupAnonError
-from .matrices import build_reconstruction_matrix
 from .microdata import (
     AttributeSpec,
     Microfile,
@@ -27,7 +26,7 @@ from .redistribution import (
     redistribute,
     verify_outcome,
 )
-from .wavelets import analyze, db2_filter, extend_to_even, filter_by_name
+from .wavelets import analyze, build_reconstruction_matrix, db2_filter, extend_to_even, filter_by_name
 
 __version__ = "0.1.0"
 

@@ -2,9 +2,11 @@
 
 Subcommands: ``anonymize`` runs the full pipeline (load, concentration
 signal, decompose, redistribute, integer quantities, rewrite, report);
-``inspect`` prints the signal, coefficients, synthesis matrix, and fixed
-coefficient set without writing anything; ``verify`` re-checks an already
-anonymized file against its original.
+``inspect`` prints the signal, coefficients, synthesis matrix (the dense
+operator of :func:`groupanon.wavelets.build_reconstruction_matrix`, one row
+of 4-decimal entries per line), and fixed coefficient set without writing
+anything; ``verify`` re-checks an already anonymized file against its
+original.
 
 ``anonymize`` and ``verify`` build their ``checks`` the same way: the rows
 of :func:`groupanon.redistribution.verify_outcome` (mean, details,
@@ -35,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, GroupAnonError
-from .matrices import build_reconstruction_matrix
 from .microdata import (
     AttributeSpec,
     Microfile,
@@ -55,7 +56,7 @@ from .redistribution import (
     rounding_tolerances,
     verify_outcome,
 )
-from .wavelets import analyze, extend_to_even, filter_by_name
+from .wavelets import WAVELETS, analyze, build_reconstruction_matrix, extend_to_even, filter_by_name
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -204,7 +205,7 @@ _ATTRIBUTES = {
     "fallback": ("fallback_combination", _optional(_string_or_strings)),
 }
 _WAVELET = {
-    "name": ("wavelet", _string),
+    "name": ("wavelet", _choice(WAVELETS)),
     "level": ("level", _positive(_integer)),
     "extension": ("extension", _choice(EXTENSIONS)),
 }
@@ -338,6 +339,7 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     extended, meta = extend_to_even(signal.ratios, config.extension)
     dec = analyze(extended, filters, config.level, meta=meta)
     matrix = build_reconstruction_matrix(filters, meta.extended_length, config.level)
+    n, m = matrix.shape
     fixed = sorted(fixed_border_indices(filters, config.level, meta))
 
     def fmt(values) -> str:
@@ -353,8 +355,8 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     ]
     for u, detail in enumerate(dec.details, start=1):
         lines.append(f"detail coefficients (level {u}): {fmt(detail)}")
-    lines.append(f"reconstruction matrix ({matrix.n} x {matrix.m}):")
-    lines.append(matrix.dump())
+    lines.append(f"reconstruction matrix ({n} x {m}):")
+    lines.extend(" ".join(f"{value:8.4f}" for value in row) for row in matrix)
     lines.append(f"fixed coefficient indices: {' '.join(str(i) for i in fixed) if fixed else '(none)'}")
     return EXIT_OK, "\n".join(lines)
 
@@ -406,7 +408,10 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             previous = json.loads(config.report.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
-        wanted = previous.get("counts", {}).get("new")
+        counts = previous.get("counts", {}) if isinstance(previous, dict) else None
+        if not isinstance(counts, dict):
+            raise ConfigError(f"report {config.report} is not an anonymize report: no 'counts' object")
+        wanted = counts.get("new")
         if wanted is not None:
             checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
     passed = all(row["passed"] for row in checks.values())

@@ -19,26 +19,24 @@ Coefficient indices and signal positions in plans and reports are 1-based.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InfeasibleTargetsError, PlanError, SignalError
-from .matrices import _operator_rows
 from .wavelets import (
     DecompositionResult,
     ExtensionMeta,
     WaveletFilterPair,
     analyze,
+    approx_column,
     as_signal,
     extend_to_even,
+    operator_rows,
     reconstruct,
     synth_approx,
 )
-
-log = logging.getLogger(__name__)
 
 STRATEGIES = ("manual", "alleged_extrema", "extremum_transition")
 
@@ -104,11 +102,6 @@ def local_extrema(values) -> tuple[list[int], list[int]]:
     return maxima.tolist(), minima.tolist()
 
 
-def _approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
-    # First column of the level-k approximation synthesis operator.
-    return synth_approx(np.eye(1, n >> k)[0], f, k, n)
-
-
 def fixed_border_indices(f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> frozenset[int]:
     """Coefficients that must stay fixed to keep the duplicated border valid.
 
@@ -123,7 +116,7 @@ def fixed_border_indices(f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> f
         return frozenset()
     n = meta.extended_length
     rows = (0, 1) if meta.direction == "left" else (n - 2, n - 1)
-    border = _operator_rows(_approx_column(f, k, n), k, rows)
+    border = operator_rows(approx_column(f, k, n), k, rows)
     touched = np.abs(border).max(axis=0) > RANK_TOL
     return frozenset(int(j) + 1 for j in np.nonzero(touched)[0])
 
@@ -144,8 +137,10 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
     the rebuilt approximation hits the target values at the target
     positions; ``extremum_transition`` additionally flattens the original
     extrema of the rebuilt approximation to its median (skipping positions
-    that only fixed coefficients can reach).  Only the operator rows at the
-    target and extremum positions are computed, never the whole matrix.
+    that only fixed coefficients can reach, found from the support of the
+    operator's first column).  Only the operator rows at the target
+    positions are computed (:func:`groupanon.wavelets.operator_rows`), never
+    the whole matrix.
     """
     a = dec.approx
     m = a.size
@@ -170,44 +165,42 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
         return ahat
 
     targets = list(plan.targets)
-    free_cols = sorted(set(range(m)) - {i - 1 for i in fixed})
-    column = _approx_column(f, k, n)
+    free = np.ones(m, dtype=bool)
+    free[[i - 1 for i in fixed]] = False
+    column = approx_column(f, k, n)
     if plan.strategy == "extremum_transition":
         rebuilt = synth_approx(a, f, k, n)
-        median = float(np.median(rebuilt))
-        requested = {pos for pos, _ in targets}
         maxima, minima = local_extrema(rebuilt)
-        for pos in maxima + minima:
-            if pos in requested:
-                continue
-            row = _operator_rows(column, k, [pos - 1])[0]
-            reach = np.abs(row[free_cols]).max() if free_cols else 0.0
-            if reach <= RANK_TOL:
-                log.debug("extremum at position %d is pinned by fixed coefficients; left as is", pos)
-                continue
-            targets.append((pos, median))
+        extrema = np.array(maxima + minima, dtype=int)
+        extrema = extrema[~np.isin(extrema, [pos for pos, _ in targets])]
+        # Row p reaches coefficient j when column[(p - 2**k * j) mod n] is
+        # nonzero, so only offsets from p to the column's support that are
+        # multiples of 2**k can make a free coefficient reach row p.
+        offsets = (extrema - 1)[:, None] - np.flatnonzero(np.abs(column) > RANK_TOL)
+        reached = (offsets % (1 << k) == 0) & free[(offsets % n) >> k]
+        median = float(np.median(rebuilt))
+        targets += [(int(pos), median) for pos in extrema[reached.any(axis=1)]]
     if not targets:
         raise PlanError(f"{plan.strategy} plans need at least one target")
     _validate_indices([pos for pos, _ in targets], n, "target")
     if len({pos for pos, _ in targets}) != len(targets):
         raise PlanError("duplicate target positions")
 
-    rows = _operator_rows(column, k, [pos - 1 for pos, _ in targets])
+    rows = operator_rows(column, k, [pos - 1 for pos, _ in targets])
     wanted = np.array([val for _, val in targets])
-    fixed_cols = sorted(i - 1 for i in fixed)
-    coef_matrix = rows[:, free_cols]
-    rhs = wanted - rows[:, fixed_cols] @ a[fixed_cols]
-    rank = np.linalg.matrix_rank(coef_matrix, tol=RANK_TOL) if free_cols else 0
+    coef_matrix = rows[:, free]
+    rhs = wanted - rows[:, ~free] @ a[~free]
+    rank = np.linalg.matrix_rank(coef_matrix, tol=RANK_TOL) if free.any() else 0
     rank_aug = np.linalg.matrix_rank(np.column_stack([coef_matrix, rhs]), tol=RANK_TOL)
     if rank_aug > rank:
         raise InfeasibleTargetsError(
-            f"{len(targets)} target(s) span rank {rank_aug} but the {len(free_cols)} "
+            f"{len(targets)} target(s) span rank {rank_aug} but the {int(free.sum())} "
             f"free coefficient(s) only provide rank {rank}"
         )
     ahat = a.copy()
-    if free_cols:
+    if free.any():
         solution, *_ = np.linalg.lstsq(coef_matrix, rhs, rcond=None)
-        ahat[free_cols] = solution
+        ahat[free] = solution
     return ahat
 
 
@@ -235,7 +228,7 @@ def redistribute(
     fixed = plan.fixed_indices
     if fixed is None:
         fixed = fixed_border_indices(f, k, meta)
-    ahat = make_coefficients(plan, dec)
+    ahat = make_coefficients(replace(plan, fixed_indices=fixed), dec)
     rebuilt = reconstruct(replace(dec, approx=ahat))
     if not np.all(np.isfinite(rebuilt)):
         raise SignalError("rebuilt signal is not finite")

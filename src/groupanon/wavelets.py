@@ -5,10 +5,12 @@ into half-length approximation and detail coefficient arrays; synthesis maps
 coefficient arrays back to full length.  Both sides use circular indexing
 with the tap window for output j anchored at sample 2j - 1 (0-based), which
 makes analysis the exact transpose of the circulant synthesis operator.
-``_synth_once`` is the only synthesis kernel: the pipeline runs on it
-directly, and :mod:`groupanon.matrices` derives the dense operators shown to
-analysts from it.  Odd-length signals are first made even by duplicating one
-border sample (see :func:`extend_to_even`).
+Odd-length signals are first made even by duplicating one border sample
+(see :func:`extend_to_even`).  ``_synth_once`` is the only synthesis kernel.
+The level-k synthesis operator is block-circulant, so any of its rows can be
+read off its first column, the kernel applied to a unit coefficient: the
+pipeline computes only the rows it needs, and ``groupanon inspect`` prints
+all of them (:func:`build_reconstruction_matrix`).
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ def haar_filter() -> WaveletFilterPair:
 
 
 _FILTERS = {"db2": db2_filter, "haar": haar_filter}
+WAVELETS = tuple(_FILTERS)
 
 
 def filter_by_name(name: str) -> WaveletFilterPair:
@@ -173,6 +176,15 @@ def max_level(n: int) -> int:
     return k
 
 
+def _check_level(n: int, k: int) -> None:
+    admissible = max_level(n)
+    if not 1 <= k <= admissible:
+        raise SignalError(
+            f"level {k} needs length divisible by 2**{k}; "
+            f"maximum admissible level for length {n} is {admissible}"
+        )
+
+
 def _window_indices(n: int, taps: int) -> np.ndarray:
     # Output j reads samples (2j - 1 .. 2j + taps - 2) mod n.
     j = np.arange(n // 2)[:, None]
@@ -219,12 +231,7 @@ def analyze(s, f: WaveletFilterPair, k: int, meta: ExtensionMeta | None = None) 
         raise SignalError(f"decomposition level must be >= 1, got {k}")
     if arr.size % 2 != 0:
         raise SignalError("signal must be extended to even length first")
-    admissible = max_level(arr.size)
-    if k > admissible:
-        raise SignalError(
-            f"level {k} needs length divisible by 2**{k}; "
-            f"maximum admissible level for length {arr.size} is {admissible}"
-        )
+    _check_level(arr.size, k)
     if meta is None:
         meta = ExtensionMeta("none", arr.size, arr.size)
     elif meta.extended_length != arr.size:
@@ -273,6 +280,29 @@ def synth_detail(d_u, f: WaveletFilterPair, u: int, n: int) -> np.ndarray:
     for level in range(u - 1, 0, -1):
         out = _synth_once(out, f.lowpass, n // 2 ** (level - 1))
     return out
+
+
+def approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
+    """First column of the level-k approximation synthesis operator for length n."""
+    return synth_approx(np.eye(1, n >> k)[0], f, k, n)
+
+
+def operator_rows(column: np.ndarray, k: int, rows) -> np.ndarray:
+    """Rows ``rows`` (0-based) of the level-k operator whose first column is ``column``.
+
+    Entry (p, j) is the first column at (p - 2**k * j) mod n.
+    """
+    n = column.size
+    shifts = np.arange(n >> k) << k
+    return column[(np.asarray(rows)[:, None] - shifts) % n]
+
+
+def build_reconstruction_matrix(f: WaveletFilterPair, n: int, k: int) -> np.ndarray:
+    """Dense level-k approximation synthesis operator (n x n/2**k), for display and tests."""
+    if n < 2 or n % 2 != 0:
+        raise SignalError(f"signal length must be even and >= 2, got {n}")
+    _check_level(n, k)
+    return operator_rows(approx_column(f, k, n), k, np.arange(n))
 
 
 def reconstruct(dec: DecompositionResult) -> np.ndarray:

@@ -76,10 +76,10 @@ def random_redistribution_case(rng, filters):
     matrix = build_reconstruction_matrix(filters, meta.extended_length, k)
     dec = analyze(extended, filters, k, meta=meta)
     fixed = fixed_border_indices(filters, k, meta)
-    free = sorted(set(range(1, matrix.m + 1)) - fixed)
+    free = sorted(set(range(1, matrix.shape[1] + 1)) - fixed)
     if not free:
         plan = RedistributionPlan(
-            strategy="manual", fixed_indices=frozenset(range(1, matrix.m + 1)), floor=2.0
+            strategy="manual", fixed_indices=frozenset(range(1, matrix.shape[1] + 1)), floor=2.0
         )
         return c, plan, k, direction
     if rng.random() < 0.5:
@@ -90,9 +90,9 @@ def random_redistribution_case(rng, filters):
     else:
         realizable = dec.approx.copy()
         realizable[[i - 1 for i in free]] = rng.uniform(-5.0, 5.0, len(free))
-        synthesized = matrix.entries @ realizable
+        synthesized = matrix @ realizable
         count = int(rng.integers(1, min(3, len(free)) + 1))
-        positions = rng.choice(matrix.n, size=count, replace=False) + 1
+        positions = rng.choice(matrix.shape[0], size=count, replace=False) + 1
         targets = tuple((int(p), float(synthesized[p - 1])) for p in positions)
         plan = RedistributionPlan(
             strategy="alleged_extrema", fixed_indices=fixed, targets=targets, floor=2.0

@@ -19,6 +19,8 @@ tests:
 the single-level circulant synthesis operator, built entry by entry from the
 taps.  The package synthesizes with a vectorized kernel instead, so tests
 compare that kernel and the display matrices against products of these.
+``build_detail_synthesis_matrix`` is the dense detail operator, which only
+tests need; it is read off its first column like the approximation operator.
 ``round_half_away_from_zero`` is the scalar oracle for the counts that
 ``new_quantities`` rounds as one array, and ``local_extrema`` the loop oracle
 for the strict interior extrema that ``redistribution.local_extrema`` finds
@@ -29,6 +31,8 @@ import math
 
 import numpy as np
 
+from groupanon.wavelets import operator_rows, synth_detail
+
 
 def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
     m = n // 2
@@ -38,6 +42,11 @@ def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
             # += so taps folding onto the same row (n < tap count) accumulate
             mat[(2 * j + i - 1) % n, j] += taps[i]
     return mat
+
+
+def build_detail_synthesis_matrix(f, n: int, u: int) -> np.ndarray:
+    """Dense level-u detail synthesis operator: u - 1 low-pass stages atop one high-pass stage."""
+    return operator_rows(synth_detail(np.eye(1, n >> u)[0], f, u, n), u, np.arange(n))
 
 
 def round_half_away_from_zero(x: float) -> int:

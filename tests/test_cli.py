@@ -126,6 +126,8 @@ def test_config_errors(tmp_path):
     ("plan", "floor", -1, "plan.floor"),
     ("attributes", "parameter", "JOB", "attributes.parameter"),
     ("attributes", "fallback", "X", "attributes.fallback"),
+    # Checked against the known filter names before the input is loaded.
+    ("wavelet", "name", "db3", "wavelet.name"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -452,7 +454,8 @@ def test_inspect_census(census_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "approximation coefficients (level 1): 0.0188 0.0186 0.0184 0.0189 0.0180 0.0135 0.0223" in out
     assert "fixed coefficient indices: 1 2 7" in out
-    assert build_reconstruction_matrix(db2_filter(), 14, 1).dump() in out
+    matrix = build_reconstruction_matrix(db2_filter(), 14, 1)
+    assert "\n".join(" ".join(f"{v:8.4f}" for v in row) for row in matrix) in out
     # inspect must not touch output paths
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "report.json").exists()
@@ -587,6 +590,14 @@ def test_verify_rejects_report_that_is_not_json(small_run, capsys):
     assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
     assert f"report {report_path} is not valid JSON" in capsys.readouterr().err
     assert report_path.read_bytes() == written
+    # Valid JSON that is not an anonymize report is a hard error too.
+    for text in ("[]", '{"counts": 3}'):
+        report_path.write_text(text)
+        assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"report {report_path} is not an anonymize report" in err
+        assert "Traceback" not in err
+        assert report_path.read_text() == text
 
 
 def test_inspect_error_writes_no_report(small_run, capsys):

@@ -1,3 +1,4 @@
+import json
 from functools import reduce
 
 import numpy as np
@@ -6,27 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupanon import build_reconstruction_matrix, db2_filter, extend_to_even, filter_by_name
+from groupanon.cli import load_config, run_inspect
 from groupanon.errors import SignalError
-from groupanon.matrices import build_detail_synthesis_matrix
 from groupanon.wavelets import analyze_once, max_level, synth_approx, synth_detail
 
 import reference as ref
-from reference import _single_level
+from reference import _single_level, build_detail_synthesis_matrix
 
 
 def test_census_matrix_entries(db2):
     M = build_reconstruction_matrix(db2, 14, 1)
-    assert M.entries.shape == (14, 7)
-    np.testing.assert_allclose(M.entries, ref.RECONSTRUCTION_MATRIX, atol=5e-5)
+    assert M.shape == (14, 7)
+    np.testing.assert_allclose(M, ref.RECONSTRUCTION_MATRIX, atol=5e-5)
     # Wrap entries called out explicitly.
-    assert abs(M.entries[0, 6] - (-0.1294)) < 5e-5
-    assert abs(M.entries[13, 0] - 0.4830) < 5e-5
+    assert abs(M[0, 6] - (-0.1294)) < 5e-5
+    assert abs(M[13, 0] - 0.4830) < 5e-5
 
 
 def test_columns_are_orthonormal(db2):
     for n, k in [(14, 1), (16, 2), (24, 3), (8, 1)]:
         M = build_reconstruction_matrix(db2, n, k)
-        np.testing.assert_allclose(M.entries.T @ M.entries, np.eye(M.m), atol=1e-10)
+        np.testing.assert_allclose(M.T @ M, np.eye(M.shape[1]), atol=1e-10)
 
 
 # n = 2 and n = 4 are shorter than the db2 taps, so the taps wrap.
@@ -45,14 +46,14 @@ def test_display_matrices_match_oracle_products(name, n, k):
     high = _single_level(f.highpass, n >> (k - 1))
     M = build_reconstruction_matrix(f, n, k)
     H = build_detail_synthesis_matrix(f, n, k)
-    assert M.entries.shape == H.entries.shape == (n, n >> k)
-    np.testing.assert_allclose(M.entries, reduce(np.matmul, lows), atol=1e-14)
-    np.testing.assert_allclose(H.entries, reduce(np.matmul, lows[:-1] + [high]), atol=1e-14)
+    assert M.shape == H.shape == (n, n >> k)
+    np.testing.assert_allclose(M, reduce(np.matmul, lows), atol=1e-14)
+    np.testing.assert_allclose(H, reduce(np.matmul, lows[:-1] + [high]), atol=1e-14)
 
 
 def test_row_sparsity_level1(db2):
     M = build_reconstruction_matrix(db2, 14, 1)
-    for row in M.entries:
+    for row in M:
         assert np.count_nonzero(row) == 2
 
 
@@ -67,12 +68,12 @@ def test_apply_census_approximation(db2, census_ratios):
     extended, _ = extend_to_even(census_ratios, "left")
     approx, _ = analyze_once(extended, db2)
     M = build_reconstruction_matrix(db2, 14, 1)
-    np.testing.assert_allclose(M.entries @ approx, ref.APPROXIMATION, atol=ref.DISPLAY_TOL)
+    np.testing.assert_allclose(M @ approx, ref.APPROXIMATION, atol=ref.DISPLAY_TOL)
 
 
 def test_apply_zero_vector(db2):
     M = build_reconstruction_matrix(db2, 14, 1)
-    np.testing.assert_array_equal(M.entries @ np.zeros(7), np.zeros(14))
+    np.testing.assert_array_equal(M @ np.zeros(7), np.zeros(14))
 
 
 def test_apply_new_coefficients(db2, census_ratios):
@@ -82,21 +83,21 @@ def test_apply_new_coefficients(db2, census_ratios):
     ahat = approx.copy()
     ahat[2:6] = [-2.0, 0.0, 1.0, -5.0]
     M = build_reconstruction_matrix(db2, 14, 1)
-    np.testing.assert_allclose(M.entries @ ahat, ref.NEW_APPROXIMATION, atol=ref.DISPLAY_TOL)
+    np.testing.assert_allclose(M @ ahat, ref.NEW_APPROXIMATION, atol=ref.DISPLAY_TOL)
 
 
 def test_detail_matrix_census(db2, census_ratios):
     extended, _ = extend_to_even(census_ratios, "left")
     _, detail = analyze_once(extended, db2)
     H = build_detail_synthesis_matrix(db2, 14, 1)
-    np.testing.assert_allclose(H.entries @ detail, ref.DETAIL_LEVEL1, atol=ref.DISPLAY_TOL)
-    np.testing.assert_allclose(H.entries.T @ H.entries, np.eye(7), atol=1e-10)
+    np.testing.assert_allclose(H @ detail, ref.DETAIL_LEVEL1, atol=ref.DISPLAY_TOL)
+    np.testing.assert_allclose(H.T @ H, np.eye(7), atol=1e-10)
 
 
 def test_two_channel_completeness(db2):
     for n in (8, 14, 16, 32):
-        L = build_reconstruction_matrix(db2, n, 1).entries
-        H = build_detail_synthesis_matrix(db2, n, 1).entries
+        L = build_reconstruction_matrix(db2, n, 1)
+        H = build_detail_synthesis_matrix(db2, n, 1)
         np.testing.assert_allclose(L @ L.T + H @ H.T, np.eye(n), atol=1e-10)
 
 
@@ -104,15 +105,23 @@ def test_detail_matrix_level2_matches_cascade(db2):
     rng = np.random.default_rng(21)
     d = rng.normal(size=4)
     H2 = build_detail_synthesis_matrix(db2, 16, 2)
-    np.testing.assert_allclose(H2.entries @ d, synth_detail(d, db2, 2, 16), atol=1e-12)
+    np.testing.assert_allclose(H2 @ d, synth_detail(d, db2, 2, 16), atol=1e-12)
 
 
-def test_dump_format(db2):
+def test_dump_format(db2, tmp_path):
+    # inspect prints the operator one row per line, entries at 4 decimals.
+    data = tmp_path / "input.csv"
+    data.write_text("REG,JOB\n" + "".join(f"R{r},{job}\n" for r in range(4) for job in "XXY"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(data), "attributes": {
+        "vital": ["JOB"], "vital_combinations": [["X"]], "parameter": "REG",
+        "parameter_values": ["R0", "R1", "R2", "R3"]}}))
+    _, text = run_inspect(load_config(config))
     M = build_reconstruction_matrix(db2, 4, 1)
-    lines = M.dump().splitlines()
+    lines = text.split("reconstruction matrix (4 x 2):\n")[1].splitlines()[:-1]
     assert len(lines) == 4
     first = lines[0].split()
-    assert first == [f"{v:.4f}" for v in M.entries[0]]
+    assert first == [f"{v:.4f}" for v in M[0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,4 +137,4 @@ def test_matrix_equals_filter_cascade(n, k, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=n // 2**k)
     M = build_reconstruction_matrix(f, n, k)
-    assert np.abs(M.entries @ a - synth_approx(a, f, k, n)).max() < 1e-9
+    assert np.abs(M @ a - synth_approx(a, f, k, n)).max() < 1e-9

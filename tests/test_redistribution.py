@@ -17,6 +17,7 @@ from groupanon import (
 )
 from groupanon.errors import InfeasibleTargetsError, PlanError, SignalError
 from groupanon.redistribution import CHECK_TOL, local_extrema, make_coefficients
+from groupanon.wavelets import synth_approx
 
 import reference as ref
 from conftest import random_redistribution_case
@@ -65,8 +66,8 @@ def test_border_indices_match_display_rows(db2, direction, k):
     top, bottom = (0, 1) if direction == "left" else (14, 15)
     expected = {
         j + 1
-        for j in range(matrix.m)
-        if abs(matrix.entries[top, j]) > 0 or abs(matrix.entries[bottom, j]) > 0
+        for j in range(matrix.shape[1])
+        if abs(matrix[top, j]) > 0 or abs(matrix[bottom, j]) > 0
     }
     assert got == frozenset(expected)
 
@@ -108,7 +109,7 @@ def test_alleged_extrema_creates_maximum(census_parts):
     _, _, dec, matrix = census_parts
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((13, 1.0),))
     ahat = make_coefficients(plan, dec)
-    rebuilt = matrix.entries @ ahat
+    rebuilt = matrix @ ahat
     assert abs(rebuilt[12] - 1.0) < 1e-9
     maxima, _ = local_extrema(rebuilt)
     assert 13 in maxima
@@ -132,15 +133,64 @@ def test_local_extrema_matches_the_loop(values):
 
 def test_extremum_transition_flattens(census_parts):
     _, _, dec, matrix = census_parts
-    before = matrix.entries @ dec.approx
+    before = matrix @ dec.approx
     plan = RedistributionPlan(strategy="extremum_transition", targets=((5, 1.0),))
     ahat = make_coefficients(plan, dec)
-    after = matrix.entries @ ahat
+    after = matrix @ ahat
     max_after, min_after = local_extrema(after)
     assert 5 in max_after
     # Original extrema on rows the free coefficients can reach get flattened
     # to the median, so they stop being extreme relative to the new peak.
     assert abs(after[12] - np.median(before)) < 1e-9
+
+
+@pytest.mark.parametrize("direction, k", [(d, k) for d in ("left", "right") for k in (1, 2, 3)])
+def test_extremum_transition_equals_alleged_extrema_on_scanned_targets(db2, direction, k):
+    # Oracle: the plan's targets plus the median at every extremum that a
+    # brute-force scan of the dense operator rows finds reachable by a free
+    # coefficient, solved as an alleged_extrema plan.
+    rng = np.random.default_rng(100 * k + len(direction))
+    outcomes = set()
+    for trial in range(40):
+        n = (1 << k) * int(rng.integers(2, 128 >> k)) - 1
+        # Noisy signals have many extrema, smooth ones few.
+        smooth = 0.5 + 0.4 * np.sin(np.linspace(0.0, rng.uniform(1.0, 12.0), n))
+        c = rng.uniform(0.05, 0.95, n) if trial % 4 < 2 else smooth
+        extended, meta = extend_to_even(c, direction)
+        dec = analyze(extended, db2, k, meta=meta)
+        matrix = build_reconstruction_matrix(db2, meta.extended_length, k)
+        m = matrix.shape[1]
+        if trial % 2:
+            fixed = frozenset(int(i) for i in rng.choice(np.arange(1, m + 1), rng.integers(0, m)))
+        else:
+            fixed = fixed_border_indices(db2, k, meta)
+        positions = rng.choice(matrix.shape[0], size=int(rng.integers(1, 3)), replace=False) + 1
+        plan = RedistributionPlan(
+            strategy="extremum_transition",
+            fixed_indices=None if trial % 2 == 0 else fixed,
+            targets=tuple((int(p), float(rng.uniform(-1.0, 1.0))) for p in positions),
+        )
+        rebuilt = synth_approx(dec.approx, db2, k, meta.extended_length)
+        maxima, minima = ref.local_extrema(rebuilt)
+        free = [j for j in range(m) if j + 1 not in fixed]
+        scanned = [
+            (p, float(np.median(rebuilt)))
+            for p in maxima + minima
+            if p not in positions and any(abs(matrix[p - 1, j]) > 1e-10 for j in free)
+        ]
+        oracle = RedistributionPlan(
+            strategy="alleged_extrema", fixed_indices=fixed, targets=plan.targets + tuple(scanned)
+        )
+        try:
+            expected = make_coefficients(oracle, dec)
+        except InfeasibleTargetsError:
+            with pytest.raises(InfeasibleTargetsError):
+                make_coefficients(plan, dec)
+            outcomes.add("infeasible")
+            continue
+        np.testing.assert_allclose(make_coefficients(plan, dec), expected, rtol=0, atol=1e-12)
+        outcomes.add("solved")
+    assert outcomes == {"solved", "infeasible"}
 
 
 def test_infeasible_targets_report_rank(census_parts):
