@@ -19,9 +19,10 @@ Exit status: 0 = success with all invariant checks passing, 2 = pipeline
 ran but an invariant check failed (outputs are still written for
 debugging; stderr names each failed check with its value and tolerance),
 1 = hard error (only ``anonymize`` writes a machine-readable error report,
-when a report path is known).  Each config object has one key table: a key
-maps onto one dataclass field and one converter, defaults live on the
-dataclasses, and an unknown key is an error.
+when a report path is known and the run's paths do not clash).  Each
+config object has one key table: a key maps onto one dataclass field and
+one converter, defaults live on the dataclasses, and an unknown key is an
+error.
 """
 
 from __future__ import annotations
@@ -56,17 +57,18 @@ from .redistribution import (
     rounding_tolerances,
     verify_outcome,
 )
-from .wavelets import WAVELETS, analyze, build_reconstruction_matrix, extend_to_even, filter_by_name
+from .wavelets import (EXTENSIONS, WAVELETS, analyze, build_reconstruction_matrix,
+                       extend_to_even, filter_by_name)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INVARIANT = 2
-EXTENSIONS = ("left", "right")
+_PATHS = ("input", "output", "report", "plot_data")
 
 
 @dataclass
 class RunConfig:
-    """One fully specified anonymization run."""
+    """One fully specified anonymization run; no two of its ``_PATHS`` name one file."""
 
     input: Path
     spec: AttributeSpec
@@ -81,10 +83,13 @@ class RunConfig:
     plot_data: Path | None = None
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ConfigError(f"wavelet level must be >= 1, got {self.level}", field="level")
-        if self.extension not in EXTENSIONS:
-            raise ConfigError(f"extension must be 'left' or 'right', got {self.extension!r}")
+        # So that a run never writes over its input or over another of its files.
+        seen = {}
+        for key in _PATHS:
+            path = getattr(self, key)
+            other = key if path is None else seen.setdefault(Path(path).resolve(), key)
+            if other != key:
+                raise ConfigError(f"{key} and {other} name the same file: {path}", field=key)
 
 
 def _of(*kinds):
@@ -180,7 +185,7 @@ def _malformed(key: str, value, exc: Exception) -> ConfigError:
     message = f"config key {key!r} has a malformed value: {value!r}"
     if isinstance(exc, ValueError) and str(exc):
         message += f" ({exc})"
-    return ConfigError(message)
+    return ConfigError(message, field=getattr(exc, "field", None))
 
 
 def _denominator(value) -> dict:
@@ -381,12 +386,12 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
         sig_before = concentration_signal(original, config.spec)
         sig_after = concentration_signal(final, config.spec)
     filters = filter_by_name(config.wavelet)
-    _, meta = extend_to_even(sig_before.ratios, config.extension)
+    before, meta = extend_to_even(sig_before.ratios, config.extension)
+    after, _ = extend_to_even(sig_after.ratios, config.extension)  # border pair equal by construction
     mean_tol, detail_tol = rounding_tolerances(sig_before.denominators, filters, config.level)
     with _stage(timings, "outcome"):
         checks, outcome = verify_outcome(
-            sig_before.ratios, sig_after.ratios, filters, config.level, meta,
-            mean_tol=mean_tol, detail_tol=detail_tol,
+            before, after, filters, config.level, meta, mean_tol=mean_tol, detail_tol=detail_tol
         )
 
     same_shape = len(original) == len(final) and original.attributes == final.attributes
@@ -408,12 +413,11 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             previous = json.loads(config.report.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
-        counts = previous.get("counts", {}) if isinstance(previous, dict) else None
-        if not isinstance(counts, dict):
-            raise ConfigError(f"report {config.report} is not an anonymize report: no 'counts' object")
-        wanted = counts.get("new")
-        if wanted is not None:
-            checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
+        counts = previous.get("counts") if isinstance(previous, dict) else None
+        wanted = counts.get("new") if isinstance(counts, dict) else None
+        if not isinstance(wanted, list):
+            raise ConfigError(f"report {config.report} is not an anonymize report: no 'counts.new' list")
+        checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
     passed = all(row["passed"] for row in checks.values())
     report = {
         "status": "ok" if passed else "invariant_violation",
@@ -458,8 +462,7 @@ def _cells_differ(before: Microfile, after: Microfile, attribute: str) -> np.nda
     first mapped into ``after``'s.
     """
     j = after.column_index(attribute)
-    index = {value: code for code, value in enumerate(after.vocabularies[j])}
-    return before.lookup(attribute, index, -1) != after.codes[j]
+    return before.lookup(attribute, after.vocabularies[j], -1) != after.codes[j]
 
 
 def main(argv=None) -> int:
@@ -477,19 +480,15 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--seed", type=int, help="override the configured seed")
-        cmd.add_argument("--output", help="override the configured output path")
-        cmd.add_argument("--report", help="override the configured report path")
+        cmd.add_argument("--output", type=Path, help="override the configured output path")
+        cmd.add_argument("--report", type=Path, help="override the configured report path")
     args = parser.parse_args(argv)
 
-    report_path = Path(args.report) if args.report else None
+    report_path = args.report
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.output is not None:
-            config = replace(config, output=Path(args.output))
-        if args.report is not None:
-            config = replace(config, report=Path(args.report))
+        flags = {key: getattr(args, key) for key in ("seed", "output", "report")}
+        config = replace(config, **{key: value for key, value in flags.items() if value is not None})
         report_path = config.report
         if args.command == "inspect":
             status, text = run_inspect(config)
@@ -506,8 +505,10 @@ def main(argv=None) -> int:
         return status
     except (GroupAnonError, OSError) as exc:
         # Only anonymize writes an error report: verify's report path names
-        # the report it checks, and inspect writes nothing.
-        if args.command == "anonymize" and report_path is not None:
+        # the report it checks, and inspect writes nothing.  Nor does a run
+        # whose paths clash, since its report path may name its input.
+        clash = getattr(exc, "field", None) in _PATHS
+        if args.command == "anonymize" and report_path is not None and not clash:
             try:
                 _write_json(report_path, {
                     "status": "error",

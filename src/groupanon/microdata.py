@@ -8,14 +8,14 @@ partitions the records into the categories the concentration signal ranges
 over.
 
 A :class:`Microfile` is held by column and dictionary-encoded: per attribute
-one ``int32`` array with a code per record, plus a vocabulary mapping codes
-to values (loading numbers values in order of first appearance; a rewrite
-appends the values it introduces).  Signals are vocabulary lookups and
-``np.bincount``; the rewrite assigns codes.  The microfile also keeps the
-raw bytes it was read from and each record's span in them, so writing copies
-every record the rewrite did not touch verbatim (quotes and line terminators
-included) and re-serialises only the edited ones.  No Python object per
-record outlives :func:`load_microfile`.
+one ``int32`` array with a code per record, plus a vocabulary, an ordered
+dict from each value to its code (loading numbers values in order of first
+appearance; a rewrite appends the values it introduces).  Signals are
+vocabulary lookups and ``np.bincount``; the rewrite assigns codes.  The
+microfile also keeps the raw bytes it was read from and each record's span
+in them, so writing copies every record the rewrite did not touch verbatim
+(quotes and line terminators included) and re-serialises only the edited
+ones.  No Python object per record outlives :func:`load_microfile`.
 
 Two parsers build the same codes and vocabularies.  Text in which every
 record is one line (no quote character, and every carriage return part of a
@@ -63,19 +63,21 @@ _CHUNK_ROWS = 1 << 15
 class Microfile:
     """Dictionary-encoded columns plus the raw text they were read from.
 
-    ``codes[j]`` holds one ``int32`` code per record for ``attributes[j]``
-    and ``vocabularies[j][code]`` is its value.  Record ``r`` is
+    ``codes[j]`` holds one ``int32`` code per record for ``attributes[j]``.
+    ``vocabularies[j]`` is an ordered dict from each value to its code, in
+    code order: its i-th key has code i.  Record ``r`` is
     ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
     ``raw[:bounds[0]]`` is the header.  ``edited`` lists in ascending order
     the records whose codes no longer match their raw bytes.  ``parsed``
     counts the records the load split into cells; the others took their
-    codes from the microfile passed as ``like``.  Code arrays are never
-    changed in place; a rewrite copies the columns it changes.
+    codes from the microfile passed as ``like``.  Code arrays and
+    vocabularies are never changed in place; a rewrite copies the ones it
+    changes.
     """
 
     attributes: list[str]
     codes: list[np.ndarray]
-    vocabularies: list[list[str]]
+    vocabularies: list[dict[str, int]]
     raw: bytes
     bounds: np.ndarray
     delimiter: str
@@ -87,7 +89,7 @@ class Microfile:
                   delimiter: str = ",") -> Microfile:
         """Serialise ``rows`` under a header of ``attributes`` and parse the text."""
         lines = _format_rows([attributes, *rows], delimiter)
-        return _parse(("\n".join(lines) + "\n").encode("utf-8"), None, delimiter)
+        return _parse(("\n".join(lines) + "\n").encode("utf-8"), delimiter)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -203,23 +205,21 @@ class ConcentrationSignal:
         return self.numerators / self.denominators
 
 
-def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str = ",",
-                   *, like: Microfile | None = None) -> Microfile:
+def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = None) -> Microfile:
     """Read a delimited UTF-8 text microfile with a header row.
 
     ``source`` is a path or an object whose ``read()`` returns text or
-    bytes.  ``schema``, when given, is the exact attribute set the file
-    must carry.
+    bytes.  Every attribute the header names is loaded.
 
     ``like`` is a microfile the text mostly repeats, such as the original
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
     re-parsed, with every check of a full parse, and their new values join
-    the end of ``like``'s vocabularies.  This is exact because on the plain
-    path a record is one line, and an identical line parses to identical
-    cells.  Every record counts as changed, which is a full parse, when
-    either text needs the csv parser, when the headers or delimiters
-    differ, or when a rewrite has edited ``like``.  The decoded values
+    the end of copies of ``like``'s vocabularies.  This is exact because on
+    the plain path a record is one line, and an identical line parses to
+    identical cells.  Every record counts as changed, which is a full
+    parse, when either text needs the csv parser, when the headers or
+    delimiters differ, or when a rewrite has edited ``like``.  The decoded values
     never depend on ``like``; the codes and vocabularies may.
     """
     if hasattr(source, "read"):
@@ -229,10 +229,10 @@ def load_microfile(source, schema: Iterable[str] | None = None, delimiter: str =
             data = handle.read()
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return _parse(data, schema, delimiter, like)
+    return _parse(data, delimiter, like)
 
 
-def _parse(data: bytes, schema, delimiter: str, like: Microfile | None = None) -> Microfile:
+def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microfile:
     if len(delimiter) != 1 or delimiter in '"\r\n':
         raise MicrofileError(
             f"delimiter must be one character other than a quote or line break, got {delimiter!r}"
@@ -240,9 +240,9 @@ def _parse(data: bytes, schema, delimiter: str, like: Microfile | None = None) -
     if not data:
         raise MicrofileError("empty file")
     if _is_plain(data, delimiter):
-        split = _split_plain(data, delimiter, schema, like)
+        split = _split_plain(data, delimiter, like)
     else:
-        split = _split_csv(data, delimiter, schema)
+        split = _split_csv(data, delimiter)
     attributes, codes, vocabularies, bounds, parsed = split
     return Microfile(attributes, codes, vocabularies, data, bounds, delimiter,
                      np.empty(0, dtype=np.intp), parsed)
@@ -263,19 +263,10 @@ def _decode(text: bytes, line_at) -> str:
         raise MicrofileError(f"line {line_at(exc.start)} is not UTF-8 text ({exc.reason})") from None
 
 
-def _header_attributes(header: list[str], schema) -> list[str]:
+def _header_attributes(header: list[str]) -> list[str]:
     attributes = [name.strip() for name in header]
     if len(set(attributes)) != len(attributes):
         raise MicrofileError("duplicate attribute names in header")
-    if schema is not None:
-        expected = set(schema)
-        actual = set(attributes)
-        unknown = actual - expected
-        missing = expected - actual
-        if unknown:
-            raise MicrofileError(f"unknown attributes {sorted(unknown)} not in schema")
-        if missing:
-            raise MicrofileError(f"attributes {sorted(missing)} missing from file")
     return attributes
 
 
@@ -286,7 +277,7 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = None):
+def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
     """Parser for text whose records are single lines; see :func:`load_microfile` for ``like``."""
     buf = np.frombuffer(data, dtype=np.uint8)
     bounds = np.flatnonzero(buf == ord("\n"))
@@ -294,7 +285,7 @@ def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = N
     if not bounds.size or bounds[-1] != len(data):
         bounds = np.append(bounds, len(data))
     header = _decode(data[: bounds[0]], lambda offset: 1).removesuffix("\n").removesuffix("\r")
-    attributes = _header_attributes(header.split(delimiter) if header else [], schema)
+    attributes = _header_attributes(header.split(delimiter) if header else [])
     q = len(attributes)
     n = len(bounds) - 1
     if n == 0:
@@ -310,7 +301,7 @@ def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = N
         codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
     else:
         shared = min(n, len(like))
-        indexes = [dict(zip(vocabulary, count())) for vocabulary in like.vocabularies]
+        indexes = [dict(vocabulary) for vocabulary in like.vocabularies]
         # Copies cut or padded to n rows; rows past like's end are all parsed.
         codes = [np.resize(column, n) for column in like.codes]
     crlf = b"\r" in data
@@ -362,7 +353,7 @@ def _split_plain(data: bytes, delimiter: str, schema, like: Microfile | None = N
         for j in range(q):
             column = _encode(cells[j::q], indexes[j])
             codes[j][at] = column if line_codes is None else column[line_codes]
-    return attributes, codes, [list(index) for index in indexes], bounds, parsed
+    return attributes, codes, indexes, bounds, parsed
 
 
 def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:
@@ -402,7 +393,7 @@ def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int)
     return ~same
 
 
-def _split_csv(data: bytes, delimiter: str, schema):
+def _split_csv(data: bytes, delimiter: str):
     """Parser for any text the csv module reads; records may span lines."""
     # Lines end at "\n", "\r" or "\r\n", as csv expects of a file opened
     # with newline=""; the end offsets of all lines come from one scan.
@@ -422,7 +413,7 @@ def _split_csv(data: bytes, delimiter: str, schema):
         header = next(reader, None)
         if header is None:
             raise MicrofileError("empty file")
-        attributes = _header_attributes(header, schema)
+        attributes = _header_attributes(header)
         q = len(attributes)
         indexes = [{} for _ in range(q)]
         chunks = [[] for _ in range(q)]
@@ -451,7 +442,7 @@ def _split_csv(data: bytes, delimiter: str, schema):
     if len(starts) == 1:
         raise MicrofileError("empty file")
     codes = [np.concatenate(chunk) for chunk in chunks]
-    return attributes, codes, [list(index) for index in indexes], offsets[starts], len(starts) - 1
+    return attributes, codes, indexes, offsets[starts], len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
@@ -484,7 +475,7 @@ def write_microfile(mf: Microfile, sink) -> None:
     """
     raw = memoryview(mf.raw)
     columns = [
-        np.asarray(vocabulary, dtype=object)[codes[mf.edited]]
+        np.asarray(list(vocabulary), dtype=object)[codes[mf.edited]]
         for codes, vocabulary in zip(mf.codes, mf.vocabularies)
     ]
     records = _format_rows(zip(*columns), mf.delimiter)
@@ -576,7 +567,6 @@ def rewrite_microfile(
     old_counts,
     new_counts,
     seed: int,
-    donor_filter=None,
 ) -> Microfile:
     """Return a copy of ``mf`` whose vital counts per parameter value equal ``new_counts``.
 
@@ -584,9 +574,9 @@ def rewrite_microfile(
     randomly chosen non-vital records of the group; shrinkage rewrites
     randomly chosen vital records to ``spec.fallback_combination``.  Only
     vital-attribute cells change; the record count per group is untouched.
-    Record selection is deterministic for a given seed.  ``donor_filter``,
-    a boolean mask with one entry per record, optionally narrows which
-    non-vital records may become vital.
+    Record selection is deterministic for a given seed.  The vocabularies
+    of the vital attributes are copied and extended with the values the
+    rewrite introduces; the others are shared with ``mf``.
 
     Every group is checked before any cell changes: its vital count must
     match ``old_counts``, its new count must lie between 1 and its capacity
@@ -599,21 +589,12 @@ def rewrite_microfile(
     m = len(values)
     if old.shape != (m,) or new.shape != (m,):
         raise RewriteError(f"counts must have one entry per parameter value ({m})")
-    vital = _vital_mask(mf, spec)
-    donor = ~vital
-    if donor_filter is not None:
-        allowed = np.asarray(donor_filter, dtype=bool)
-        if allowed.shape != (len(mf),):
-            raise RewriteError(
-                f"donor_filter must hold one flag per record ({len(mf)}), got shape {allowed.shape}"
-            )
-        donor &= allowed
+    donor = ~_vital_mask(mf, spec)
 
     # One stable sort splits the rows by (group, vital): bucket 2g holds the
     # vital rows of group g and bucket 2g + 1 its donors, each ascending;
-    # rows of unlisted groups and non-donors land at 2m or beyond.
+    # rows of unlisted groups land at 2m or beyond.
     buckets = 2 * _group_slots(mf, spec) + donor
-    buckets[~vital & ~donor] = 2 * m
     buckets = buckets.astype(np.min_scalar_type(2 * m + 1))
     order = np.argsort(buckets, kind="stable")
     sizes = np.bincount(buckets, minlength=2 * m + 2)
@@ -668,13 +649,13 @@ def rewrite_microfile(
     for position, attribute in enumerate(spec.vital_attributes):
         j = mf.column_index(attribute)
         # Values the column has not seen yet extend its vocabulary.
-        index = {value: code for code, value in enumerate(vocabularies[j])}
+        index = dict(vocabularies[j])
         column = codes[j].copy()
         if grown.size:
             combos = [combo[position] for combo in spec.vital_combinations]
             column[grown] = _encode(combos, index)[np.array(cycle) % len(combos)]
         if shrunk.size:
             column[shrunk] = _encode([spec.fallback_combination[position]], index)
-        codes[j], vocabularies[j] = column, list(index)
+        codes[j], vocabularies[j] = column, index
     edited = np.union1d(mf.edited, rows)
     return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)

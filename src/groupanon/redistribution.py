@@ -108,15 +108,13 @@ def fixed_border_indices(f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> f
     When a border sample was duplicated, the two border samples of the
     rebuilt signal must keep their (zero) difference.  That is guaranteed by
     freezing every level-``k`` approximation coefficient whose synthesis
-    column has a nonzero entry in either of the two border rows; only those
-    two rows of the operator are computed.  Returns an empty set when
-    nothing was duplicated.
+    column has a nonzero entry in either of the two border rows
+    (``meta.border``); only those two rows of the operator are computed.
+    Returns an empty set when nothing was duplicated.
     """
-    if meta.direction == "none" or meta.extended_length == meta.original_length:
+    if meta.border is None:
         return frozenset()
-    n = meta.extended_length
-    rows = (0, 1) if meta.direction == "left" else (n - 2, n - 1)
-    border = operator_rows(approx_column(f, k, n), k, rows)
+    border = operator_rows(approx_column(f, k, meta.extended_length), k, meta.border)
     touched = np.abs(border).max(axis=0) > RANK_TOL
     return frozenset(int(j) + 1 for j in np.nonzero(touched)[0])
 
@@ -296,11 +294,11 @@ def verify_outcome(
 ) -> tuple[dict, dict]:
     """Check the redistribution contracts on an original/final signal pair.
 
-    Accepts the signals either at the original length (they are re-extended
-    per ``meta``) or already extended.  The detail-proportionality residual
-    is measured against the least-squares scale between the two detail
-    coefficient sets, so the check needs no knowledge of the shift/scale
-    record.
+    Both signals must already be extended as ``meta`` describes, as
+    :func:`groupanon.wavelets.extend_to_even` returns them.  The
+    detail-proportionality residual is measured against the least-squares
+    scale between the two detail coefficient sets, so the check needs no
+    knowledge of the shift/scale record.
 
     Returns ``(checks, diagnostics)``.  ``checks`` maps ``mean_preserved``,
     ``details_proportional``, ``positivity`` and ``border_equality`` to
@@ -314,14 +312,6 @@ def verify_outcome(
     after = as_signal(c_final)
     if before.size != after.size:
         raise SignalError(f"signals differ in length: {before.size} vs {after.size}")
-    if before.size == meta.original_length and meta.original_length != meta.extended_length:
-        before, _ = extend_to_even(before, meta.direction)
-        after, _ = extend_to_even(after, meta.direction)
-    elif before.size != meta.extended_length:
-        raise SignalError(
-            f"signals of length {before.size} match neither the original ({meta.original_length}) "
-            f"nor the extended ({meta.extended_length}) length"
-        )
     info = meta.informative_slice
     mean_change = abs(float(after[info].mean() - before[info].mean()))
 
@@ -333,12 +323,7 @@ def verify_outcome(
     detail_scale = float(flat_after @ flat_before) / energy if energy > 0.0 else 1.0
     detail_residual = float(np.abs(flat_after - detail_scale * flat_before).max())
 
-    if meta.direction == "left" and meta.extended_length != meta.original_length:
-        border_gap = abs(float(after[0] - after[1]))
-    elif meta.direction == "right" and meta.extended_length != meta.original_length:
-        border_gap = abs(float(after[-1] - after[-2]))
-    else:
-        border_gap = 0.0
+    border_gap = 0.0 if meta.border is None else abs(float(np.subtract(*after[list(meta.border)])))
     non_positive = int(np.count_nonzero(~(after > 0.0)))
 
     max_before, min_before = local_extrema(before)
@@ -357,13 +342,13 @@ def verify_outcome(
     return checks, diagnostics
 
 
-def format_plot_data(before, after, delimiter: str = "\t") -> str:
-    """Three-column dump (1-based position, original value, final value)."""
+def format_plot_data(before, after) -> str:
+    """Tab-separated three-column dump (1-based position, original value, final value)."""
     b = as_signal(before)
     a = as_signal(after)
     if b.size != a.size:
         raise SignalError(f"signals differ in length: {b.size} vs {a.size}")
-    lines = [delimiter.join(("index", "before", "after"))]
+    lines = ["index\tbefore\tafter"]
     for pos, (x, y) in enumerate(zip(b, a), start=1):
-        lines.append(delimiter.join((str(pos), format(x, ".10g"), format(y, ".10g"))))
+        lines.append(f"{pos}\t{x:.10g}\t{y:.10g}")
     return "\n".join(lines) + "\n"

@@ -105,6 +105,8 @@ def haar_filter() -> WaveletFilterPair:
 
 _FILTERS = {"db2": db2_filter, "haar": haar_filter}
 WAVELETS = tuple(_FILTERS)
+# The sides a border sample may be duplicated on.
+EXTENSIONS = ("left", "right")
 
 
 def filter_by_name(name: str) -> WaveletFilterPair:
@@ -117,36 +119,38 @@ def filter_by_name(name: str) -> WaveletFilterPair:
 
 @dataclass(frozen=True)
 class ExtensionMeta:
-    """How (and whether) a signal was padded to even length.
+    """How (and whether) a signal of ``original_length`` samples was made even.
 
-    ``direction`` is ``"left"``, ``"right"``, or ``"none"``.  The duplicated
-    border sample, when present, carries no information of its own; the
-    ``informative_slice`` property selects the original samples inside the
-    extended signal.
+    ``direction`` is ``"none"`` exactly when ``original_length`` is even;
+    otherwise it is the side, ``"left"`` or ``"right"``, whose border sample
+    was duplicated.  The duplicated sample carries no information of its
+    own: ``border`` gives the 0-based rows of the duplicated pair inside the
+    extended signal (``None`` when nothing was duplicated), and
+    ``informative_slice`` selects the original samples.
     """
 
     direction: str
     original_length: int
-    extended_length: int
 
     def __post_init__(self):
-        if self.direction not in ("left", "right", "none"):
-            raise SignalError(f"unknown extension direction {self.direction!r}")
-        if self.extended_length % 2 != 0:
-            raise SignalError("extended length must be even")
-        pad = self.extended_length - self.original_length
-        if pad not in (0, 1):
-            raise SignalError("extension may add at most one sample")
-        if self.direction == "none" and pad != 0:
-            raise SignalError("direction 'none' cannot add a sample")
+        allowed = EXTENSIONS if self.original_length % 2 else ("none",)
+        if self.direction not in allowed:
+            raise SignalError(f"extension direction {self.direction!r} does not fit length "
+                              f"{self.original_length}; expected one of {allowed}")
+
+    @property
+    def extended_length(self) -> int:
+        return self.original_length + (self.direction != "none")
+
+    @property
+    def border(self) -> tuple[int, int] | None:
+        n = self.extended_length
+        return {"left": (0, 1), "right": (n - 2, n - 1)}.get(self.direction)
 
     @property
     def informative_slice(self) -> slice:
-        if self.extended_length == self.original_length:
-            return slice(0, self.extended_length)
-        if self.direction == "left":
-            return slice(1, self.extended_length)
-        return slice(0, self.original_length)
+        start = int(self.direction == "left")
+        return slice(start, start + self.original_length)
 
 
 def extend_to_even(s, direction: str = "left") -> tuple[np.ndarray, ExtensionMeta]:
@@ -159,12 +163,12 @@ def extend_to_even(s, direction: str = "left") -> tuple[np.ndarray, ExtensionMet
     arr = as_signal(s)
     n = arr.size
     if n % 2 == 0:
-        return arr, ExtensionMeta("none", n, n)
+        return arr, ExtensionMeta("none", n)
     if direction == "left":
-        return np.concatenate(([arr[0]], arr)), ExtensionMeta("left", n, n + 1)
+        return np.concatenate(([arr[0]], arr)), ExtensionMeta("left", n)
     if direction == "right":
-        return np.concatenate((arr, [arr[-1]])), ExtensionMeta("right", n, n + 1)
-    raise SignalError(f"extension direction must be 'left' or 'right', got {direction!r}")
+        return np.concatenate((arr, [arr[-1]])), ExtensionMeta("right", n)
+    raise SignalError(f"extension direction must be one of {EXTENSIONS}, got {direction!r}")
 
 
 def max_level(n: int) -> int:
@@ -233,7 +237,7 @@ def analyze(s, f: WaveletFilterPair, k: int, meta: ExtensionMeta | None = None) 
         raise SignalError("signal must be extended to even length first")
     _check_level(arr.size, k)
     if meta is None:
-        meta = ExtensionMeta("none", arr.size, arr.size)
+        meta = ExtensionMeta("none", arr.size)
     elif meta.extended_length != arr.size:
         raise SignalError(
             f"extension metadata describes length {meta.extended_length}, signal has {arr.size}"

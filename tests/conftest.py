@@ -45,7 +45,7 @@ def make_microfile(rows, attributes=("REG", "JOB", "SEX")):
 
 def column_values(mf):
     """Per attribute, the record values as an object array (a view for tests)."""
-    return [np.asarray(v, dtype=object)[c] for c, v in zip(mf.codes, mf.vocabularies)]
+    return [np.asarray(list(v), dtype=object)[c] for c, v in zip(mf.codes, mf.vocabularies)]
 
 
 def records(mf):

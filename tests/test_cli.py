@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -590,14 +591,66 @@ def test_verify_rejects_report_that_is_not_json(small_run, capsys):
     assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
     assert f"report {report_path} is not valid JSON" in capsys.readouterr().err
     assert report_path.read_bytes() == written
-    # Valid JSON that is not an anonymize report is a hard error too.
-    for text in ("[]", '{"counts": 3}'):
+    # Valid JSON that is not an anonymize report is a hard error too, and so
+    # is a report without the released counts, such as an error report.
+    error_report = '{"error": {"message": "m", "type": "ConfigError"}, "status": "error"}'
+    for text in ("[]", '{"counts": 3}', '{"counts": {}}', error_report):
         report_path.write_text(text)
         assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert f"report {report_path} is not an anonymize report" in err
         assert "Traceback" not in err
         assert report_path.read_text() == text
+
+
+@pytest.mark.parametrize("via, key", [
+    ("config", "output"), ("config", "report"), ("config", "plot_data"),
+    ("flag", "output"), ("flag", "report"),
+])
+def test_path_equal_to_input_is_rejected_before_writing(small_run, capsys, via, key):
+    tmp_path, config_path = small_run
+    input_path = tmp_path / "input.csv"
+    original = input_path.read_bytes()
+    argv = ["anonymize", "--config", str(config_path)]
+    if via == "config":
+        config = json.loads(config_path.read_text())
+        # Spelled differently, but the same file.
+        config[key] = str(tmp_path / "." / "input.csv")
+        config_path.write_text(json.dumps(config))
+    else:
+        argv += [f"--{key}", str(input_path)]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert f"{key} and input name the same file" in err
+    assert input_path.read_bytes() == original
+    assert not (tmp_path / "out.csv").exists()
+    if via == "config":
+        assert f"config key {key!r}" in err
+    # A run whose paths clash writes no error report anywhere.
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_clashing_config_writes_no_report_over_input(small_run, capsys):
+    # The config does not load, so the flag's report path is never checked
+    # against the input; the clash alone must keep it from being written.
+    tmp_path, config_path = small_run
+    input_path = tmp_path / "input.csv"
+    original = input_path.read_bytes()
+    config = json.loads(config_path.read_text())
+    config["output"] = str(input_path)
+    config_path.write_text(json.dumps(config))
+    argv = ["anonymize", "--config", str(config_path), "--report", str(input_path)]
+    assert main(argv) == EXIT_ERROR
+    assert "output and input name the same file" in capsys.readouterr().err
+    assert input_path.read_bytes() == original
+
+
+def test_paths_of_one_run_must_differ(small_run):
+    _, config_path = small_run
+    config = load_config(config_path)
+    with pytest.raises(ConfigError, match="plot_data and report name the same file") as info:
+        replace(config, plot_data=config.report)
+    assert info.value.field == "plot_data"
 
 
 def test_inspect_error_writes_no_report(small_run, capsys):

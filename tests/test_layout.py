@@ -1,6 +1,8 @@
-"""Guards on the package layout: module boundaries and the README's module list."""
+"""Guards on the package layout: module boundaries, the README's module list
+and the names the benchmark's tracer wraps."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -33,3 +35,26 @@ def test_readme_module_list_names_every_module():
     listed = re.findall(r"`(\w+)`\s+\(", paragraph)
     assert len(listed) == len(set(listed))
     assert set(listed) == _modules()
+
+
+def test_traced_spans_name_functions():
+    # perfbench/trace_child.py wraps each span's function at the name the
+    # modules in its NAMESPACES import it under, and lists a name it finds
+    # nowhere as absent rather than failing.  A rename would drop a layer
+    # from the benchmark unnoticed; only these two are absent today.  The
+    # tuples are read from the source, so the tracer itself never runs.
+    tree = ast.parse((ROOT / "perfbench" / "trace_child.py").read_text(encoding="utf-8"))
+    constants = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANS", "NAMESPACES")
+    }
+    assert constants["NAMESPACES"] == ("groupanon.cli", "groupanon.redistribution")
+    namespaces = [importlib.import_module(name) for name in constants["NAMESPACES"]]
+
+    def found(span):
+        targets = (getattr(module, span.split(".", 1)[1], None) for module in namespaces)
+        return any(callable(fn) and not isinstance(fn, type) for fn in targets)
+
+    absent = [span for span in constants["SPANS"] if not found(span)]
+    assert absent == ["matrices.apply_matrix", "wavelets.synth_detail"]

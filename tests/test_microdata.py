@@ -72,14 +72,6 @@ def test_load_ragged_row_names_line():
         load_microfile(io.StringIO("REG,JOB,SEX\nA,X,1\nA,X\n"))
 
 
-def test_load_schema_mismatch():
-    text = "REG,JOB,SEX\nA,X,1\n"
-    with pytest.raises(MicrofileError, match="unknown attributes"):
-        load_microfile(io.StringIO(text), schema=["REG", "JOB"])
-    with pytest.raises(MicrofileError, match="missing from file"):
-        load_microfile(io.StringIO(text), schema=["REG", "JOB", "SEX", "AGE"])
-
-
 def test_roundtrip_is_value_identical():
     mf = make_microfile(SMALL_ROWS)
     text = microfile_text(mf)
@@ -313,18 +305,6 @@ def test_rewrite_stale_counts_detected():
         rewrite_microfile(mf, small_spec(), [3, 1], [3, 1], seed=0)
 
 
-def test_rewrite_donor_filter():
-    mf = make_microfile(SMALL_ROWS)
-    out = rewrite_microfile(
-        mf, small_spec(), [2, 1], [3, 1], seed=0,
-        donor_filter=np.array([record[2] == "1" for record in SMALL_ROWS]),
-    )
-    # The promoted record must be one of the SEX=1 donors.
-    changed = [i for i, (a, b) in enumerate(zip(records(mf), records(out))) if a != b]
-    assert len(changed) == 1
-    assert records(mf)[changed[0]][2] == "1"
-
-
 def test_write_then_reload_census(tmp_path, census_microfile):
     spec = census_attribute_spec()
     signal = concentration_signal(census_microfile, spec)
@@ -356,10 +336,17 @@ def test_rewrite_checks_every_group_before_sampling():
     assert records(mf) == before
 
 
-def test_rewrite_donor_filter_must_cover_every_record():
+def test_rewrite_appends_new_values_in_code_order():
+    # Group A shrinks to the fallback "W" and group B grows by "V" and "X";
+    # neither "V" nor "W" is in the file.
     mf = make_microfile(SMALL_ROWS)
-    with pytest.raises(RewriteError, match="one flag per record \\(8\\)"):
-        rewrite_microfile(mf, small_spec(), [2, 1], [3, 1], seed=0, donor_filter=[True, False])
+    spec = small_spec(vital_combinations=(("V",), ("X",), ("Y",)), fallback_combination=("W",))
+    out = rewrite_microfile(mf, spec, [2, 1], [1, 3], seed=0)
+    assert concentration_signal(out, spec).numerators.tolist() == [1, 3]
+    assert list(out.vocabularies[1]) == ["X", "Z", "Y", "V", "W"]
+    assert_codes_in_order(out.vocabularies)
+    # The input's vocabulary is copied, not extended in place.
+    assert list(mf.vocabularies[1]) == ["X", "Z", "Y"]
 
 
 # ------------------------------------------------- columns and raw bytes
@@ -369,7 +356,7 @@ def test_census_columns_are_int32_codes(census_microfile):
     for codes, vocabulary in zip(census_microfile.codes, census_microfile.vocabularies):
         assert isinstance(codes, np.ndarray) and codes.dtype == np.int32 and codes.shape == (n,)
         assert 0 <= codes.min() and codes.max() < len(vocabulary) <= 13
-    assert census_microfile.vocabularies[0] == list(REGION_CODES)
+    assert list(census_microfile.vocabularies[0]) == list(REGION_CODES)
 
 
 ROADMAP_PROBE = 'A,B\r\n"x, y",1\r\nz,"2"\r\n'
@@ -463,12 +450,20 @@ def test_write_of_load_is_byte_identical(case):
     assert buffer.getvalue() == text.encode()
 
 
+def assert_codes_in_order(vocabularies):
+    """Every vocabulary maps its i-th value to code i."""
+    for v in vocabularies:
+        assert list(v.values()) == list(range(len(v)))
+
+
 def _assert_parsers_agree(data, d):
-    plain = microdata._split_plain(data, d, None)
-    via_csv = microdata._split_csv(data, d, None)
+    plain = microdata._split_plain(data, d)
+    via_csv = microdata._split_csv(data, d)
     assert plain[0] == via_csv[0]
     assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
-    assert plain[2] == via_csv[2]
+    assert [list(v) for v in plain[2]] == [list(v) for v in via_csv[2]]
+    assert_codes_in_order(plain[2])
+    assert_codes_in_order(via_csv[2])
     np.testing.assert_array_equal(plain[3], via_csv[3])
 
 
@@ -548,7 +543,7 @@ def chunked_texts(draw):
 
 def _split_or_error(split, data, d):
     try:
-        return split(data, d, None)
+        return split(data, d)
     except MicrofileError as exc:
         return str(exc)
 
@@ -576,7 +571,8 @@ def test_plain_parser_modes_agree_with_csv(case):
     assert spy.call_count == skipped
     assert not isinstance(delta, str), delta
     assert delta.parsed == edited
-    values = [np.asarray(v, dtype=object)[c] for c, v in zip(expected[1], expected[2])]
+    assert_codes_in_order(delta.vocabularies)
+    values = [np.asarray(list(v), dtype=object)[c] for c, v in zip(expected[1], expected[2])]
     assert records(delta) == list(zip(*values))
 
 
@@ -665,6 +661,8 @@ def test_delta_read_equals_full_read(case, chunk_rows):
     assert delta.raw == full.raw
     np.testing.assert_array_equal(delta.bounds, full.bounds)
     assert records(delta) == records(full)
+    assert_codes_in_order(delta.vocabularies)
+    assert_codes_in_order(full.vocabularies)
     assert delta.parsed <= full.parsed == len(full)
     if released == original:
         assert delta.parsed == 0
@@ -678,7 +676,7 @@ def test_delta_read_parses_only_changed_records():
     assert records(released) == [("A", "X", "1"), ("A", "Y", "2"), ("B", "ZZ", "1"),
                                  ("B", "X", "2"), ("C", "W", "1")]
     # Unchanged records keep the original's codes; new values join the end.
-    assert released.vocabularies[1][: len(like.vocabularies[1])] == like.vocabularies[1]
+    assert list(released.vocabularies[1])[: len(like.vocabularies[1])] == list(like.vocabularies[1])
     np.testing.assert_array_equal(released.codes[1][[0, 3]], like.codes[1][[0, 3]])
 
 

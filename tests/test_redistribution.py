@@ -54,7 +54,7 @@ def test_border_indices_census(db2, census_parts):
 def test_border_indices_no_extension(db2):
     from groupanon.wavelets import ExtensionMeta
 
-    assert fixed_border_indices(db2, 1, ExtensionMeta("none", 14, 14)) == frozenset()
+    assert fixed_border_indices(db2, 1, ExtensionMeta("none", 14)) == frozenset()
 
 
 @pytest.mark.parametrize("direction, k", [(d, k) for d in ("left", "right") for k in (1, 2, 3)])
@@ -330,8 +330,9 @@ EXACT = {"mean_tol": CHECK_TOL, "detail_tol": CHECK_TOL}
 def test_verify_outcome_census(db2, census_ratios):
     plan = RedistributionPlan(strategy="manual", free_values=ref.FREE_VALUES, floor=ref.FLOOR)
     final, _ = redistribute(census_ratios, plan, db2, 1, "left")
-    _, meta = extend_to_even(census_ratios, "left")
-    checks, outcome = verify_outcome(census_ratios, final, db2, 1, meta, **EXACT)
+    before, meta = extend_to_even(census_ratios, "left")
+    after, _ = extend_to_even(final, "left")
+    checks, outcome = verify_outcome(before, after, db2, 1, meta, **EXACT)
     assert checks["positivity"]["passed"] is True
     assert checks["border_equality"]["passed"] is True
     assert 13 in outcome["extrema_after"]["maxima"]
@@ -340,8 +341,8 @@ def test_verify_outcome_census(db2, census_ratios):
 
 
 def test_verify_outcome_identical_signals(db2, census_ratios):
-    _, meta = extend_to_even(census_ratios, "left")
-    checks, outcome = verify_outcome(census_ratios, census_ratios, db2, 1, meta, **EXACT)
+    extended, meta = extend_to_even(census_ratios, "left")
+    checks, outcome = verify_outcome(extended, extended, db2, 1, meta, **EXACT)
     assert checks["mean_preserved"]["value"] == 0.0
     assert checks["details_proportional"]["value"] == 0.0
     assert outcome["detail_scale"] == 1.0
@@ -349,11 +350,12 @@ def test_verify_outcome_identical_signals(db2, census_ratios):
 
 
 def test_verify_outcome_length_checks(db2, census_ratios):
-    _, meta = extend_to_even(census_ratios, "left")
+    extended, meta = extend_to_even(census_ratios, "left")
     with pytest.raises(SignalError, match="differ in length"):
-        verify_outcome(census_ratios, census_ratios[:-1], db2, 1, meta, **EXACT)
-    with pytest.raises(SignalError, match="match neither"):
-        verify_outcome(np.ones(10) / 2, np.ones(10) / 2, db2, 1, meta, **EXACT)
+        verify_outcome(extended, extended[:-1], db2, 1, meta, **EXACT)
+    # Signals at the original length are not extended for the caller.
+    with pytest.raises(SignalError, match="extended to even length first"):
+        verify_outcome(census_ratios, census_ratios, db2, 1, meta, **EXACT)
 
 
 def test_local_extrema():

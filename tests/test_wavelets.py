@@ -7,6 +7,7 @@ from groupanon import analyze, db2_filter, extend_to_even, filter_by_name
 from groupanon.errors import SignalError
 from groupanon.wavelets import (
     DecompositionResult,
+    ExtensionMeta,
     WaveletFilterPair,
     analyze_once,
     as_signal,
@@ -83,6 +84,7 @@ def test_extend_left_duplicates_first_sample(census_ratios):
     assert extended[0] == extended[1] == census_ratios[0]
     np.testing.assert_array_equal(extended[1:], census_ratios)
     assert (meta.direction, meta.original_length, meta.extended_length) == ("left", 13, 14)
+    assert meta.border == (0, 1)
     assert meta.informative_slice == slice(1, 14)
 
 
@@ -91,6 +93,8 @@ def test_extend_even_is_noop():
     extended, meta = extend_to_even(s, "left")
     np.testing.assert_array_equal(extended, s)
     assert meta.direction == "none"
+    assert meta.extended_length == 6
+    assert meta.border is None
     assert meta.informative_slice == slice(0, 6)
 
 
@@ -98,12 +102,25 @@ def test_extend_right():
     extended, meta = extend_to_even([1.0, 2.0, 3.0], "right")
     np.testing.assert_array_equal(extended, [1.0, 2.0, 3.0, 3.0])
     assert meta.direction == "right"
+    assert meta.extended_length == 4
+    assert meta.border == (2, 3)
     assert meta.informative_slice == slice(0, 3)
 
 
 def test_extend_unknown_direction():
     with pytest.raises(SignalError, match="left.*right"):
         extend_to_even([1.0, 2.0, 3.0], "up")
+
+
+@pytest.mark.parametrize("direction, length, message", [
+    ("left", 14, "'left' does not fit length 14; expected one of \\('none',\\)"),
+    ("none", 13, "'none' does not fit length 13; expected one of \\('left', 'right'\\)"),
+    ("up", 13, "'up' does not fit length 13"),
+])
+def test_extension_meta_rejects_inconsistent_states(direction, length, message):
+    # A sample is duplicated exactly when the length is odd.
+    with pytest.raises(SignalError, match=message):
+        ExtensionMeta(direction, length)
 
 
 def test_max_level():
