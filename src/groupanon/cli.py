@@ -19,7 +19,8 @@ Exit status: 0 = success with all invariant checks passing, 2 = pipeline
 ran but an invariant check failed (outputs are still written for
 debugging; stderr names each failed check with its value and tolerance),
 1 = hard error (only ``anonymize`` writes a machine-readable error report,
-when a report path is known and the run's paths do not clash).  Each
+when a report path is known and the run's paths do not clash; when the
+config does not load, only over nothing or an earlier report).  Each
 config object has one key table: a key maps onto one dataclass field and
 one converter, defaults live on the dataclasses, and an unknown key is an
 error.
@@ -57,7 +58,7 @@ from .redistribution import (
     rounding_tolerances,
     verify_outcome,
 )
-from .wavelets import (EXTENSIONS, WAVELETS, analyze, build_reconstruction_matrix,
+from .wavelets import (EXTENSIONS, WAVELETS, ExtensionMeta, analyze, build_reconstruction_matrix,
                        extend_to_even, filter_by_name)
 
 EXIT_OK = 0
@@ -304,9 +305,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
             "ratios": signal.ratios.tolist(),
             "final_ratios": final_ratios.tolist(),
         },
-        # The extended arrays repeat signal.ratios and final_ratios.
-        "redistribution": {key: value for key, value in red_report.items()
-                           if key not in ("extended_before", "extended_after")},
+        "redistribution": red_report,
         "counts": {
             "old": signal.numerators.tolist(),
             "new": counts.tolist(),
@@ -318,7 +317,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         "sizes": {
             "records": len(mf),
             "categories": len(signal.parameter_values),
-            "extended_length": len(red_report["extended_after"]),
+            "extended_length": ExtensionMeta(red_report["extension"], len(final_ratios)).extended_length,
             "level": config.level,
             "records_changed": len(rewritten.edited),
         },
@@ -465,6 +464,15 @@ def _cells_differ(before: Microfile, after: Microfile, attribute: str) -> np.nda
     return before.lookup(attribute, after.vocabularies[j], -1) != after.codes[j]
 
 
+def _absent_or_report(path: Path) -> bool:
+    """Whether ``path`` holds nothing yet or an earlier report (a JSON object with a ``status``)."""
+    try:
+        previous = json.loads(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        return isinstance(exc, FileNotFoundError)
+    return isinstance(previous, dict) and "status" in previous
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="groupanon",
@@ -484,7 +492,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--report", type=Path, help="override the configured report path")
     args = parser.parse_args(argv)
 
-    report_path = args.report
+    report_path = None
     try:
         config = load_config(args.config)
         flags = {key: getattr(args, key) for key in ("seed", "output", "report")}
@@ -506,8 +514,11 @@ def main(argv=None) -> int:
     except (GroupAnonError, OSError) as exc:
         # Only anonymize writes an error report: verify's report path names
         # the report it checks, and inspect writes nothing.  Nor does a run
-        # whose paths clash, since its report path may name its input.
+        # whose paths clash, since its report path may name its input, nor
+        # one whose config did not load over a file that is not a report.
         clash = getattr(exc, "field", None) in _PATHS
+        if report_path is None and args.report is not None and _absent_or_report(args.report):
+            report_path = args.report
         if args.command == "anonymize" and report_path is not None and not clash:
             try:
                 _write_json(report_path, {

@@ -29,7 +29,7 @@ FALLBACK_OCCUPATION = "999"
 ATTRIBUTES = ("REGNUK", "OCC", "SEX")
 
 
-def census_attribute_spec(fallback: str | None = FALLBACK_OCCUPATION) -> AttributeSpec:
+def census_attribute_spec() -> AttributeSpec:
     """The anonymity task the fixture is built for: science share by region."""
     return AttributeSpec(
         vital_attributes=("OCC",),
@@ -37,7 +37,7 @@ def census_attribute_spec(fallback: str | None = FALLBACK_OCCUPATION) -> Attribu
         parameter_attribute="REGNUK",
         parameter_values=REGION_CODES,
         denominator="group_total",
-        fallback_combination=(fallback,) if fallback is not None else None,
+        fallback_combination=(FALLBACK_OCCUPATION,),
     )
 
 
@@ -54,24 +54,21 @@ def iter_census_rows():
         yield from _region_rows(region, employed, scientists)
 
 
-def write_census_fixture(path, delimiter: str = ",") -> Path:
-    """Write the fixture to ``path``."""
+def write_census_fixture(path) -> Path:
+    """Write the fixture to ``path`` as comma-separated text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(delimiter.join(ATTRIBUTES) + "\n")
-        handle.writelines(
-            delimiter.join(row) + "\n" for row in iter_census_rows()
-        )
+        handle.write(",".join(ATTRIBUTES) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in iter_census_rows())
     return path
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write the synthetic census fixture.")
     parser.add_argument("output", help="destination CSV path")
-    parser.add_argument("--delimiter", default=",", help="field delimiter (default: comma)")
     args = parser.parse_args(argv)
-    path = write_census_fixture(args.output, delimiter=args.delimiter)
+    path = write_census_fixture(args.output)
     total = sum(EMPLOYED)
     print(f"wrote {total} records to {path}")
     return 0

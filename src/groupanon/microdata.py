@@ -185,12 +185,6 @@ class AttributeSpec:
                 )
             object.__setattr__(self, "fallback_combination", fallback)
 
-    def referenced_attributes(self) -> tuple[str, ...]:
-        names = list(self.vital_attributes) + [self.parameter_attribute]
-        if self.denominator_filter is not None:
-            names.append(self.denominator_filter[0])
-        return tuple(names)
-
 
 @dataclass(frozen=True)
 class ConcentrationSignal:
@@ -518,8 +512,6 @@ def _vital_mask(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
 
 def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSignal:
     """Vital-record share per parameter value, ordered by ``spec.parameter_values``."""
-    for attr in spec.referenced_attributes():
-        mf.column_index(attr)
     m = len(spec.parameter_values)
     slots = _group_slots(mf, spec)
     numerators = np.bincount(slots[_vital_mask(mf, spec)], minlength=m + 1)[:m]

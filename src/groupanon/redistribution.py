@@ -2,17 +2,18 @@
 
 The pipeline: extend the signal to even length, decompose, swap in new
 approximation coefficients while keeping the border-coupled ones fixed,
-rebuild the low-frequency part, add the original details back, shift the
-result up to a positive floor, and rescale so the mean of the informative
-samples is unchanged.
+add the synthesis of that change to the extended signal, shift the result
+up to a positive floor, and rescale so the mean of the informative samples
+is unchanged.
 
-Two algebraic facts carry the guarantees.  First, the synthesis columns of
-the two channels are mutually orthogonal, so adding the original details to
-*any* rebuilt approximation leaves the detail coefficients of the result
-exactly equal to the originals.  Second, the high-pass taps sum to zero, so
-the positivity shift is invisible to the details and the final rescale by
-``scale`` multiplies every detail by exactly ``scale`` - details survive
-proportionally, the mean survives exactly.
+Three facts carry the guarantees.  By perfect reconstruction the rebuilt
+signal has the new approximation coefficients and exactly the original
+details.  The high-pass taps sum to zero, so the shift is invisible to the
+details and the rescale multiplies each of them by exactly ``scale``: the
+details survive proportionally, the mean exactly.  A fixed coefficient
+changes by zero, so the samples only fixed coefficients reach keep their
+values bit for bit: the border pair stays equal, and a plan that fixes
+every coefficient and sets no floor returns its input.
 
 Coefficient indices and signal positions in plans and reports are 1-based.
 """
@@ -34,7 +35,6 @@ from .wavelets import (
     as_signal,
     extend_to_even,
     operator_rows,
-    reconstruct,
     synth_approx,
 )
 
@@ -214,9 +214,11 @@ def redistribute(
     Returns the final signal at the original length and a JSON-ready report:
     the applied ``shift`` and ``scale``, the 1-based inclusive
     ``informative_range`` of extended positions that carry original data,
-    the intermediate arrays, the diagnostics of :func:`verify_outcome` and
-    its check rows under ``checks``.  ``scale`` is (sum of original
-    informative samples) / (sum of shifted informative samples).
+    the approximation coefficients before and after, the diagnostics of
+    :func:`verify_outcome` and its check rows under ``checks``.  ``scale``
+    is (sum of original informative samples) / (sum of shifted informative
+    samples).  The extended signals are not returned; with the border
+    coefficients fixed, ``extend_to_even`` of the final signal rebuilds it.
     """
     original = as_signal(c)
     if np.any(original < 0.0) or np.any(original > 1.0):
@@ -227,7 +229,7 @@ def redistribute(
     if fixed is None:
         fixed = fixed_border_indices(f, k, meta)
     ahat = make_coefficients(replace(plan, fixed_indices=fixed), dec)
-    rebuilt = reconstruct(replace(dec, approx=ahat))
+    rebuilt = extended + synth_approx(ahat - dec.approx, f, k, meta.extended_length)
     if not np.all(np.isfinite(rebuilt)):
         raise SignalError("rebuilt signal is not finite")
 
@@ -259,8 +261,6 @@ def redistribute(
         "informative_range": [info.start + 1, info.stop],
         "coefficients_before": dec.approx.tolist(),
         "coefficients_after": ahat.tolist(),
-        "extended_before": extended.tolist(),
-        "extended_after": final_extended.tolist(),
         **diagnostics,
         "checks": checks,
     }

@@ -1,16 +1,17 @@
 """Decimated orthogonal wavelet analysis and synthesis with periodic boundaries.
 
 Signals are plain 1-D float arrays.  Analysis splits an even-length signal
-into half-length approximation and detail coefficient arrays; synthesis maps
-coefficient arrays back to full length.  Both sides use circular indexing
-with the tap window for output j anchored at sample 2j - 1 (0-based), which
-makes analysis the exact transpose of the circulant synthesis operator.
-Odd-length signals are first made even by duplicating one border sample
-(see :func:`extend_to_even`).  ``_synth_once`` is the only synthesis kernel.
-The level-k synthesis operator is block-circulant, so any of its rows can be
-read off its first column, the kernel applied to a unit coefficient: the
-pipeline computes only the rows it needs, and ``groupanon inspect`` prints
-all of them (:func:`build_reconstruction_matrix`).
+into half-length approximation and detail coefficient arrays.  Both sides
+use circular indexing with the tap window for output j anchored at sample
+2j - 1 (0-based), which makes analysis the exact transpose of the circulant
+synthesis operator.  Odd-length signals are first made even by duplicating
+one border sample (see :func:`extend_to_even`).  Only the approximation
+channel is ever synthesized, because the pipeline never changes a detail;
+``_synth_once`` is the only synthesis kernel.  The level-k synthesis
+operator is block-circulant, so any of its rows can be read off its first
+column, the kernel applied to a unit coefficient: the pipeline computes
+only the rows it needs, and ``groupanon inspect`` prints all of them
+(:func:`build_reconstruction_matrix`).
 """
 
 from __future__ import annotations
@@ -273,19 +274,6 @@ def synth_approx(a_k, f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
     return out
 
 
-def synth_detail(d_u, f: WaveletFilterPair, u: int, n: int) -> np.ndarray:
-    """Length-n detail from level-u coefficients (one high-pass stage, then u-1 low-pass)."""
-    coef = np.asarray(d_u, dtype=float)
-    if coef.ndim != 1 or coef.size * 2**u != n:
-        raise SignalError(
-            f"{coef.size} level-{u} coefficients cannot synthesize a length-{n} signal"
-        )
-    out = _synth_once(coef, f.highpass, n // 2 ** (u - 1))
-    for level in range(u - 1, 0, -1):
-        out = _synth_once(out, f.lowpass, n // 2 ** (level - 1))
-    return out
-
-
 def approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
     """First column of the level-k approximation synthesis operator for length n."""
     return synth_approx(np.eye(1, n >> k)[0], f, k, n)
@@ -307,12 +295,3 @@ def build_reconstruction_matrix(f: WaveletFilterPair, n: int, k: int) -> np.ndar
         raise SignalError(f"signal length must be even and >= 2, got {n}")
     _check_level(n, k)
     return operator_rows(approx_column(f, k, n), k, np.arange(n))
-
-
-def reconstruct(dec: DecompositionResult) -> np.ndarray:
-    """Extended-length signal: approximation plus all details."""
-    n = dec.extended_length
-    out = synth_approx(dec.approx, dec.filters, dec.level, n)
-    for u, d in enumerate(dec.details, start=1):
-        out = out + synth_detail(d, dec.filters, u, n)
-    return out

@@ -19,8 +19,9 @@ tests:
 the single-level circulant synthesis operator, built entry by entry from the
 taps.  The package synthesizes with a vectorized kernel instead, so tests
 compare that kernel and the display matrices against products of these.
-``build_detail_synthesis_matrix`` is the dense detail operator, which only
-tests need; it is read off its first column like the approximation operator.
+The package never synthesizes a detail, so the dense detail operator
+``build_detail_synthesis_matrix`` is such a product, and ``reconstruct``
+sums the synthesis of every channel of a decomposition from the products.
 ``round_half_away_from_zero`` is the scalar oracle for the counts that
 ``new_quantities`` rounds as one array, and ``local_extrema`` the loop oracle
 for the strict interior extrema that ``redistribution.local_extrema`` finds
@@ -28,10 +29,9 @@ with array comparisons.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
-
-from groupanon.wavelets import operator_rows, synth_detail
 
 
 def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
@@ -44,9 +44,22 @@ def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
+def _low_stages(f, n: int, count: int) -> list[np.ndarray]:
+    return [_single_level(f.lowpass, n >> stage) for stage in range(count)]
+
+
 def build_detail_synthesis_matrix(f, n: int, u: int) -> np.ndarray:
     """Dense level-u detail synthesis operator: u - 1 low-pass stages atop one high-pass stage."""
-    return operator_rows(synth_detail(np.eye(1, n >> u)[0], f, u, n), u, np.arange(n))
+    return reduce(np.matmul, _low_stages(f, n, u - 1) + [_single_level(f.highpass, n >> (u - 1))])
+
+
+def reconstruct(dec) -> np.ndarray:
+    """Extended-length signal of a decomposition: its approximation plus all its details."""
+    n = dec.extended_length
+    out = reduce(np.matmul, _low_stages(dec.filters, n, dec.level)) @ dec.approx
+    for u, detail in enumerate(dec.details, start=1):
+        out = out + build_detail_synthesis_matrix(dec.filters, n, u) @ detail
+    return out
 
 
 def round_half_away_from_zero(x: float) -> int:

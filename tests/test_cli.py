@@ -267,16 +267,23 @@ def test_anonymize_seed_changes_rows_not_counts(small_run, tmp_path):
     np.testing.assert_array_equal(counts_one, counts_two)
 
 
-def test_anonymize_unknown_attribute(small_run, capsys):
+@pytest.mark.parametrize("key, value, name", [
+    ("parameter", "REGION", "REGION"),
+    ("vital", ["JOBS"], "JOBS"),
+    ("denominator", {"attribute": "GENDER", "values": ["1"]}, "GENDER"),
+], ids=["parameter", "vital", "denominator"])
+def test_anonymize_unknown_attribute(small_run, capsys, key, value, name):
     tmp_path, config_path = small_run
     config = json.loads(config_path.read_text())
-    config["attributes"]["parameter"] = "REGION"
+    config["attributes"][key] = value
     config_path.write_text(json.dumps(config))
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
-    assert "REGION" in capsys.readouterr().err
+    message = f"unknown attribute {name!r}"
+    assert message in capsys.readouterr().err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "error"
-    assert "REGION" in report["error"]["message"]
+    assert message in report["error"]["message"]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_anonymize_ratio_above_one_names_group(tmp_path, capsys):
@@ -643,6 +650,25 @@ def test_clashing_config_writes_no_report_over_input(small_run, capsys):
     assert main(argv) == EXIT_ERROR
     assert "output and input name the same file" in capsys.readouterr().err
     assert input_path.read_bytes() == original
+
+
+@pytest.mark.parametrize("target", ["input.csv", "config.json"])
+def test_unloadable_config_writes_no_report_over_other_files(small_run, capsys, target):
+    # The config does not load, so the flag's report path is written only
+    # where nothing is yet or where an earlier report is.
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config["plan"] = {"strategy": "bogus"}
+    config_path.write_text(json.dumps(config))
+    path = tmp_path / target
+    original = path.read_bytes()
+    assert main(["anonymize", "--config", str(config_path), "--report", str(path)]) == EXIT_ERROR
+    assert "plan.strategy" in capsys.readouterr().err
+    assert path.read_bytes() == original
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps({"status": "ok"}))
+    assert main(["anonymize", "--config", str(config_path), "--report", str(earlier)]) == EXIT_ERROR
+    assert json.loads(earlier.read_text())["status"] == "error"
 
 
 def test_paths_of_one_run_must_differ(small_run):
