@@ -21,12 +21,11 @@ from .microdata import (
 )
 from .redistribution import (
     RedistributionPlan,
-    fixed_border_indices,
     format_plot_data,
     redistribute,
     verify_outcome,
 )
-from .wavelets import analyze, build_reconstruction_matrix, db2_filter, extend_to_even, filter_by_name
+from .wavelets import analyze, db2_filter, extend_to_even, filter_by_name
 
 __version__ = "0.1.0"
 
@@ -39,12 +38,10 @@ __all__ = [
     "Microfile",
     "RedistributionPlan",
     "analyze",
-    "build_reconstruction_matrix",
     "concentration_signal",
     "db2_filter",
     "extend_to_even",
     "filter_by_name",
-    "fixed_border_indices",
     "format_plot_data",
     "load_microfile",
     "new_quantities",

@@ -2,11 +2,11 @@
 
 Subcommands: ``anonymize`` runs the full pipeline (load, concentration
 signal, decompose, redistribute, integer quantities, rewrite, report);
-``inspect`` prints the signal, coefficients, synthesis matrix (the dense
-operator of :func:`groupanon.wavelets.build_reconstruction_matrix`, one row
-of 4-decimal entries per line), and fixed coefficient set without writing
-anything; ``verify`` re-checks an already anonymized file against its
-original.
+``inspect`` prints the signal, coefficients, the rows of the synthesis
+operator (each expanded from :func:`groupanon.wavelets.operator_band` to
+one line of 4-decimal entries) and the fixed coefficient set the run uses,
+without writing anything; ``verify`` re-checks an already anonymized file
+against its original.
 
 ``anonymize`` and ``verify`` build their ``checks`` the same way: the rows
 of :func:`groupanon.redistribution.verify_outcome` (mean, details,
@@ -52,14 +52,13 @@ from .redistribution import (
     STRATEGIES,
     RedistributionPlan,
     check_row,
-    fixed_border_indices,
     format_plot_data,
     redistribute,
     rounding_tolerances,
     verify_outcome,
 )
-from .wavelets import (EXTENSIONS, WAVELETS, ExtensionMeta, analyze, build_reconstruction_matrix,
-                       extend_to_even, filter_by_name)
+from .wavelets import (EXTENSIONS, WAVELETS, ExtensionMeta, analyze, extend_to_even, filter_by_name,
+                       operator_band)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -342,9 +341,9 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     filters = filter_by_name(config.wavelet)
     extended, meta = extend_to_even(signal.ratios, config.extension)
     dec = analyze(extended, filters, config.level, meta=meta)
-    matrix = build_reconstruction_matrix(filters, meta.extended_length, config.level)
-    n, m = matrix.shape
-    fixed = sorted(fixed_border_indices(filters, config.level, meta))
+    n, m = meta.extended_length, dec.approx.size
+    cols, taps = operator_band(filters, config.level, n, np.arange(n))
+    fixed = sorted(config.plan.fixed_set(filters, config.level, meta))
 
     def fmt(values) -> str:
         return " ".join(format(v, ".4f") for v in values)
@@ -360,7 +359,15 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     for u, detail in enumerate(dec.details, start=1):
         lines.append(f"detail coefficients (level {u}): {fmt(detail)}")
     lines.append(f"reconstruction matrix ({n} x {m}):")
-    lines.extend(" ".join(f"{value:8.4f}" for value in row) for row in matrix)
+    # One row at a time: the cells outside a row's band all print as 0.
+    zero = f"{0.0:8.4f}"
+    cells = [zero] * m
+    for row_cols, row_taps in zip(cols.tolist(), taps.tolist()):
+        for j, tap in zip(row_cols, row_taps):
+            cells[j] = f"{tap:8.4f}"
+        lines.append(" ".join(cells))
+        for j in row_cols:
+            cells[j] = zero
     lines.append(f"fixed coefficient indices: {' '.join(str(i) for i in fixed) if fixed else '(none)'}")
     return EXIT_OK, "\n".join(lines)
 
@@ -407,9 +414,11 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     checks["record_count_unchanged"] = _count_row(abs(len(original) - len(final)))
     checks["non_vital_cells_unchanged"] = _count_row(altered)
     checks["denominators_unchanged"] = _mismatch_row(sig_before.denominators, sig_after.denominators)
-    if config.report is not None and config.report.exists():
+    if config.report is not None:
         try:
             previous = json.loads(config.report.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"report {config.report} does not exist") from None
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
         counts = previous.get("counts") if isinstance(previous, dict) else None

@@ -31,10 +31,9 @@ from .wavelets import (
     ExtensionMeta,
     WaveletFilterPair,
     analyze,
-    approx_column,
     as_signal,
     extend_to_even,
-    operator_rows,
+    operator_band,
     synth_approx,
 )
 
@@ -89,6 +88,13 @@ class RedistributionPlan:
         if self.strategy != "manual" and self.free_values:
             raise PlanError(f"{self.strategy} plans take targets, not free_values")
 
+    def fixed_set(self, f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> frozenset[int]:
+        """The coefficients a run keeps: ``fixed_indices``, or else the border set."""
+        if self.fixed_indices is None:
+            return fixed_border_indices(f, k, meta)
+        _validate_indices(self.fixed_indices, meta.extended_length >> k, "fixed")
+        return self.fixed_indices
+
 
 def local_extrema(values) -> tuple[list[int], list[int]]:
     """Strict interior local (maxima, minima) as 1-based positions."""
@@ -107,16 +113,14 @@ def fixed_border_indices(f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> f
 
     When a border sample was duplicated, the two border samples of the
     rebuilt signal must keep their (zero) difference.  That is guaranteed by
-    freezing every level-``k`` approximation coefficient whose synthesis
-    column has a nonzero entry in either of the two border rows
-    (``meta.border``); only those two rows of the operator are computed.
-    Returns an empty set when nothing was duplicated.
+    freezing every level-``k`` approximation coefficient with a tap above
+    ``RANK_TOL`` in either of the two border rows (``meta.border``) of the
+    operator band.  Returns an empty set when nothing was duplicated.
     """
     if meta.border is None:
         return frozenset()
-    border = operator_rows(approx_column(f, k, meta.extended_length), k, meta.border)
-    touched = np.abs(border).max(axis=0) > RANK_TOL
-    return frozenset(int(j) + 1 for j in np.nonzero(touched)[0])
+    cols, taps = operator_band(f, k, meta.extended_length, meta.border)
+    return frozenset(int(j) + 1 for j in cols[np.abs(taps) > RANK_TOL])
 
 
 def _validate_indices(indices, m: int, label: str) -> None:
@@ -135,18 +139,13 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
     the rebuilt approximation hits the target values at the target
     positions; ``extremum_transition`` additionally flattens the original
     extrema of the rebuilt approximation to its median (skipping positions
-    that only fixed coefficients can reach, found from the support of the
-    operator's first column).  Only the operator rows at the target
-    positions are computed (:func:`groupanon.wavelets.operator_rows`), never
-    the whole matrix.
+    that only fixed coefficients can reach).  Both read the operator rows
+    at those positions from :func:`groupanon.wavelets.operator_band`.
     """
     a = dec.approx
     m = a.size
     f, k, n = dec.filters, dec.level, dec.extended_length
-    fixed = plan.fixed_indices
-    if fixed is None:
-        fixed = fixed_border_indices(f, k, dec.meta)
-    _validate_indices(fixed, m, "fixed")
+    fixed = plan.fixed_set(f, k, dec.meta)
 
     if plan.strategy == "manual":
         free = dict(plan.free_values or {})
@@ -165,26 +164,24 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
     targets = list(plan.targets)
     free = np.ones(m, dtype=bool)
     free[[i - 1 for i in fixed]] = False
-    column = approx_column(f, k, n)
     if plan.strategy == "extremum_transition":
         rebuilt = synth_approx(a, f, k, n)
         maxima, minima = local_extrema(rebuilt)
         extrema = np.array(maxima + minima, dtype=int)
         extrema = extrema[~np.isin(extrema, [pos for pos, _ in targets])]
-        # Row p reaches coefficient j when column[(p - 2**k * j) mod n] is
-        # nonzero, so only offsets from p to the column's support that are
-        # multiples of 2**k can make a free coefficient reach row p.
-        offsets = (extrema - 1)[:, None] - np.flatnonzero(np.abs(column) > RANK_TOL)
-        reached = (offsets % (1 << k) == 0) & free[(offsets % n) >> k]
+        cols, taps = operator_band(f, k, n, extrema - 1)
+        reached = (free[cols] & (np.abs(taps) > RANK_TOL)).any(axis=1)
         median = float(np.median(rebuilt))
-        targets += [(int(pos), median) for pos in extrema[reached.any(axis=1)]]
+        targets += [(int(pos), median) for pos in extrema[reached]]
     if not targets:
         raise PlanError(f"{plan.strategy} plans need at least one target")
     _validate_indices([pos for pos, _ in targets], n, "target")
     if len({pos for pos, _ in targets}) != len(targets):
         raise PlanError("duplicate target positions")
 
-    rows = operator_rows(column, k, [pos - 1 for pos, _ in targets])
+    cols, taps = operator_band(f, k, n, [pos - 1 for pos, _ in targets])
+    rows = np.zeros((len(targets), m))
+    np.put_along_axis(rows, cols, taps, axis=1)
     wanted = np.array([val for _, val in targets])
     coef_matrix = rows[:, free]
     rhs = wanted - rows[:, ~free] @ a[~free]
@@ -225,9 +222,7 @@ def redistribute(
         raise SignalError("concentration signal values must lie in [0, 1]")
     extended, meta = extend_to_even(original, direction)
     dec = analyze(extended, f, k, meta=meta)
-    fixed = plan.fixed_indices
-    if fixed is None:
-        fixed = fixed_border_indices(f, k, meta)
+    fixed = plan.fixed_set(f, k, meta)
     ahat = make_coefficients(replace(plan, fixed_indices=fixed), dec)
     rebuilt = extended + synth_approx(ahat - dec.approx, f, k, meta.extended_length)
     if not np.all(np.isfinite(rebuilt)):

@@ -5,13 +5,14 @@ into half-length approximation and detail coefficient arrays.  Both sides
 use circular indexing with the tap window for output j anchored at sample
 2j - 1 (0-based), which makes analysis the exact transpose of the circulant
 synthesis operator.  Odd-length signals are first made even by duplicating
-one border sample (see :func:`extend_to_even`).  Only the approximation
-channel is ever synthesized, because the pipeline never changes a detail;
-``_synth_once`` is the only synthesis kernel.  The level-k synthesis
-operator is block-circulant, so any of its rows can be read off its first
-column, the kernel applied to a unit coefficient: the pipeline computes
-only the rows it needs, and ``groupanon inspect`` prints all of them
-(:func:`build_reconstruction_matrix`).
+one border sample (see :func:`extend_to_even`).  A filter pair is its
+low-pass taps; the high-pass taps are their quadrature mirror.  Only the
+approximation channel is ever synthesized, because the pipeline never
+changes a detail; ``_synth_once`` is the only synthesis kernel.  The
+level-k synthesis operator has one representation, the band of
+:func:`operator_band`: each row's few nonzero coefficients and taps, read
+off the operator's first column (the kernel applied to a unit
+coefficient).  No step builds the dense operator.
 """
 
 from __future__ import annotations
@@ -41,50 +42,34 @@ def as_signal(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletFilterPair:
-    """Orthogonal low-pass/high-pass filter taps of even length.
+    """Orthogonal filter pair defined by its low-pass taps, of even length.
 
-    The high-pass taps must be the quadrature mirror of the low-pass taps:
-    ``highpass[i] == (-1)**i * lowpass[t - 1 - i]``.  Construction validates
-    the tap-sum, unit-energy, mirror, and even-shift-orthogonality
+    The high-pass taps are derived, the quadrature mirror of the low-pass
+    taps: ``highpass[i] == (-1)**i * lowpass[t - 1 - i]``.  Construction
+    validates the tap-sum, unit-energy and even-shift-orthogonality
     invariants at tolerance ``FILTER_TOL``.
     """
 
     lowpass: np.ndarray
-    highpass: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         low = np.asarray(self.lowpass, dtype=float)
-        high = np.asarray(self.highpass, dtype=float)
         object.__setattr__(self, "lowpass", low)
-        object.__setattr__(self, "highpass", high)
         t = low.size
-        if t == 0 or t % 2 != 0 or high.size != t:
-            raise SignalError("filters must share an even, positive tap count")
+        if t == 0 or t % 2 != 0:
+            raise SignalError("low-pass taps must have an even, positive count")
         if abs(low.sum() - math.sqrt(2.0)) > FILTER_TOL:
             raise SignalError("low-pass taps must sum to sqrt(2)")
         if abs(float(low @ low) - 1.0) > FILTER_TOL:
             raise SignalError("low-pass taps must have unit energy")
-        mirror = _quadrature_mirror(low)
-        if np.abs(high - mirror).max() > FILTER_TOL:
-            raise SignalError("high-pass taps are not the quadrature mirror of the low-pass taps")
         for shift in range(2, t, 2):
             if abs(float(low[:-shift] @ low[shift:])) > FILTER_TOL:
                 raise SignalError(f"low-pass taps correlate at even shift {shift}")
 
     @property
-    def length(self) -> int:
-        return self.lowpass.size
-
-    @classmethod
-    def from_lowpass(cls, lowpass, name: str = "") -> "WaveletFilterPair":
-        low = np.asarray(lowpass, dtype=float)
-        return cls(lowpass=low, highpass=_quadrature_mirror(low), name=name)
-
-
-def _quadrature_mirror(low: np.ndarray) -> np.ndarray:
-    t = low.size
-    return np.array([(-1) ** i * low[t - 1 - i] for i in range(t)])
+    def highpass(self) -> np.ndarray:
+        signs = np.where(np.arange(self.lowpass.size) % 2, -1.0, 1.0)
+        return signs * self.lowpass[::-1]
 
 
 def db2_filter() -> WaveletFilterPair:
@@ -95,13 +80,13 @@ def db2_filter() -> WaveletFilterPair:
     """
     s = math.sqrt(3.0)
     low = np.array([1.0 + s, 3.0 + s, 3.0 - s, 1.0 - s]) / (4.0 * math.sqrt(2.0))
-    return WaveletFilterPair.from_lowpass(low, name="db2")
+    return WaveletFilterPair(low)
 
 
 def haar_filter() -> WaveletFilterPair:
     """Length-2 Haar pair, mainly useful for quick sanity checks."""
     low = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return WaveletFilterPair.from_lowpass(low, name="haar")
+    return WaveletFilterPair(low)
 
 
 _FILTERS = {"db2": db2_filter, "haar": haar_filter}
@@ -181,15 +166,6 @@ def max_level(n: int) -> int:
     return k
 
 
-def _check_level(n: int, k: int) -> None:
-    admissible = max_level(n)
-    if not 1 <= k <= admissible:
-        raise SignalError(
-            f"level {k} needs length divisible by 2**{k}; "
-            f"maximum admissible level for length {n} is {admissible}"
-        )
-
-
 def _window_indices(n: int, taps: int) -> np.ndarray:
     # Output j reads samples (2j - 1 .. 2j + taps - 2) mod n.
     j = np.arange(n // 2)[:, None]
@@ -202,7 +178,7 @@ def analyze_once(s, f: WaveletFilterPair) -> tuple[np.ndarray, np.ndarray]:
     arr = as_signal(s)
     if arr.size % 2 != 0:
         raise SignalError("signal must be extended to even length first")
-    windows = arr[_window_indices(arr.size, f.length)]
+    windows = arr[_window_indices(arr.size, f.lowpass.size)]
     return windows @ f.lowpass, windows @ f.highpass
 
 
@@ -236,7 +212,12 @@ def analyze(s, f: WaveletFilterPair, k: int, meta: ExtensionMeta | None = None) 
         raise SignalError(f"decomposition level must be >= 1, got {k}")
     if arr.size % 2 != 0:
         raise SignalError("signal must be extended to even length first")
-    _check_level(arr.size, k)
+    admissible = max_level(arr.size)
+    if k > admissible:
+        raise SignalError(
+            f"level {k} needs length divisible by 2**{k}; "
+            f"maximum admissible level for length {arr.size} is {admissible}"
+        )
     if meta is None:
         meta = ExtensionMeta("none", arr.size)
     elif meta.extended_length != arr.size:
@@ -274,24 +255,25 @@ def synth_approx(a_k, f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
     return out
 
 
-def approx_column(f: WaveletFilterPair, k: int, n: int) -> np.ndarray:
-    """First column of the level-k approximation synthesis operator for length n."""
-    return synth_approx(np.eye(1, n >> k)[0], f, k, n)
+def operator_band(f: WaveletFilterPair, k: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (0-based) of the level-k approximation synthesis operator, as a band.
 
-
-def operator_rows(column: np.ndarray, k: int, rows) -> np.ndarray:
-    """Rows ``rows`` (0-based) of the level-k operator whose first column is ``column``.
-
-    Entry (p, j) is the first column at (p - 2**k * j) mod n.
+    Returns ``(cols, taps)``, two ``len(rows) x w`` arrays: row ``rows[r]``
+    holds ``taps[r]`` at the distinct coefficients ``cols[r]`` and zeros
+    elsewhere.  Entry (p, j) of the block-circulant operator is its first
+    column, the kernel applied to a unit coefficient, at (p - 2**k * j) mod
+    n.  That column is zero outside a cyclic window lo..hi, so row p reaches
+    only the w = (hi - lo) // 2**k + 1 coefficients from ceil((p - hi) /
+    2**k) on: w <= 3 for db2 at every level, 1 for Haar.  The taps are
+    exact, and 0.0 where a row reaches fewer than w coefficients.
     """
-    n = column.size
-    shifts = np.arange(n >> k) << k
-    return column[(np.asarray(rows)[:, None] - shifts) % n]
-
-
-def build_reconstruction_matrix(f: WaveletFilterPair, n: int, k: int) -> np.ndarray:
-    """Dense level-k approximation synthesis operator (n x n/2**k), for display and tests."""
-    if n < 2 or n % 2 != 0:
-        raise SignalError(f"signal length must be even and >= 2, got {n}")
-    _check_level(n, k)
-    return operator_rows(approx_column(f, k, n), k, np.arange(n))
+    column = synth_approx(np.eye(1, n >> k)[0], f, k, n)
+    step = 1 << k
+    # Each stage anchors a coefficient's taps one sample before 2j (see
+    # _window_indices), so the k stages start the column at 1 - 2**k.  A
+    # column longer than n wraps onto itself and fills the whole cycle.
+    lo = 1 - step
+    hi = lo + min((f.lowpass.size - 1) * (step - 1), n - 1)
+    p = np.asarray(rows)[:, None]
+    cols = np.arange((hi - lo) // step + 1) - (hi - p) // step
+    return cols % (n >> k), column[(p - step * cols) % n]

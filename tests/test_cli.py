@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupanon import build_reconstruction_matrix, db2_filter, load_microfile, write_microfile
+from groupanon import db2_filter, load_microfile, write_microfile
 from groupanon.cli import (
     EXIT_ERROR,
     EXIT_INVARIANT,
@@ -16,10 +16,11 @@ from groupanon.cli import (
     run_inspect,
     run_verify,
 )
-from groupanon.errors import ConfigError
+from groupanon.errors import ConfigError, PlanError
 from groupanon.microdata import Microfile
 
 import reference as ref
+from reference import build_reconstruction_matrix
 
 
 def write_small_input(path, counts, per_group=1000):
@@ -472,11 +473,33 @@ def test_inspect_census(census_file, tmp_path, capsys):
 def test_inspect_even_length_has_no_fixed_set(tmp_path):
     input_path = tmp_path / "input.csv"
     regions = write_small_input(input_path, [100, 200, 300, 100, 200, 300, 100, 200])
-    config_path = write_config(tmp_path / "config.json", input_path, regions, IDENTITY_PLAN)
+    # The plan leaves the fixed set to the border rows, of which there are none.
+    plan = {"strategy": "manual", "floor": None}
+    config_path = write_config(tmp_path / "config.json", input_path, regions, plan)
     status, text = run_inspect(load_config(config_path))
     assert status == EXIT_OK
     assert "extension: none (8 -> 8 samples)" in text
     assert "fixed coefficient indices: (none)" in text
+
+
+def test_inspect_prints_the_plans_fixed_set(tmp_path):
+    # A plan's own fixed set overrides the border-derived one, in inspect as
+    # in anonymize.
+    input_path = tmp_path / "input.csv"
+    regions = write_small_input(input_path, SEVEN_COUNTS)
+    config_path = write_config(tmp_path / "config.json", input_path, regions, IDENTITY_PLAN)
+    _, text = run_inspect(load_config(config_path))
+    assert "fixed coefficient indices: 1 2 3 4" in text
+    status, report = run_anonymize(load_config(config_path))
+    assert status == EXIT_OK
+    assert report["redistribution"]["fixed_indices"] == [1, 2, 3, 4]
+    write_config(config_path, input_path, regions, {"strategy": "manual", "floor": None})
+    _, text = run_inspect(load_config(config_path))
+    assert "fixed coefficient indices: 1 2 4" in text
+    # A set the run would reject is rejected by inspect too.
+    write_config(config_path, input_path, regions, {**IDENTITY_PLAN, "fixed_indices": [1, 9]})
+    with pytest.raises(PlanError, match=r"fixed indices \[9\] outside 1..4"):
+        run_inspect(load_config(config_path))
 
 
 # ---------------------------------------------------------------- verify
@@ -608,6 +631,20 @@ def test_verify_rejects_report_that_is_not_json(small_run, capsys):
         assert f"report {report_path} is not an anonymize report" in err
         assert "Traceback" not in err
         assert report_path.read_text() == text
+
+
+def test_verify_rejects_missing_report(small_run, capsys):
+    # A configured report that does not exist is a hard error, not a
+    # reason to drop the released_counts_match check.
+    tmp_path, config_path = small_run
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    missing = tmp_path / "typo.json"
+    assert main(["verify", "--config", str(config_path), "--report", str(missing)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"report {missing} does not exist" in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("via, key", [

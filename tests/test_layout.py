@@ -1,5 +1,5 @@
-"""Guards on the package layout: module boundaries, the README's module list
-and the names the benchmark's tracer wraps."""
+"""Guards on the package layout: module boundaries, the README's module list,
+the names the benchmark's tracer wraps and the package's exports."""
 
 import ast
 import importlib
@@ -41,7 +41,7 @@ def test_traced_spans_name_functions():
     # perfbench/trace_child.py wraps each span's function at the name the
     # modules in its NAMESPACES import it under, and lists a name it finds
     # nowhere as absent rather than failing.  A rename would drop a layer
-    # from the benchmark unnoticed; only these two are absent today.  The
+    # from the benchmark unnoticed; only these three are absent today.  The
     # tuples are read from the source, so the tracer itself never runs.
     tree = ast.parse((ROOT / "perfbench" / "trace_child.py").read_text(encoding="utf-8"))
     constants = {
@@ -57,4 +57,14 @@ def test_traced_spans_name_functions():
         return any(callable(fn) and not isinstance(fn, type) for fn in targets)
 
     absent = [span for span in constants["SPANS"] if not found(span)]
-    assert absent == ["matrices.apply_matrix", "wavelets.synth_detail"]
+    assert absent == ["matrices.build_reconstruction_matrix", "matrices.apply_matrix", "wavelets.synth_detail"]
+
+
+def test_every_export_is_used_by_the_readme_or_the_command_line():
+    # The package exports the names the README and the command line use, so
+    # an export neither names is dead.
+    import groupanon
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8") + (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    unused = [name for name in groupanon.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from groupanon import (
     RedistributionPlan,
     analyze,
-    build_reconstruction_matrix,
     extend_to_even,
-    fixed_border_indices,
     format_plot_data,
     redistribute,
     verify_outcome,
 )
 from groupanon.errors import InfeasibleTargetsError, PlanError, SignalError
-from groupanon.redistribution import CHECK_TOL, local_extrema, make_coefficients
+from groupanon.redistribution import CHECK_TOL, fixed_border_indices, local_extrema, make_coefficients
 from groupanon.wavelets import synth_approx
 
 import reference as ref
+from reference import build_reconstruction_matrix
 from conftest import random_redistribution_case
 
 
