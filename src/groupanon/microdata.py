@@ -23,13 +23,15 @@ record is one line (no quote character, and every carriage return part of a
 vectorised scan for newlines, and the records are split in chunks of rows.
 Each chunk takes one of two modes, chosen from what earlier chunks showed:
 
-* while lines repeat, whole lines are dictionary-encoded first, and only
-  the distinct lines lose their ``\r`` and are split into fields and
-  checked for their field count;
-* once a chunk finds more distinct lines than half its rows, the dictionary
-  does not pay, and every later chunk is split into cells straight from its
-  text, with field counts taken from the delimiter and line-end positions
-  in its bytes.
+* while lines repeat, equal lines are found in numpy from their bytes
+  (packed into ``uint64`` words, keyed, and compared word for word with
+  the first line of their key), and only the first line of each class is
+  decoded, loses its ``\r``, and is split into fields and checked for its
+  field count;
+* once a chunk finds more distinct lines than half its rows, finding them
+  does not pay, and every later chunk is decoded and split into cells
+  straight from its text, with field counts taken from the delimiter and
+  line-end positions in its bytes.
 
 Everything else goes through :mod:`csv`, whose line count gives each
 record's span.
@@ -57,6 +59,11 @@ from .errors import MicrofileError, RewriteError
 
 # Rows split per step of the plain-text parser; bounds its transient memory.
 _CHUNK_ROWS = 1 << 15
+
+# A byte order mark that may open UTF-8 text.  It is dropped from the decoded
+# header (before csv reads it, so a quoted first name still parses) and kept
+# in the raw bytes, which writing copies.
+_BOM = "\ufeff"
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +210,12 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     """Read a delimited UTF-8 text microfile with a header row.
 
     ``source`` is a path or an object whose ``read()`` returns text or
-    bytes.  Every attribute the header names is loaded.
+    bytes.  Every attribute the header names is loaded; a UTF-8 byte order
+    mark before the header is not part of the first name, and writing
+    keeps it.  While lines repeat, only the first of each set of equal
+    lines in a chunk is decoded and split (see the module docstring); a
+    malformed line is still reported at its own line number, as a full
+    parse would.
 
     ``like`` is a microfile the text mostly repeats, such as the original
     of a release.  Each record whose bytes equal ``like``'s record at the
@@ -266,8 +278,11 @@ def _header_attributes(header: list[str]) -> list[str]:
 
 def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """Codes of ``values``; unseen values join ``index`` in order of appearance."""
-    fresh = filterfalse(index.__contains__, dict.fromkeys(values))
-    index.update(zip(fresh, count(len(index))))
+    before = len(index)
+    index.update(zip(filterfalse(index.__contains__, dict.fromkeys(values)), count(before)))
+    if len(index) - before == len(values):
+        # Every value was new and distinct: its code is its position.
+        return np.arange(before, len(index), dtype=np.int32)
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
@@ -278,7 +293,8 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
     bounds += 1
     if not bounds.size or bounds[-1] != len(data):
         bounds = np.append(bounds, len(data))
-    header = _decode(data[: bounds[0]], lambda offset: 1).removesuffix("\n").removesuffix("\r")
+    header = _decode(data[: bounds[0]], lambda offset: 1).removeprefix(_BOM)
+    header = header.removesuffix("\n").removesuffix("\r")
     attributes = _header_attributes(header.split(delimiter) if header else [])
     q = len(attributes)
     n = len(bounds) - 1
@@ -310,25 +326,22 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
         if not rows.size:
             continue
         parsed += rows.size
-        sizes = np.diff(bounds[r0 : r1 + 1])
-        if rows.size == r1 - r0:
-            at, chunk = slice(r0, r1), data[bounds[r0] : bounds[r1]]
-        else:
-            at, chunk = rows, buf[bounds[r0] : bounds[r1]][np.repeat(todo, sizes)].tobytes()
-            sizes = sizes[todo]
-        text = _decode(
-            chunk, lambda offset: rows[np.searchsorted(np.cumsum(sizes), offset, side="right")] + 2
-        )
+        at = slice(r0, r1) if rows.size == r1 - r0 else rows
         if repeating:
-            # Whole lines are encoded first and only the distinct ones are
-            # split into fields.  A chunk with more distinct lines than half
-            # its rows shows the dictionary does not pay; later chunks skip it.
-            lines = text.split("\n")
-            del lines[rows.size :]  # what follows the chunk's last "\n"
-            distinct: dict[str, int] = {}
-            line_codes = _encode(lines, distinct)
-            repeating = 2 * len(distinct) <= rows.size
-            keys = [line.removesuffix("\r") for line in distinct] if crlf else list(distinct)
+            # Equal lines are found from their bytes, and only the first line
+            # of each class is decoded and split into fields.  A chunk with
+            # more distinct lines than half its rows shows this does not
+            # pay; later chunks decode and split every line.
+            starts, ends = bounds[at], bounds[1:][at]
+            firsts, line_codes = _line_classes(buf, starts, ends)
+            repeating = 2 * firsts.size <= rows.size
+            starts, ends, firsts = starts[firsts], ends[firsts], rows[firsts]
+            chunk = b"".join([data[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
+            text = _decode(chunk, _line_at(firsts, ends - starts))
+            keys = text.split("\n")
+            del keys[firsts.size :]  # what follows the last "\n"
+            if crlf:
+                keys = [key.removesuffix("\r") for key in keys]
             fields = np.fromiter(
                 (key.count(delimiter) + 1 if key else 0 for key in keys),
                 dtype=np.int64, count=len(keys),
@@ -336,6 +349,13 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
             cells = delimiter.join(keys).split(delimiter)
         else:
             line_codes = None
+            sizes = np.diff(bounds[r0 : r1 + 1])
+            if rows.size == r1 - r0:
+                chunk = data[bounds[r0] : bounds[r1]]
+            else:
+                chunk = buf[bounds[r0] : bounds[r1]][np.repeat(todo, sizes)].tobytes()
+                sizes = sizes[todo]
+            text = _decode(chunk, _line_at(rows, sizes))
             fields = _field_counts(np.frombuffer(chunk, dtype=np.uint8), sizes, delimiter)
             if crlf:
                 text = text.replace("\r", "")
@@ -348,6 +368,78 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
             column = _encode(cells[j::q], indexes[j])
             codes[j][at] = column if line_codes is None else column[line_codes]
     return attributes, codes, indexes, bounds, parsed
+
+
+def _line_at(rows: np.ndarray, sizes: np.ndarray):
+    """For text made of the records ``rows`` with byte lengths ``sizes``, a byte offset's file line."""
+    return lambda offset: rows[np.searchsorted(np.cumsum(sizes), offset, side="right")] + 2
+
+
+# _BYTE_MASKS[k] keeps the first k bytes of a little-endian uint64 word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _mix(keys: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``keys`` with one more word of each line folded in (a multiply-xorshift step)."""
+    keys = (keys ^ words) * np.uint64(0x9E3779B97F4A7C15)
+    return keys ^ (keys >> np.uint64(32))
+
+
+def _line_classes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Classes of equal lines among the lines ``buf[starts[i]:ends[i]]``, ascending.
+
+    A line is its bytes without the "\n", packed into little-endian uint64
+    words.  When no line is longer than 8 bytes, a line's one word is its
+    key; otherwise its key is a mix of its length and words.  Each line is
+    compared word for word with the first line of its key.  The lines that
+    differ (a key collision, or lines that pad to the same word) are matched
+    by their bytes, so a class holds exactly the lines equal to its first.
+    Returns the index of each class's first line, ascending, and each
+    line's class: classes are numbered by first appearance.
+    """
+    lengths = ends - starts - 1
+    lengths[-1] += buf[ends[-1] - 1] != ord("\n")  # only the text's last line may lack one
+    width = max(1, -(-int(lengths.max()) // 8))
+    # A copy of the lines with room for the words of the last one.
+    region = np.zeros(ends[-1] - starts[0] + 8 * width, dtype=np.uint8)
+    region[: ends[-1] - starts[0]] = buf[starts[0] : ends[-1]]
+    # Every 8-byte window of the region, as raw bytes: numpy gathers those
+    # faster than unaligned integers.
+    windows = np.ndarray((region.size - 7,), dtype="V8", buffer=region, strides=(1,))
+    starts = starts - starts[0]
+    shortest = lengths.min()
+
+    def word(w):
+        words = windows[starts + 8 * w].view("<u8")
+        if shortest < 8 * (w + 1):  # some line ends before this word does
+            words &= _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
+        return words
+
+    if width == 1:
+        keys = word(0)
+    else:
+        keys = lengths.astype(np.uint64)
+        for w in range(width):
+            keys = _mix(keys, word(w))
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    key_class = np.searchsorted(distinct, keys)
+    index = np.arange(keys.size)
+    first = np.full(distinct.size, keys.size)
+    np.minimum.at(first, key_class, index)
+    first = first[key_class]  # per line, the first line with its key
+    same = lengths == lengths[first]
+    # A one-word key is the word itself, so only the lengths can differ.
+    for w in range(width if width > 1 else 0):
+        column = word(w)
+        same &= column == column[first]
+    seen: dict[bytes, int] = {}
+    for i in np.flatnonzero(~same).tolist():
+        first[i] = seen.setdefault(region[starts[i] : starts[i] + lengths[i]].tobytes(), i)
+    firsts = np.flatnonzero(first == index)
+    classes = np.empty_like(index)
+    classes[firsts] = np.arange(firsts.size)
+    return firsts, classes[first]
 
 
 def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:
@@ -398,7 +490,7 @@ def _split_csv(data: bytes, delimiter: str):
     offsets = np.concatenate(([0], np.flatnonzero(breaks) + 1))
     if offsets[-1] != len(data):
         offsets = np.append(offsets, len(data))
-    text = _decode(data, lambda offset: np.searchsorted(offsets, offset, side="right"))
+    text = _decode(data, lambda offset: np.searchsorted(offsets, offset, side="right")).removeprefix(_BOM)
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     # The plain parser takes a cell of any length, so this one must too; the
     # limit is process-wide, hence restored afterwards.

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -501,28 +502,45 @@ _FAULTS = ("none", "none", "ragged", "short", "not_utf8")
 
 @st.composite
 def chunked_texts(draw):
-    """Plain text whose chunks of lines either all repeat or are all distinct.
+    """Plain text in chunks of lines that repeat one line, mix two, or are all distinct.
 
+    Lines hold NUL bytes, long multi-byte cells, or exactly 7, 8, 9, 16 or
+    17 bytes, around the 8-byte words the parser packs lines into; the last
+    line may repeat the one before it, with or without a final terminator.
     Returns the delimiter, the chunk size, the text, a fault-free text
     that differs from it in some lines, the number of lines that differ,
-    and the number of chunks after the first all-distinct one.  At most one
-    line is at fault.
+    and the number of chunks after the first that holds more distinct lines
+    than half its rows.  At most one line is at fault.
     """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
     chunk_rows = draw(st.integers(2, 4))
-    pool = ["x", "é", "日本", "a b"] + ([""] if q > 1 else [])
-    row = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
-    kinds = draw(st.lists(st.sampled_from(["repeat", "distinct"]), min_size=1, max_size=4))
+    pool = ["x", "é", "日本", "a b", "a", "a\0", "\0", "日本語" * 6] + ([""] if q > 1 else [])
+    cells = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
+
+    @st.composite
+    def sized(draw):
+        # A last cell of "p" and NUL bytes pads the line to the drawn size.
+        head = d.join(["y"] * (q - 1) + [""]).encode()
+        size = draw(st.sampled_from([7, 8, 9, 16, 17]))
+        return head + bytes(draw(st.lists(st.sampled_from(b"p\0"), min_size=size - len(head),
+                                          max_size=size - len(head))))
+
+    row = st.one_of(cells.map(lambda values: d.join(values).encode()), sized())
+    kinds = draw(st.lists(st.sampled_from(["repeat", "mix", "distinct"]), min_size=1, max_size=4))
     lines = []
     for kind in kinds:
         if kind == "repeat":
-            lines += [d.join(draw(row)).encode()] * chunk_rows
+            lines += [draw(row)] * chunk_rows
+        elif kind == "mix":
+            pair = [draw(row), draw(row)]
+            lines += [pair[draw(st.integers(0, 1))] for _ in range(chunk_rows)]
         else:
             # A multi-byte first cell unique to its line keeps the lines distinct.
-            lines += [d.join([f"ü{len(lines) + i}"] + draw(row)[1:]).encode() for i in range(chunk_rows)]
-    tail = draw(st.integers(0, chunk_rows - 1))
-    lines += [d.join(draw(row)).encode() for _ in range(tail)]
+            lines += [d.join([f"ü{len(lines) + i}"] + draw(cells)[1:]).encode() for i in range(chunk_rows)]
+    lines += [draw(row) for _ in range(draw(st.integers(0, chunk_rows - 1)))]
+    if len(lines) > 1 and draw(st.booleans()):
+        lines[-1] = lines[-2]
     edits = [draw(st.integers(0, 3)) == 0 for _ in lines]
     edited = [line + b"e" if edit else line for line, edit in zip(lines, edits)]
     fault, at = draw(st.sampled_from(_FAULTS)), draw(st.integers(0, len(lines) - 1))
@@ -535,10 +553,14 @@ def chunked_texts(draw):
     terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
     # An empty last line is a record only when a terminator follows it.
     final = terminator if draw(st.booleans()) or not lines[-1] else b""
+    # A line is its bytes before the "\n"; the parser switches mode after
+    # the first chunk with more distinct lines than half its rows.
+    keys = [line + terminator[:-1] for line in lines[:-1]] + [lines[-1] + final[:-1]]
+    chunks = [keys[i : i + chunk_rows] for i in range(0, len(keys), chunk_rows)]
+    switch = next((i for i, chunk in enumerate(chunks) if 2 * len(set(chunk)) > len(chunk)), len(chunks) - 1)
     header = d.join(f"A{j}" for j in range(q)).encode()
     text, like = (terminator.join([header] + body) + final for body in (lines, edited))
-    skipped = len(kinds) - kinds.index("distinct") - 1 + (tail > 0) if "distinct" in kinds else 0
-    return d, chunk_rows, text, like, sum(edits), skipped
+    return d, chunk_rows, text, like, sum(edits), len(chunks) - switch - 1
 
 
 def _split_or_error(split, data, d):
@@ -553,10 +575,28 @@ def _split_or_error(split, data, d):
 # An empty line in a chunk that skips the dictionary, after LF and CRLF.
 @example((",", 2, b"A0\nu0\nu1\nx\n\n", b"A0\nu0\nu1\nx\nx\n", 0, 1))
 @example((",", 2, b"A0\r\nu0\r\nu1\r\nx\r\n\r\n", b"A0\r\nu0\r\nu1\r\nx\r\nx\r\n", 0, 1))
+# "a" and "a\0" pad to the same 8-byte word.
+@example((",", 4, b"A0\na\0\na\na\na\0\n", b"A0\na\0\na\na\na\0\n", 0, 0))
 def test_plain_parser_modes_agree_with_csv(case):
     # The plain parser encodes whole lines while they repeat; from the chunk
     # after one with more distinct lines than half its rows, it splits cells
     # straight from the text and counts fields on the bytes.
+    _check_modes_agree_with_csv(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_texts())
+# CRLF lines of 9 bytes take two words.
+@example((",", 4, b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh",
+          b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh", 0, 0))
+def test_colliding_line_keys_keep_lines_apart(case):
+    # Every line longer than 8 bytes gets the same key, so only comparing
+    # lines word for word keeps unequal ones apart.
+    with mock.patch.object(microdata, "_mix", lambda keys, words: np.zeros_like(keys)):
+        _check_modes_agree_with_csv(case)
+
+
+def _check_modes_agree_with_csv(case):
     d, chunk_rows, text, like_text, edited, skipped = case
     with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
         expected = _split_or_error(microdata._split_csv, text, d)
@@ -584,6 +624,40 @@ def test_crlf_census_takes_plain_path(census_file):
     buffer = io.BytesIO()
     write_microfile(load_microfile(io.BytesIO(data)), buffer)
     assert buffer.getvalue() == data
+
+
+def test_repeated_wide_lines_load_in_little_memory(tmp_path):
+    # 3,000 lines of 0.6-4.5 KB drawn from a dozen: keying the lines must
+    # not copy each one out to the longest line's width.
+    rng = np.random.default_rng(12)
+    distinct = [",".join("w" * n for n in rng.integers(200, 1500, size=3)) for _ in range(12)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(["A,B,C"] + [distinct[i] for i in rng.integers(0, 12, size=3000)]) + "\n")
+    tracemalloc.start()
+    try:
+        mf = load_microfile(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 4 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
+    assert sum(len(v) for v in mf.vocabularies) <= 36
+
+
+@pytest.mark.parametrize("body", ["A,B\nx,y\nx,z\n", '"A",B\nx,y\n"x",z\n'], ids=["plain", "csv"])
+def test_utf8_bom_is_not_part_of_the_first_name(body):
+    data = b"\xef\xbb\xbf" + body.encode()
+    mf = load_microfile(io.BytesIO(data))
+    assert mf.attributes == ["A", "B"]
+    assert records(mf) == [("x", "y"), ("x", "z")]
+    buffer = io.BytesIO()
+    write_microfile(mf, buffer)
+    assert buffer.getvalue() == data
+    # A release of the same file, read against it as verify does.
+    released = load_microfile(io.BytesIO(data.replace(b"z", b"w")), like=mf)
+    assert released.attributes == ["A", "B"]
+    assert records(released) == [("x", "y"), ("x", "w")]
+    assert released.parsed == (1 if body[0] != '"' else 2)
 
 
 def test_bare_cr_and_quotes_stay_on_csv():
