@@ -389,13 +389,14 @@ def _line_classes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Classes of equal lines among the lines ``buf[starts[i]:ends[i]]``, ascending.
 
     A line is its bytes without the "\n", packed into little-endian uint64
-    words.  When no line is longer than 8 bytes, a line's one word is its
-    key; otherwise its key is a mix of its length and words.  Each line is
-    compared word for word with the first line of its key.  The lines that
-    differ (a key collision, or lines that pad to the same word) are matched
-    by their bytes, so a class holds exactly the lines equal to its first.
-    Returns the index of each class's first line, ascending, and each
-    line's class: classes are numbered by first appearance.
+    words, and its key is a mix of its length and its words.  Each line is
+    compared word for word with the first line of its key, and the lines
+    that differ (a key collision) are matched by their bytes, so a class
+    holds exactly the lines equal to its first.  Word w is read only from
+    the lines that have one, so the work grows with the chunk's bytes and
+    rows, not with its rows times its longest line.  Returns the index of
+    each class's first line, ascending, and each line's class: classes are
+    numbered by first appearance.
     """
     lengths = ends - starts - 1
     lengths[-1] += buf[ends[-1] - 1] != ord("\n")  # only the text's last line may lack one
@@ -406,40 +407,38 @@ def _line_classes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     # Every 8-byte window of the region, as raw bytes: numpy gathers those
     # faster than unaligned integers.
     windows = np.ndarray((region.size - 7,), dtype="V8", buffer=region, strides=(1,))
-    starts = starts - starts[0]
-    shortest = lengths.min()
-
-    def word(w):
-        words = windows[starts + 8 * w].view("<u8")
-        if shortest < 8 * (w + 1):  # some line ends before this word does
-            words &= _BYTE_MASKS[np.clip(lengths - 8 * w, 0, 8)]
-        return words
-
-    if width == 1:
-        keys = word(0)
-    else:
-        keys = lengths.astype(np.uint64)
-        for w in range(width):
-            keys = _mix(keys, word(w))
-    ordered = np.sort(keys)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    key_class = np.searchsorted(distinct, keys)
-    index = np.arange(keys.size)
-    first = np.full(distinct.size, keys.size)
-    np.minimum.at(first, key_class, index)
+    # Lines by descending word count, stable so that the first of equal
+    # lines stays first: the lines with more than w words are the first has[w].
+    counts = -(-lengths // 8)
+    order = np.argsort(-counts, kind="stable")
+    at, sizes = starts[order] - starts[0], lengths[order]
+    has = np.searchsorted(-counts[order], -np.arange(width + 1))
+    keys = sizes.astype(np.uint64)
+    words = []
+    for w in range(width):
+        word = windows[at[: has[w]] + 8 * w].view("<u8")
+        word[has[w + 1] :] &= _BYTE_MASKS[sizes[has[w + 1] : has[w]] - 8 * w]  # lines ending in it
+        keys[: has[w]] = _mix(keys[: has[w]], word)
+        words.append(word)
+    _, first, key_class = np.unique(keys, return_index=True, return_inverse=True)
     first = first[key_class]  # per line, the first line with its key
-    same = lengths == lengths[first]
-    # A one-word key is the word itself, so only the lengths can differ.
-    for w in range(width if width > 1 else 0):
-        column = word(w)
-        same &= column == column[first]
+    differ = sizes != sizes[first]
+    # A line is compared with its key's first line when their lengths are
+    # equal, so that line has as many words; otherwise with itself.
+    other = np.where(differ, np.arange(sizes.size), first)
+    for word in words:
+        differ[: word.size] |= word != word[other[: word.size]]
+    # Per line in the lines' own order, the first line with its key.
+    lines = np.empty_like(order)
+    lines[order] = order[first]
     seen: dict[bytes, int] = {}
-    for i in np.flatnonzero(~same).tolist():
-        first[i] = seen.setdefault(region[starts[i] : starts[i] + lengths[i]].tobytes(), i)
-    firsts = np.flatnonzero(first == index)
+    for i in np.sort(order[differ]).tolist():
+        lines[i] = seen.setdefault(buf[starts[i] : starts[i] + lengths[i]].tobytes(), i)
+    index = np.arange(lines.size)
+    firsts = np.flatnonzero(lines == index)
     classes = np.empty_like(index)
     classes[firsts] = np.arange(firsts.size)
-    return firsts, classes[first]
+    return firsts, classes[lines]
 
 
 def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:

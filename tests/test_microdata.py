@@ -590,8 +590,8 @@ def test_plain_parser_modes_agree_with_csv(case):
 @example((",", 4, b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh",
           b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh", 0, 0))
 def test_colliding_line_keys_keep_lines_apart(case):
-    # Every line longer than 8 bytes gets the same key, so only comparing
-    # lines word for word keeps unequal ones apart.
+    # Every line gets the same key, so only comparing lines by length and
+    # word for word keeps unequal ones apart.
     with mock.patch.object(microdata, "_mix", lambda keys, words: np.zeros_like(keys)):
         _check_modes_agree_with_csv(case)
 
@@ -642,6 +642,20 @@ def test_repeated_wide_lines_load_in_little_memory(tmp_path):
     size = path.stat().st_size
     assert peak <= 4 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
     assert sum(len(v) for v in mf.vocabularies) <= 36
+
+
+def test_one_long_line_costs_only_its_own_words():
+    # A repeating chunk of short lines and one 64 KB line: a word is mixed
+    # into the keys only of the lines that have it, so about bytes / 8 + rows
+    # words in all, not rows times the long line's 8,192 words.
+    text = b"A\n" + b"a\n" * 16383 + b"b\n" * 16383 + b"x" * 65536 + b"\n"
+    with mock.patch.object(microdata, "_mix", wraps=microdata._mix) as spy:
+        mf = load_microfile(io.BytesIO(text))
+    assert spy.call_count == 8192
+    mixed = sum(call.args[0].size for call in spy.call_args_list)
+    assert mixed <= len(text) // 8 + len(mf), mixed
+    assert [list(v) for v in mf.vocabularies] == [["a", "b", "x" * 65536]]
+    assert records(mf) == [("a",)] * 16383 + [("b",)] * 16383 + [("x" * 65536,)]
 
 
 @pytest.mark.parametrize("body", ["A,B\nx,y\nx,z\n", '"A",B\nx,y\n"x",z\n'], ids=["plain", "csv"])
