@@ -17,6 +17,10 @@ in them, so writing copies every record the rewrite did not touch verbatim
 (quotes and line terminators included) and re-serialises only the edited
 ones.  No Python object per record outlives :func:`load_microfile`.
 
+Memory per record sets the largest file a run can take, so an array with
+an entry per record or per byte has the narrowest integer type that holds
+its values, or is made a block at a time (the newline scan, the counts).
+
 Two parsers build the same codes and vocabularies.  Text in which every
 record is one line (no quote character, and every carriage return part of a
 ``\r\n`` terminator) takes the plain path: record spans come from a
@@ -60,6 +64,18 @@ from .errors import MicrofileError, RewriteError
 # Rows split per step of the plain-text parser; bounds its transient memory.
 _CHUNK_ROWS = 1 << 15
 
+# Bytes scanned per step of a search through the whole text.  A block is
+# larger than a chunk's temporaries on purpose: glibc's malloc raises its
+# mmap threshold to the largest block it has freed, so the chunks then reuse
+# heap pages instead of mapping (and faulting in) fresh ones every time.
+_BLOCK_BYTES = 1 << 20
+
+# Integer types from narrowest to widest, for the values a lookup maps to.
+_INTEGER_TYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64, np.uint64)
+
+# Record offsets are int32 for a text of at most this many bytes, else int64.
+_INT32_BOUNDS_LIMIT = np.iinfo(np.int32).max
+
 # A byte order mark that may open UTF-8 text.  It is dropped from the decoded
 # header (before csv reads it, so a quoted first name still parses) and kept
 # in the raw bytes, which writing copies.
@@ -74,12 +90,15 @@ class Microfile:
     ``vocabularies[j]`` is an ordered dict from each value to its code, in
     code order: its i-th key has code i.  Record ``r`` is
     ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
-    ``raw[:bounds[0]]`` is the header.  ``edited`` lists in ascending order
-    the records whose codes no longer match their raw bytes.  ``parsed``
-    counts the records the load split into cells; the others took their
-    codes from the microfile passed as ``like``.  Code arrays and
-    vocabularies are never changed in place; a rewrite copies the ones it
-    changes.
+    ``raw[:bounds[0]]`` is the header; ``bounds`` is ``int32`` for a text of
+    at most ``_INT32_BOUNDS_LIMIT`` bytes (2 GiB less one) and ``int64``
+    above.  ``edited`` lists in ascending order the records whose codes no
+    longer match their raw bytes.  ``parsed`` counts the records the load
+    split into cells; the others took their codes from the microfile passed
+    as ``like``.  Code arrays and vocabularies are never changed in place; a
+    rewrite copies the ones it changes, and a load with ``like`` of as many
+    records shares every code array of ``like`` in which no parsed record
+    changed a code.
     """
 
     attributes: list[str]
@@ -113,10 +132,16 @@ class Microfile:
         """Per record, ``table`` applied to its value of ``attribute``.
 
         Values missing from ``table`` map to ``default``.  The table is
-        applied once per vocabulary entry, then gathered by code.
+        applied once per vocabulary entry, then gathered by code.  Integers
+        come back in the narrowest type that holds every mapped value.
         """
         j = self.column_index(attribute)
         mapped = np.array([table.get(value, default) for value in self.vocabularies[j]])
+        if mapped.dtype.kind in "iu":
+            lo, hi = mapped.min(), mapped.max()
+            mapped = mapped.astype(next(
+                t for t in _INTEGER_TYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max
+            ))
         return mapped[self.codes[j]]
 
 
@@ -256,9 +281,51 @@ def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microf
 
 def _is_plain(data: bytes, delimiter: str) -> bool:
     """Whether every record is one line: no quote, and no CR outside a CRLF."""
-    return delimiter.isascii() and b'"' not in data and (
-        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
-    )
+    if not delimiter.isascii() or b'"' in data:
+        return False
+    if b"\r" not in data:
+        return True
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf[-1] == ord("\r"):
+        return False
+    for start in range(0, buf.size - 1, _BLOCK_BYTES):
+        # The block's bytes and the one after it: a CR before anything but "\n".
+        block = buf[start : start + _BLOCK_BYTES + 1]
+        lone = block[:-1] == ord("\r")
+        lone &= block[1:] != ord("\n")
+        if lone.any():
+            return False
+    return True
+
+
+def _bounds_type(size: int) -> type:
+    """The integer type of the record offsets of a text of ``size`` bytes."""
+    return np.int32 if size <= _INT32_BOUNDS_LIMIT else np.int64
+
+
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """The offset just past each line of ``buf``; the last line may lack its "\n".
+
+    The newlines are found a block at a time and written straight into the
+    result, in the type :func:`_bounds_type` gives, so the only array as long
+    as the text's lines is the result.  It is sized from the lines per byte
+    seen so far, and resized in place (``realloc``, which remaps a large
+    array rather than copying it) when a block shows more.
+    """
+    ends = np.empty(0, dtype=_bounds_type(buf.size))
+    n = 0
+    for start in range(0, buf.size, _BLOCK_BYTES):
+        at = np.flatnonzero(buf[start : start + _BLOCK_BYTES] == ord("\n"))
+        if n + at.size + 1 > ends.size:  # one more for a last line without "\n"
+            seen = min(start + _BLOCK_BYTES, buf.size)
+            ends.resize((n + at.size) * buf.size // seen + 1, refcheck=False)
+        np.add(at, start + 1, out=ends[n : n + at.size], casting="unsafe")
+        n += at.size
+    if buf[-1] != ord("\n"):
+        ends[n] = buf.size
+        n += 1
+    ends.resize(n, refcheck=False)
+    return ends
 
 
 def _decode(text: bytes, line_at) -> str:
@@ -289,10 +356,7 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
 def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
     """Parser for text whose records are single lines; see :func:`load_microfile` for ``like``."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    bounds = np.flatnonzero(buf == ord("\n"))
-    bounds += 1
-    if not bounds.size or bounds[-1] != len(data):
-        bounds = np.append(bounds, len(data))
+    bounds = _line_ends(buf)
     header = _decode(data[: bounds[0]], lambda offset: 1).removeprefix(_BOM)
     header = header.removesuffix("\n").removesuffix("\r")
     attributes = _header_attributes(header.split(delimiter) if header else [])
@@ -312,8 +376,12 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
     else:
         shared = min(n, len(like))
         indexes = [dict(vocabulary) for vocabulary in like.vocabularies]
-        # Copies cut or padded to n rows; rows past like's end are all parsed.
-        codes = [np.resize(column, n) for column in like.codes]
+        if n == len(like):
+            # like's own arrays, copied only when a parsed record changes one.
+            codes = list(like.codes)
+        else:
+            # Copies cut or padded to n rows; rows past like's end are all parsed.
+            codes = [np.resize(column, n) for column in like.codes]
     crlf = b"\r" in data
     parsed = 0
     repeating = True
@@ -335,9 +403,13 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
             starts, ends = bounds[at], bounds[1:][at]
             firsts, line_codes = _line_classes(buf, starts, ends)
             repeating = 2 * firsts.size <= rows.size
-            starts, ends, firsts = starts[firsts], ends[firsts], rows[firsts]
-            chunk = b"".join([data[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
-            text = _decode(chunk, _line_at(firsts, ends - starts))
+            starts, sizes, firsts = starts[firsts], ends[firsts] - starts[firsts], rows[firsts]
+            # The first lines' bytes, gathered by one index array: the text's
+            # byte k, in line i, is buf[k + starts[i] - (bytes before line i)].
+            gather = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
+            gather += np.arange(gather.size, dtype=gather.dtype)
+            chunk = buf[gather].tobytes()
+            text = _decode(chunk, _line_at(firsts, sizes))
             keys = text.split("\n")
             del keys[firsts.size :]  # what follows the last "\n"
             if crlf:
@@ -366,7 +438,13 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
             raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
         for j in range(q):
             column = _encode(cells[j::q], indexes[j])
-            codes[j][at] = column if line_codes is None else column[line_codes]
+            if line_codes is not None:
+                column = column[line_codes]
+            if like is not None and codes[j] is like.codes[j]:
+                if np.array_equal(codes[j][at], column):
+                    continue
+                codes[j] = codes[j].copy()
+            codes[j][at] = column
     return attributes, codes, indexes, bounds, parsed
 
 
@@ -402,7 +480,7 @@ def _line_classes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     lengths[-1] += buf[ends[-1] - 1] != ord("\n")  # only the text's last line may lack one
     width = max(1, -(-int(lengths.max()) // 8))
     # A copy of the lines with room for the words of the last one.
-    region = np.zeros(ends[-1] - starts[0] + 8 * width, dtype=np.uint8)
+    region = np.zeros(int(ends[-1] - starts[0]) + 8 * width, dtype=np.uint8)
     region[: ends[-1] - starts[0]] = buf[starts[0] : ends[-1]]
     # Every 8-byte window of the region, as raw bytes: numpy gathers those
     # faster than unaligned integers.
@@ -527,7 +605,7 @@ def _split_csv(data: bytes, delimiter: str):
     if len(starts) == 1:
         raise MicrofileError("empty file")
     codes = [np.concatenate(chunk) for chunk in chunks]
-    return attributes, codes, indexes, offsets[starts], len(starts) - 1
+    return attributes, codes, indexes, offsets[starts].astype(_bounds_type(len(data))), len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
@@ -601,15 +679,27 @@ def _vital_mask(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
     return vital
 
 
+def _count(values: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(values, minlength=size)`` for values below ``size``.
+
+    ``np.bincount`` copies its input to ``intp``; counting a block of rows
+    at a time keeps that copy to one block.
+    """
+    counts = np.zeros(size, dtype=np.intp)
+    for start in range(0, values.size, _CHUNK_ROWS):
+        counts += np.bincount(values[start : start + _CHUNK_ROWS], minlength=size)
+    return counts
+
+
 def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSignal:
     """Vital-record share per parameter value, ordered by ``spec.parameter_values``."""
     m = len(spec.parameter_values)
     slots = _group_slots(mf, spec)
-    numerators = np.bincount(slots[_vital_mask(mf, spec)], minlength=m + 1)[:m]
+    numerators = _count(slots[_vital_mask(mf, spec)], m + 1)[:m]
     if spec.denominator == "custom_filter":
         attribute, allowed = spec.denominator_filter
         slots = slots[mf.lookup(attribute, dict.fromkeys(allowed, True), False)]
-    denominators = np.bincount(slots, minlength=m + 1)[:m]
+    denominators = _count(slots, m + 1)[:m]
     bad = np.flatnonzero((denominators == 0) | (numerators > denominators))
     if bad.size:
         slot = bad[0]
@@ -676,11 +766,15 @@ def rewrite_microfile(
 
     # One stable sort splits the rows by (group, vital): bucket 2g holds the
     # vital rows of group g and bucket 2g + 1 its donors, each ascending;
-    # rows of unlisted groups land at 2m or beyond.
-    buckets = 2 * _group_slots(mf, spec) + donor
-    buckets = buckets.astype(np.min_scalar_type(2 * m + 1))
+    # rows of unlisted groups land at 2m or 2m + 1.  The buckets are built in
+    # the narrowest type that holds 2m + 1, with its own scalar, so that no
+    # promotion rule can widen them or let them wrap.
+    bucket_type = np.min_scalar_type(2 * m + 1)
+    buckets = _group_slots(mf, spec).astype(bucket_type, copy=False)
+    buckets *= bucket_type.type(2)
+    buckets += donor
     order = np.argsort(buckets, kind="stable")
-    sizes = np.bincount(buckets, minlength=2 * m + 2)
+    sizes = _count(buckets, 2 * m + 2)
     edges = np.concatenate(([0], np.cumsum(sizes)))
     found, donors = sizes[0 : 2 * m : 2], sizes[1 : 2 * m : 2]
     capacity = found + donors

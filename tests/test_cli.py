@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,9 +391,7 @@ def test_anonymize_requires_output(small_run):
         run_anonymize(config)
 
 
-def test_anonymize_census_golden(census_file, tmp_path):
-    # Full pipeline on the synthetic census extract: the report must carry
-    # the golden shift/scale/counts and flag the decoy maxima.
+def write_census_config(tmp_path, census_file):
     from groupanon.fixture import REGION_CODES
 
     config_path = tmp_path / "config.json"
@@ -418,6 +417,13 @@ def test_anonymize_census_golden(census_file, tmp_path):
         },
     }
     config_path.write_text(json.dumps(config, indent=2))
+    return config_path
+
+
+def test_anonymize_census_golden(census_file, tmp_path):
+    # Full pipeline on the synthetic census extract: the report must carry
+    # the golden shift/scale/counts and flag the decoy maxima.
+    config_path = write_census_config(tmp_path, census_file)
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
 
     report = json.loads((tmp_path / "report.json").read_text())
@@ -431,6 +437,26 @@ def test_anonymize_census_golden(census_file, tmp_path):
     assert report["redistribution"]["extrema_after"]["maxima"] == [9, 13]
     assert abs(report["counts"]["achieved_mean"] - ref.FINAL_COUNTS_MEAN) < 0.05
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, limit", [("anonymize", 5), ("verify", 6)])
+def test_census_runs_hold_few_bytes_per_input_byte(census_file, tmp_path, command, limit):
+    # The record layer holds the raw text, int32 offsets and int32 codes;
+    # whole-file temporaries on top of that (an int64 copy of a column, a
+    # bool per byte) would push the peaks past these multiples.
+    config = load_config(write_census_config(tmp_path, census_file))
+    if command == "verify":
+        assert run_anonymize(config)[0] == EXIT_OK
+    run = {"anonymize": run_anonymize, "verify": run_verify}[command]
+    tracemalloc.start()
+    try:
+        status, _ = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK
+    size = census_file.stat().st_size
+    assert peak <= limit * size, f"{command} peak {peak / size:.2f}x the input's {size} bytes"
 
 
 def test_fixture_generator_cli(tmp_path, capsys):

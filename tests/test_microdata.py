@@ -153,6 +153,46 @@ def test_signal_ignores_unlisted_parameter_values():
     np.testing.assert_array_equal(signal.numerators, [2, 1])
 
 
+def _int64_lookup(self, attribute, table, default):
+    """``Microfile.lookup`` as it was before it narrowed integers: int64 throughout."""
+    j = self.column_index(attribute)
+    return np.array([table.get(value, default) for value in self.vocabularies[j]])[self.codes[j]]
+
+
+def test_narrow_lookups_match_int64_reference():
+    # 300 regions, of which 200 are listed: slots reach 200 and buckets
+    # 2 * 200 + 1, past uint8; the region column has more than 255 values.
+    rng = np.random.default_rng(5)
+    regions = [f"G{i:03d}" for i in range(300)]
+    rows = [(regions[i], str(rng.choice(["X", "Y", "Z", "W"], p=[0.2, 0.2, 0.3, 0.3])), "1")
+            for i in rng.permutation(np.repeat(np.arange(300), 8))]
+    mf = make_microfile(rows)
+    listed = tuple(regions[::-1][:200])
+    spec = small_spec(parameter_values=listed)
+    for table, default, dtype in [({v: i for i, v in enumerate(listed)}, 200, np.uint8),
+                                  ({v: i for i, v in enumerate(regions[:280])}, -1, np.int16)]:
+        narrow = mf.lookup("REG", table, default)
+        assert narrow.dtype == dtype
+        np.testing.assert_array_equal(narrow, _int64_lookup(mf, "REG", table, default))
+    signal = concentration_signal(mf, spec)
+    for slot, region in enumerate(listed):
+        group = [job for reg, job, _ in rows if reg == region]
+        assert signal.denominators[slot] == len(group)
+        assert signal.numerators[slot] == sum(job in ("X", "Y") for job in group)
+    old = signal.numerators
+    new = np.clip(old + rng.integers(-1, 2, size=old.size), 1, signal.denominators)
+    rewritten = rewrite_microfile(mf, spec, old, new, seed=9)
+    with mock.patch.object(Microfile, "lookup", _int64_lookup):
+        assert _int64_lookup(mf, "REG", mf.vocabularies[0], -1).dtype == np.int64
+        reference_signal = concentration_signal(mf, spec)
+        reference = rewrite_microfile(mf, spec, old, new, seed=9)
+    np.testing.assert_array_equal(signal.numerators, reference_signal.numerators)
+    np.testing.assert_array_equal(signal.denominators, reference_signal.denominators)
+    np.testing.assert_array_equal(rewritten.edited, reference.edited)
+    assert records(rewritten) == records(reference)
+    np.testing.assert_array_equal(concentration_signal(rewritten, spec).numerators, new)
+
+
 # ---------------------------------------------------------------- quantities
 
 def test_census_new_quantities(db2, census_ratios):
@@ -358,6 +398,29 @@ def test_census_columns_are_int32_codes(census_microfile):
         assert isinstance(codes, np.ndarray) and codes.dtype == np.int32 and codes.shape == (n,)
         assert 0 <= codes.min() and codes.max() < len(vocabulary) <= 13
     assert list(census_microfile.vocabularies[0]) == list(REGION_CODES)
+
+
+@pytest.mark.parametrize("text", ["A,B\nx,y\nx,z\r\nw,y", 'A,B\n"x",y\nx,z\r\nw,y'], ids=["plain", "csv"])
+def test_bounds_are_int64_above_the_int32_limit(monkeypatch, text):
+    # Offsets past the limit need int64; a small limit takes that path on a small text.
+    data = text.encode()
+    small = load_microfile(io.BytesIO(data))
+    assert small.bounds.dtype == np.int32
+    monkeypatch.setattr(microdata, "_INT32_BOUNDS_LIMIT", 8)
+    monkeypatch.setattr(microdata, "_BLOCK_BYTES", 4)
+    mf = load_microfile(io.BytesIO(data))
+    assert mf.bounds.dtype == np.int64
+    np.testing.assert_array_equal(mf.bounds, small.bounds)
+    assert records(mf) == [("x", "y"), ("x", "z"), ("w", "y")]
+    released = load_microfile(io.BytesIO(data.replace(b"w,y", b"w,w")), like=mf)
+    assert released.bounds.dtype == np.int64
+    assert records(released) == [("x", "y"), ("x", "z"), ("w", "w")]
+    spec = AttributeSpec(vital_attributes=("B",), vital_combinations=(("y",),),
+                         parameter_attribute="A", parameter_values=("x", "w"))
+    rewritten = rewrite_microfile(mf, spec, [1, 1], [2, 1], seed=3)
+    buffer = io.BytesIO()
+    write_microfile(rewritten, buffer)
+    assert buffer.getvalue() == data.replace(b"x,z", b"x,y")
 
 
 ROADMAP_PROBE = 'A,B\r\n"x, y",1\r\nz,"2"\r\n'
@@ -674,6 +737,22 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
     assert released.parsed == (1 if body[0] != '"' else 2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40).map(lambda b: bytes(b"a\r\n,"[x % 4] for x in b)), st.integers(1, 9))
+def test_block_scans_match_whole_text_scans(data, block):
+    # The CR test and the newline scan read the text a block at a time; a CR
+    # or "\n" at either side of a block edge counts as in one pass.
+    with mock.patch.object(microdata, "_BLOCK_BYTES", block):
+        plain = microdata._is_plain(data, ",")
+        ends = microdata._line_ends(np.frombuffer(data, dtype=np.uint8)) if data else None
+    assert plain == (data.count(b"\r") == data.count(b"\r\n"))
+    if data:
+        expected = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        if data[-1:] != b"\n":
+            expected.append(len(data))
+        assert ends.tolist() == expected and ends.dtype == np.int32
+
+
 def test_bare_cr_and_quotes_stay_on_csv():
     assert microdata._is_plain(b"A,B\r\nx,y\r\nz,w\n", ",")
     assert not microdata._is_plain(b"A,B\rx,y\n", ",")
@@ -777,6 +856,31 @@ def test_delta_read_error_names_line_in_released_file():
     broken = original.encode().replace(b"A,X,3\n", b"A,\xff,3\n")
     with pytest.raises(MicrofileError, match="^line 5 is not UTF-8 text"):
         load_microfile(io.BytesIO(broken), like=like)
+
+
+@pytest.mark.parametrize("edit, copied", [
+    ({b"R1,X,1": b"R1,Y,1"}, {1}),  # a vital cell only
+    ({b"R1,X,1": b"R1,Y,1", b"R2,Z,2": b"R2,Z,1"}, {1, 2}),  # and a non-vital one
+    ({b"R0,X,2\n": b"R0,X,2\r\n"}, set()),  # another terminator, the same cells
+])
+def test_delta_read_shares_columns_it_did_not_change(monkeypatch, edit, copied):
+    monkeypatch.setattr(microdata, "_CHUNK_ROWS", 4)
+    original_text = b"REG,JOB,SEX\n" + b"".join(
+        b"R%d,%s,%d\n" % (i % 3, b"XZ"[i % 2 : i % 2 + 1], i % 4 // 2 + 1) for i in range(18)
+    )
+    released_text = original_text
+    for old, new in edit.items():
+        assert old in released_text
+        released_text = released_text.replace(old, new)
+    original = load_microfile(io.BytesIO(original_text))
+    snapshot = [column.copy() for column in original.codes]
+    released = load_microfile(io.BytesIO(released_text), like=original)
+    full = load_microfile(io.BytesIO(released_text))
+    assert 0 < released.parsed < len(released)
+    for before, column in zip(snapshot, original.codes):
+        np.testing.assert_array_equal(column, before)
+    assert {j for j in range(3) if released.codes[j] is not original.codes[j]} == copied
+    assert records(released) == records(full)
 
 
 def test_delta_read_ignores_an_edited_like():
