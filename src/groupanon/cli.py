@@ -396,7 +396,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     after, _ = extend_to_even(sig_after.ratios, config.extension)  # border pair equal by construction
     mean_tol, detail_tol = rounding_tolerances(sig_before.denominators, filters, config.level)
     with _stage(timings, "outcome"):
-        checks, outcome = verify_outcome(
+        checks, _ = verify_outcome(
             before, after, filters, config.level, meta, mean_tol=mean_tol, detail_tol=detail_tol
         )
 
@@ -429,13 +429,6 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     passed = all(row["passed"] for row in checks.values())
     report = {
         "status": "ok" if passed else "invariant_violation",
-        "input": str(config.input),
-        "output": str(config.output),
-        "outcome": outcome,
-        "counts": {
-            "old": sig_before.numerators.tolist(),
-            "new": sig_after.numerators.tolist(),
-        },
         "checks": checks,
         "timings": timings,
         "sizes": {

@@ -19,26 +19,28 @@ ones.  No Python object per record outlives :func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
-its values, or is made a block at a time (the newline scan, the counts).
+its values, or is made a block at a time (the line-end scan, the counts).
 
-Two parsers build the same codes and vocabularies.  Text in which every
-record is one line (no quote character, and every carriage return part of a
-``\r\n`` terminator) takes the plain path: record spans come from a
-vectorised scan for newlines, and the records are split in chunks of rows.
-Each chunk takes one of two modes, chosen from what earlier chunks showed:
+A load finds where every line ends once, by the rule of :mod:`csv` reading
+a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or a lone
+``\r``.  Two parsers then build the same codes and vocabularies from those
+ends.  Text in which every record is one line (no quote character, and no
+line ended by a lone ``\r``) takes the plain path, which splits the records
+in chunks of rows.  Each chunk first sorts its lines into classes of equal
+lines, in one of two modes chosen from what earlier chunks showed:
 
 * while lines repeat, equal lines are found in numpy from their bytes
   (packed into ``uint64`` words, keyed, and compared word for word with
-  the first line of their key), and only the first line of each class is
-  decoded, loses its ``\r``, and is split into fields and checked for its
-  field count;
+  the first line of their key);
 * once a chunk finds more distinct lines than half its rows, finding them
-  does not pay, and every later chunk is decoded and split into cells
-  straight from its text, with field counts taken from the delimiter and
-  line-end positions in its bytes.
+  does not pay, and in every later chunk each line is its own class.
 
-Everything else goes through :mod:`csv`, whose line count gives each
-record's span.
+Then one step serves both modes: the first line of each class is gathered
+from the text, its fields are counted from the delimiter positions in its
+bytes, and it is decoded, loses its ``\r`` and is split into cells.
+
+Everything else goes through :mod:`csv`, whose line count, read against
+the line ends, gives each record's span.
 
 A load may name a microfile the text is expected to repeat (``like``, for
 ``verify`` the original of a release).  On the plain path a record whose
@@ -96,9 +98,10 @@ class Microfile:
     longer match their raw bytes.  ``parsed`` counts the records the load
     split into cells; the others took their codes from the microfile passed
     as ``like``.  Code arrays and vocabularies are never changed in place; a
-    rewrite copies the ones it changes, and a load with ``like`` of as many
-    records shares every code array of ``like`` in which no parsed record
-    changed a code.
+    rewrite copies the ones it changes.  A load with ``like`` shares every
+    vocabulary of ``like`` to which no parsed record added a value, and, when
+    it has as many records, every code array of ``like`` in which no parsed
+    record changed a code.
     """
 
     attributes: list[str]
@@ -245,8 +248,8 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     ``like`` is a microfile the text mostly repeats, such as the original
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
-    re-parsed, with every check of a full parse, and their new values join
-    the end of copies of ``like``'s vocabularies.  This is exact because on
+    re-parsed, with every check of a full parse, and a value new to
+    ``like`` joins the end of a copy of its vocabulary.  This is exact because on
     the plain path a record is one line, and an identical line parses to
     identical cells.  Every record counts as changed, which is a full
     parse, when either text needs the csv parser, when the headers or
@@ -270,32 +273,21 @@ def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microf
         )
     if not data:
         raise MicrofileError("empty file")
-    if _is_plain(data, delimiter):
-        split = _split_plain(data, delimiter, like)
+    ends = _line_ends(data)
+    if _is_plain(data, delimiter, ends):
+        split = _split_plain(data, delimiter, ends, like)
     else:
-        split = _split_csv(data, delimiter)
+        split = _split_csv(data, delimiter, ends)
     attributes, codes, vocabularies, bounds, parsed = split
     return Microfile(attributes, codes, vocabularies, data, bounds, delimiter,
                      np.empty(0, dtype=np.intp), parsed)
 
 
-def _is_plain(data: bytes, delimiter: str) -> bool:
-    """Whether every record is one line: no quote, and no CR outside a CRLF."""
+def _is_plain(data: bytes, delimiter: str, ends: np.ndarray) -> bool:
+    """Whether every record is one line: no quote, and no line of ``ends`` ended by a lone CR."""
     if not delimiter.isascii() or b'"' in data:
         return False
-    if b"\r" not in data:
-        return True
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf[-1] == ord("\r"):
-        return False
-    for start in range(0, buf.size - 1, _BLOCK_BYTES):
-        # The block's bytes and the one after it: a CR before anything but "\n".
-        block = buf[start : start + _BLOCK_BYTES + 1]
-        lone = block[:-1] == ord("\r")
-        lone &= block[1:] != ord("\n")
-        if lone.any():
-            return False
-    return True
+    return b"\r" not in data or not (np.frombuffer(data, dtype=np.uint8)[ends - 1] == ord("\r")).any()
 
 
 def _bounds_type(size: int) -> type:
@@ -303,29 +295,49 @@ def _bounds_type(size: int) -> type:
     return np.int32 if size <= _INT32_BOUNDS_LIMIT else np.int64
 
 
-def _line_ends(buf: np.ndarray) -> np.ndarray:
-    """The offset just past each line of ``buf``; the last line may lack its "\n".
+def _line_ends(data: bytes) -> np.ndarray:
+    """The offset just past each line of ``data``; the last line may lack its line break.
 
-    The newlines are found a block at a time and written straight into the
-    result, in the type :func:`_bounds_type` gives, so the only array as long
-    as the text's lines is the result.  It is sized from the lines per byte
-    seen so far, and resized in place (``realloc``, which remaps a large
-    array rather than copying it) when a block shows more.
+    A line ends at "\n", "\r\n" or a lone "\r", as :mod:`csv` reads a file
+    opened with ``newline=""``.  The breaks are found a block at a time and
+    written straight into the result, in the type :func:`_bounds_type`
+    gives, so the only array as long as the text's lines is the result.  It
+    is sized from the lines per byte seen so far, and resized in place
+    (``realloc``, which remaps a large array rather than copying it) when a
+    block shows more.
     """
-    ends = np.empty(0, dtype=_bounds_type(buf.size))
+    size = len(data)
+    ends = np.empty(0, dtype=_bounds_type(size))
     n = 0
-    for start in range(0, buf.size, _BLOCK_BYTES):
-        at = np.flatnonzero(buf[start : start + _BLOCK_BYTES] == ord("\n"))
-        if n + at.size + 1 > ends.size:  # one more for a last line without "\n"
-            seen = min(start + _BLOCK_BYTES, buf.size)
-            ends.resize((n + at.size) * buf.size // seen + 1, refcheck=False)
+    for start in range(0, size, _BLOCK_BYTES):
+        stop = min(start + _BLOCK_BYTES, size)
+        at = _breaks(data, start, stop)
+        if n + at.size + 1 > ends.size:  # one more for a last line without a break
+            ends.resize((n + at.size) * size // stop + 1, refcheck=False)
         np.add(at, start + 1, out=ends[n : n + at.size], casting="unsafe")
         n += at.size
-    if buf[-1] != ord("\n"):
-        ends[n] = buf.size
+    if n == 0 or ends[n - 1] != size:
+        ends[n] = size
         n += 1
     ends.resize(n, refcheck=False)
     return ends
+
+
+def _breaks(data: bytes, start: int, stop: int) -> np.ndarray:
+    """The offsets from ``start`` of the bytes of ``data[start:stop]`` that end a line.
+
+    The block's masks are freed on return, before the next block's are made,
+    so that glibc hands the next block the same heap pages.
+    """
+    block = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    breaks = block == ord("\n")
+    if data.find(b"\r", start, stop) != -1:
+        # A CR ends a line unless a "\n" follows it, in this block or the next.
+        lone = block == ord("\r")
+        np.greater(lone[:-1], breaks[1:], out=lone[:-1])
+        lone[-1] &= data[stop : stop + 1] != b"\n"
+        breaks |= lone
+    return np.flatnonzero(breaks)
 
 
 def _decode(text: bytes, line_at) -> str:
@@ -353,10 +365,9 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
-    """Parser for text whose records are single lines; see :func:`load_microfile` for ``like``."""
+def _split_plain(data: bytes, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
+    """Parser for text whose records are the lines ending at ``bounds``; see :func:`load_microfile` for ``like``."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    bounds = _line_ends(buf)
     header = _decode(data[: bounds[0]], lambda offset: 1).removeprefix(_BOM)
     header = header.removesuffix("\n").removesuffix("\r")
     attributes = _header_attributes(header.split(delimiter) if header else [])
@@ -366,7 +377,7 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
         raise MicrofileError("empty file")
     if like is not None and not (
         like.delimiter == delimiter and not like.edited.size
-        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter)
+        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter, like.bounds)
     ):
         like = None
     if like is None:
@@ -375,9 +386,10 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
         codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
     else:
         shared = min(n, len(like))
-        indexes = [dict(vocabulary) for vocabulary in like.vocabularies]
+        # like's own vocabularies, and arrays if it has n rows, copied only
+        # when a parsed record changes one.
+        indexes = list(like.vocabularies)
         if n == len(like):
-            # like's own arrays, copied only when a parsed record changes one.
             codes = list(like.codes)
         else:
             # Copies cut or padded to n rows; rows past like's end are all parsed.
@@ -395,51 +407,41 @@ def _split_plain(data: bytes, delimiter: str, like: Microfile | None = None):
             continue
         parsed += rows.size
         at = slice(r0, r1) if rows.size == r1 - r0 else rows
+        starts, ends = bounds[at], bounds[1:][at]
         if repeating:
-            # Equal lines are found from their bytes, and only the first line
-            # of each class is decoded and split into fields.  A chunk with
-            # more distinct lines than half its rows shows this does not
-            # pay; later chunks decode and split every line.
-            starts, ends = bounds[at], bounds[1:][at]
-            firsts, line_codes = _line_classes(buf, starts, ends)
+            # Equal lines are found from their bytes.  A chunk with more
+            # distinct lines than half its rows shows this does not pay, and
+            # in later chunks every line is its own class.
+            firsts, classes = _line_classes(buf, starts, ends)
             repeating = 2 * firsts.size <= rows.size
-            starts, sizes, firsts = starts[firsts], ends[firsts] - starts[firsts], rows[firsts]
-            # The first lines' bytes, gathered by one index array: the text's
-            # byte k, in line i, is buf[k + starts[i] - (bytes before line i)].
+        else:
+            firsts = classes = np.arange(rows.size)
+        # Only the first line of each class is decoded and split.  Their bytes
+        # are one slice of the text when they are all the chunk's lines, and
+        # else gathered by one index array: the gathered byte k, in line i,
+        # is buf[k + starts[i] - (bytes before line i)].
+        starts, sizes = starts[firsts], ends[firsts] - starts[firsts]
+        if firsts.size == r1 - r0:
+            lines = buf[bounds[r0] : bounds[r1]]
+        else:
             gather = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
             gather += np.arange(gather.size, dtype=gather.dtype)
-            chunk = buf[gather].tobytes()
-            text = _decode(chunk, _line_at(firsts, sizes))
-            keys = text.split("\n")
-            del keys[firsts.size :]  # what follows the last "\n"
-            if crlf:
-                keys = [key.removesuffix("\r") for key in keys]
-            fields = np.fromiter(
-                (key.count(delimiter) + 1 if key else 0 for key in keys),
-                dtype=np.int64, count=len(keys),
-            )[line_codes]
-            cells = delimiter.join(keys).split(delimiter)
-        else:
-            line_codes = None
-            sizes = np.diff(bounds[r0 : r1 + 1])
-            if rows.size == r1 - r0:
-                chunk = data[bounds[r0] : bounds[r1]]
-            else:
-                chunk = buf[bounds[r0] : bounds[r1]][np.repeat(todo, sizes)].tobytes()
-                sizes = sizes[todo]
-            text = _decode(chunk, _line_at(rows, sizes))
-            fields = _field_counts(np.frombuffer(chunk, dtype=np.uint8), sizes, delimiter)
-            if crlf:
-                text = text.replace("\r", "")
-            cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
+            lines = buf[gather]
+        fields = _field_counts(lines, sizes, delimiter)[classes]
+        text = _decode(lines.tobytes(), _line_at(rows[firsts], sizes))
+        if crlf:
+            text = text.replace("\r", "")
+        cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
         bad = np.flatnonzero(fields != q)
         if bad.size:
             r = bad[0]
             raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
         for j in range(q):
-            column = _encode(cells[j::q], indexes[j])
-            if line_codes is not None:
-                column = column[line_codes]
+            values = cells[j::q]
+            if like is not None and indexes[j] is like.vocabularies[j]:
+                if not all(map(indexes[j].__contains__, values)):
+                    indexes[j] = dict(indexes[j])
+            column = _encode(values, indexes[j])[classes]
             if like is not None and codes[j] is like.codes[j]:
                 if np.array_equal(codes[j][at], column):
                     continue
@@ -556,18 +558,9 @@ def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int)
     return ~same
 
 
-def _split_csv(data: bytes, delimiter: str):
-    """Parser for any text the csv module reads; records may span lines."""
-    # Lines end at "\n", "\r" or "\r\n", as csv expects of a file opened
-    # with newline=""; the end offsets of all lines come from one scan.
-    buf = np.frombuffer(data, dtype=np.uint8)
-    breaks = buf == ord("\n")
-    breaks[:-1] |= (buf[:-1] == ord("\r")) & ~breaks[1:]
-    breaks[-1] |= buf[-1] == ord("\r")
-    offsets = np.concatenate(([0], np.flatnonzero(breaks) + 1))
-    if offsets[-1] != len(data):
-        offsets = np.append(offsets, len(data))
-    text = _decode(data, lambda offset: np.searchsorted(offsets, offset, side="right")).removeprefix(_BOM)
+def _split_csv(data: bytes, delimiter: str, ends: np.ndarray):
+    """Parser for any text the csv module reads, whose lines end at ``ends``; records may span lines."""
+    text = _decode(data, lambda offset: np.searchsorted(ends, offset, side="right") + 1).removeprefix(_BOM)
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     # The plain parser takes a cell of any length, so this one must too; the
     # limit is process-wide, hence restored afterwards.
@@ -605,7 +598,8 @@ def _split_csv(data: bytes, delimiter: str):
     if len(starts) == 1:
         raise MicrofileError("empty file")
     codes = [np.concatenate(chunk) for chunk in chunks]
-    return attributes, codes, indexes, offsets[starts].astype(_bounds_type(len(data))), len(starts) - 1
+    # The text's first k lines end at ends[k - 1].
+    return attributes, codes, indexes, ends[np.array(starts, dtype=ends.dtype) - 1], len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -521,8 +522,9 @@ def assert_codes_in_order(vocabularies):
 
 
 def _assert_parsers_agree(data, d):
-    plain = microdata._split_plain(data, d)
-    via_csv = microdata._split_csv(data, d)
+    ends = microdata._line_ends(data)
+    plain = microdata._split_plain(data, d, ends)
+    via_csv = microdata._split_csv(data, d, ends)
     assert plain[0] == via_csv[0]
     assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
     assert [list(v) for v in plain[2]] == [list(v) for v in via_csv[2]]
@@ -572,8 +574,8 @@ def chunked_texts(draw):
     line may repeat the one before it, with or without a final terminator.
     Returns the delimiter, the chunk size, the text, a fault-free text
     that differs from it in some lines, the number of lines that differ,
-    and the number of chunks after the first that holds more distinct lines
-    than half its rows.  At most one line is at fault.
+    and the number of chunks up to the first that holds more distinct lines
+    than half its rows, inclusive.  At most one line is at fault.
     """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
@@ -623,12 +625,12 @@ def chunked_texts(draw):
     switch = next((i for i, chunk in enumerate(chunks) if 2 * len(set(chunk)) > len(chunk)), len(chunks) - 1)
     header = d.join(f"A{j}" for j in range(q)).encode()
     text, like = (terminator.join([header] + body) + final for body in (lines, edited))
-    return d, chunk_rows, text, like, sum(edits), len(chunks) - switch - 1
+    return d, chunk_rows, text, like, sum(edits), switch + 1
 
 
 def _split_or_error(split, data, d):
     try:
-        return split(data, d)
+        return split(data, d, microdata._line_ends(data))
     except MicrofileError as exc:
         return str(exc)
 
@@ -639,11 +641,11 @@ def _split_or_error(split, data, d):
 @example((",", 2, b"A0\nu0\nu1\nx\n\n", b"A0\nu0\nu1\nx\nx\n", 0, 1))
 @example((",", 2, b"A0\r\nu0\r\nu1\r\nx\r\n\r\n", b"A0\r\nu0\r\nu1\r\nx\r\nx\r\n", 0, 1))
 # "a" and "a\0" pad to the same 8-byte word.
-@example((",", 4, b"A0\na\0\na\na\na\0\n", b"A0\na\0\na\na\na\0\n", 0, 0))
+@example((",", 4, b"A0\na\0\na\na\na\0\n", b"A0\na\0\na\na\na\0\n", 0, 1))
 def test_plain_parser_modes_agree_with_csv(case):
-    # The plain parser encodes whole lines while they repeat; from the chunk
-    # after one with more distinct lines than half its rows, it splits cells
-    # straight from the text and counts fields on the bytes.
+    # The plain parser finds equal lines while they repeat; from the chunk
+    # after one with more distinct lines than half its rows, every line is
+    # its own class.
     _check_modes_agree_with_csv(case)
 
 
@@ -651,7 +653,7 @@ def test_plain_parser_modes_agree_with_csv(case):
 @given(chunked_texts())
 # CRLF lines of 9 bytes take two words.
 @example((",", 4, b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh",
-          b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh", 0, 0))
+          b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh", 0, 1))
 def test_colliding_line_keys_keep_lines_apart(case):
     # Every line gets the same key, so only comparing lines by length and
     # word for word keeps unequal ones apart.
@@ -660,7 +662,7 @@ def test_colliding_line_keys_keep_lines_apart(case):
 
 
 def _check_modes_agree_with_csv(case):
-    d, chunk_rows, text, like_text, edited, skipped = case
+    d, chunk_rows, text, like_text, edited, classified = case
     with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
         expected = _split_or_error(microdata._split_csv, text, d)
         like = load_microfile(io.BytesIO(like_text), delimiter=d)
@@ -669,9 +671,9 @@ def _check_modes_agree_with_csv(case):
             # The one fault is reported at the same line by every read.
             assert _split_or_error(microdata._split_plain, text, d) == delta == expected
             return
-        with mock.patch.object(microdata, "_field_counts", wraps=microdata._field_counts) as spy:
+        with mock.patch.object(microdata, "_line_classes", wraps=microdata._line_classes) as spy:
             _assert_parsers_agree(text, d)
-    assert spy.call_count == skipped
+    assert spy.call_count == classified
     assert not isinstance(delta, str), delta
     assert delta.parsed == edited
     assert_codes_in_order(delta.vocabularies)
@@ -682,7 +684,7 @@ def _check_modes_agree_with_csv(case):
 def test_crlf_census_takes_plain_path(census_file):
     # Unquoted CRLF text splits on "\n" and drops one "\r" per line.
     data = census_file.read_bytes().replace(b"\n", b"\r\n")
-    assert microdata._is_plain(data, ",")
+    assert microdata._is_plain(data, ",", microdata._line_ends(data))
     _assert_parsers_agree(data, ",")
     buffer = io.BytesIO()
     write_microfile(load_microfile(io.BytesIO(data)), buffer)
@@ -740,24 +742,46 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=40).map(lambda b: bytes(b"a\r\n,"[x % 4] for x in b)), st.integers(1, 9))
 def test_block_scans_match_whole_text_scans(data, block):
-    # The CR test and the newline scan read the text a block at a time; a CR
-    # or "\n" at either side of a block edge counts as in one pass.
+    # The line-end scan reads the text a block at a time; a CR or "\n" at
+    # either side of a block edge counts as in one pass.  A line ends at
+    # "\n", "\r\n" or a lone "\r".
+    if not data:
+        return
     with mock.patch.object(microdata, "_BLOCK_BYTES", block):
-        plain = microdata._is_plain(data, ",")
-        ends = microdata._line_ends(np.frombuffer(data, dtype=np.uint8)) if data else None
+        ends = microdata._line_ends(data)
+    plain = microdata._is_plain(data, ",", ends)
     assert plain == (data.count(b"\r") == data.count(b"\r\n"))
-    if data:
-        expected = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-        if data[-1:] != b"\n":
-            expected.append(len(data))
-        assert ends.tolist() == expected and ends.dtype == np.int32
+    # Text read with newline="" splits lines as csv does.
+    lines = io.StringIO(data.decode(), newline="").readlines()
+    assert ends.tolist() == list(itertools.accumulate(map(len, lines)))
+    assert ends.dtype == np.int32
+
+
+def test_line_end_scan_makes_no_array_per_byte():
+    # 16 blocks of lines ended by "\n", "\r\n" and a lone "\r".  Besides its
+    # result, the scan holds two masks of a block and the line offsets of
+    # two blocks (about 3.3 blocks here); a mask of every byte would be 16.
+    block = 1 << 16
+    data = b"alpha,beta\n" + b"gamma,delta\r\nepsilon,zeta\ralpha,beta\n" * (16 * block // 36)
+    with mock.patch.object(microdata, "_BLOCK_BYTES", block):
+        tracemalloc.start()
+        try:
+            ends = microdata._line_ends(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(ends) == 3 * (16 * block // 36) + 1
+    assert peak - ends.nbytes < 4 * block, f"{(peak - ends.nbytes) / block:.2f} blocks besides the result"
 
 
 def test_bare_cr_and_quotes_stay_on_csv():
-    assert microdata._is_plain(b"A,B\r\nx,y\r\nz,w\n", ",")
-    assert not microdata._is_plain(b"A,B\rx,y\n", ",")
-    assert not microdata._is_plain(b"A,B\r\nx,y\r", ",")
-    assert not microdata._is_plain(b'A,B\r\n"x",y\r\n', ",")
+    def plain(data):
+        return microdata._is_plain(data, ",", microdata._line_ends(data))
+
+    assert plain(b"A,B\r\nx,y\r\nz,w\n")
+    assert not plain(b"A,B\rx,y\n")
+    assert not plain(b"A,B\r\nx,y\r")
+    assert not plain(b'A,B\r\n"x",y\r\n')
 
 
 # --------------------------------------------------------------- delta read
@@ -858,10 +882,13 @@ def test_delta_read_error_names_line_in_released_file():
         load_microfile(io.BytesIO(broken), like=like)
 
 
+# The columns whose code array and whose vocabulary the delta read copies.
 @pytest.mark.parametrize("edit, copied", [
-    ({b"R1,X,1": b"R1,Y,1"}, {1}),  # a vital cell only
-    ({b"R1,X,1": b"R1,Y,1", b"R2,Z,2": b"R2,Z,1"}, {1, 2}),  # and a non-vital one
-    ({b"R0,X,2\n": b"R0,X,2\r\n"}, set()),  # another terminator, the same cells
+    ({b"R1,X,1": b"R1,Y,1"}, {"codes": {1}, "vocabularies": {1}}),  # a vital cell only
+    ({b"R1,X,1": b"R1,Y,1", b"R2,Z,2": b"R2,Z,1"},  # and a non-vital one, to a known value
+     {"codes": {1, 2}, "vocabularies": {1}}),
+    ({b"R0,X,2\n": b"R0,X,2\r\n"}, {"codes": set(), "vocabularies": set()}),  # the same cells
+    ({b"R1,X,1": b"R1,Z,1"}, {"codes": {1}, "vocabularies": set()}),  # a vital cell, to a known value
 ])
 def test_delta_read_shares_columns_it_did_not_change(monkeypatch, edit, copied):
     monkeypatch.setattr(microdata, "_CHUNK_ROWS", 4)
@@ -874,12 +901,17 @@ def test_delta_read_shares_columns_it_did_not_change(monkeypatch, edit, copied):
         released_text = released_text.replace(old, new)
     original = load_microfile(io.BytesIO(original_text))
     snapshot = [column.copy() for column in original.codes]
+    vocabularies = [list(vocabulary.items()) for vocabulary in original.vocabularies]
     released = load_microfile(io.BytesIO(released_text), like=original)
     full = load_microfile(io.BytesIO(released_text))
     assert 0 < released.parsed < len(released)
     for before, column in zip(snapshot, original.codes):
         np.testing.assert_array_equal(column, before)
-    assert {j for j in range(3) if released.codes[j] is not original.codes[j]} == copied
+    assert [list(vocabulary.items()) for vocabulary in original.vocabularies] == vocabularies
+    assert {j for j in range(3) if released.codes[j] is not original.codes[j]} == copied["codes"]
+    assert {
+        j for j in range(3) if released.vocabularies[j] is not original.vocabularies[j]
+    } == copied["vocabularies"]
     assert records(released) == records(full)
 
 
