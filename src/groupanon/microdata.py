@@ -249,9 +249,9 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
     re-parsed, with every check of a full parse, and a value new to
-    ``like`` joins the end of a copy of its vocabulary.  This is exact because on
-    the plain path a record is one line, and an identical line parses to
-    identical cells.  Every record counts as changed, which is a full
+    ``like`` joins the end of a copy of its vocabulary.  This is exact
+    because on the plain path a record is one line, and an identical line
+    parses to identical cells.  Every record counts as changed, which is a full
     parse, when either text needs the csv parser, when the headers or
     delimiters differ, or when a rewrite has edited ``like``.  The decoded values
     never depend on ``like``; the codes and vocabularies may.
