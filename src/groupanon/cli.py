@@ -283,6 +283,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         counts, achieved_mean = new_quantities(final_ratios, signal.denominators)
     with _stage(timings, "rewrite"):
         rewritten = rewrite_microfile(mf, config.spec, signal.numerators, counts, config.seed)
+    del mf  # the columns the rewrite replaced are freed
     with _stage(timings, "write"):
         write_microfile(rewritten, config.output)
     with _stage(timings, "recount"):
@@ -314,7 +315,7 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         "checks": checks,
         "timings": timings,
         "sizes": {
-            "records": len(mf),
+            "records": len(rewritten),
             "categories": len(signal.parameter_values),
             "extended_length": ExtensionMeta(red_report["extension"], len(final_ratios)).extended_length,
             "level": config.level,

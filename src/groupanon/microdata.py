@@ -8,18 +8,22 @@ partitions the records into the categories the concentration signal ranges
 over.
 
 A :class:`Microfile` is held by column and dictionary-encoded: per attribute
-one ``int32`` array with a code per record, plus a vocabulary, an ordered
-dict from each value to its code (loading numbers values in order of first
-appearance; a rewrite appends the values it introduces).  Signals are
-vocabulary lookups and ``np.bincount``; the rewrite assigns codes.  The
-microfile also keeps the raw bytes it was read from and each record's span
-in them, so writing copies every record the rewrite did not touch verbatim
-(quotes and line terminators included) and re-serialises only the edited
-ones.  No Python object per record outlives :func:`load_microfile`.
+one array with a code per record, in the narrowest unsigned type that holds
+its vocabulary's codes, plus the vocabulary, an ordered dict from each value
+to its code (loading numbers values in order of first appearance; a rewrite
+appends the values it introduces).  Signals are vocabulary lookups and
+``np.bincount``; the rewrite assigns codes.  The microfile also keeps the
+raw bytes it was read from and each record's span in them, so writing
+copies every record the rewrite did not touch verbatim (quotes and line
+terminators included) and re-serialises only the edited ones.  No Python
+object per record outlives :func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
-its values, or is made a block at a time (the line-end scan, the counts).
+its values, or is made a block at a time (the line-end scan, the counts,
+the rewrite's search for the rows it picks).  A code column starts as
+``uint8`` and is copied to a wider type only when its vocabulary outgrows
+the one it has, so at most three times.
 
 A load finds where every line ends once, by the rule of :mod:`csv` reading
 a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or a lone
@@ -54,6 +58,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from array import array
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -88,7 +93,8 @@ _BOM = "\ufeff"
 class Microfile:
     """Dictionary-encoded columns plus the raw text they were read from.
 
-    ``codes[j]`` holds one ``int32`` code per record for ``attributes[j]``.
+    ``codes[j]`` holds one code per record for ``attributes[j]``, in the
+    narrowest unsigned type that holds ``len(vocabularies[j]) - 1``.
     ``vocabularies[j]`` is an ordered dict from each value to its code, in
     code order: its i-th key has code i.  Record ``r`` is
     ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
@@ -274,7 +280,7 @@ def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microf
     if not data:
         raise MicrofileError("empty file")
     ends = _line_ends(data)
-    if _is_plain(data, delimiter, ends):
+    if _is_plain(data, delimiter):
         split = _split_plain(data, delimiter, ends, like)
     else:
         split = _split_csv(data, delimiter, ends)
@@ -283,11 +289,16 @@ def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microf
                      np.empty(0, dtype=np.intp), parsed)
 
 
-def _is_plain(data: bytes, delimiter: str, ends: np.ndarray) -> bool:
-    """Whether every record is one line: no quote, and no line of ``ends`` ended by a lone CR."""
+def _is_plain(data: bytes, delimiter: str) -> bool:
+    """Whether every record is one line: no quote, and no line ended by a lone CR.
+
+    A CR that no "\n" follows always ends a line, so no line ends in a lone
+    CR exactly when every CR starts a "\r\n".  Text without a CR skips the
+    two counting passes.
+    """
     if not delimiter.isascii() or b'"' in data:
         return False
-    return b"\r" not in data or not (np.frombuffer(data, dtype=np.uint8)[ends - 1] == ord("\r")).any()
+    return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
 
 
 def _bounds_type(size: int) -> type:
@@ -355,6 +366,11 @@ def _header_attributes(header: list[str]) -> list[str]:
     return attributes
 
 
+def _code_type(size: int) -> np.dtype:
+    """The narrowest unsigned type that holds every code of a vocabulary of ``size`` values."""
+    return np.min_scalar_type(size - 1)
+
+
 def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """Codes of ``values``; unseen values join ``index`` in order of appearance."""
     before = len(index)
@@ -377,13 +393,13 @@ def _split_plain(data: bytes, delimiter: str, bounds: np.ndarray, like: Microfil
         raise MicrofileError("empty file")
     if like is not None and not (
         like.delimiter == delimiter and not like.edited.size
-        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter, like.bounds)
+        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter)
     ):
         like = None
     if like is None:
         shared = 0
         indexes = [{} for _ in range(q)]
-        codes = [np.empty(n, dtype=np.int32) for _ in range(q)]
+        codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
     else:
         shared = min(n, len(like))
         # like's own vocabularies, and arrays if it has n rows, copied only
@@ -442,7 +458,11 @@ def _split_plain(data: bytes, delimiter: str, bounds: np.ndarray, like: Microfil
                 if not all(map(indexes[j].__contains__, values)):
                     indexes[j] = dict(indexes[j])
             column = _encode(values, indexes[j])[classes]
-            if like is not None and codes[j] is like.codes[j]:
+            wide = _code_type(len(indexes[j]))
+            if not np.can_cast(wide, codes[j].dtype):
+                # A copy, so a column shared with like is never widened in place.
+                codes[j] = codes[j].astype(wide)
+            elif like is not None and codes[j] is like.codes[j]:
                 if np.array_equal(codes[j][at], column):
                     continue
                 codes[j] = codes[j].copy()
@@ -573,7 +593,7 @@ def _split_csv(data: bytes, delimiter: str, ends: np.ndarray):
         q = len(attributes)
         indexes = [{} for _ in range(q)]
         chunks = [[] for _ in range(q)]
-        starts = [reader.line_num]
+        starts = array("q", [reader.line_num])
         # Cells go into one flat list, so no row list outlives its record
         # for the garbage collector to scan.
         cells: list[str] = []
@@ -597,9 +617,12 @@ def _split_csv(data: bytes, delimiter: str, ends: np.ndarray):
         csv.field_size_limit(limit)
     if len(starts) == 1:
         raise MicrofileError("empty file")
-    codes = [np.concatenate(chunk) for chunk in chunks]
+    codes = [
+        np.concatenate(chunk, dtype=_code_type(len(index)), casting="unsafe")
+        for chunk, index in zip(chunks, indexes)
+    ]
     # The text's first k lines end at ends[k - 1].
-    return attributes, codes, indexes, ends[np.array(starts, dtype=ends.dtype) - 1], len(starts) - 1
+    return attributes, codes, indexes, ends[np.frombuffer(starts, dtype=np.int64) - 1], len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
@@ -638,23 +661,25 @@ def write_microfile(mf: Microfile, sink) -> None:
     records = _format_rows(zip(*columns), mf.delimiter)
     starts = mf.bounds[mf.edited].tolist()
     ends = mf.bounds[mf.edited + 1].tolist()
-    pieces = []
-    position = 0
-    for record, start, end in zip(records, starts, ends):
-        pieces.append(raw[position:start])
-        pieces.append(record.encode("utf-8") + _terminator(mf.raw[start:end]))
-        position = end
-    pieces.append(raw[position:])
+
+    def pieces():
+        position = 0
+        for record, start, end in zip(records, starts, ends):
+            yield raw[position:start]
+            yield record.encode("utf-8") + _terminator(mf.raw[start:end])
+            position = end
+        yield raw[position:]
+
     if hasattr(sink, "write"):
         if isinstance(sink, io.TextIOBase):
-            sink.write(b"".join(pieces).decode("utf-8"))
+            sink.write(b"".join(pieces()).decode("utf-8"))
         else:
-            sink.writelines(pieces)
+            sink.writelines(pieces())
         return
     path = Path(sink)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as handle:
-        handle.writelines(pieces)
+        handle.writelines(pieces())
 
 
 def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
@@ -758,18 +783,17 @@ def rewrite_microfile(
         raise RewriteError(f"counts must have one entry per parameter value ({m})")
     donor = ~_vital_mask(mf, spec)
 
-    # One stable sort splits the rows by (group, vital): bucket 2g holds the
-    # vital rows of group g and bucket 2g + 1 its donors, each ascending;
-    # rows of unlisted groups land at 2m or 2m + 1.  The buckets are built in
-    # the narrowest type that holds 2m + 1, with its own scalar, so that no
-    # promotion rule can widen them or let them wrap.
+    # The rows fall into buckets by (group, vital): bucket 2g holds the vital
+    # rows of group g and bucket 2g + 1 its donors; rows of unlisted groups
+    # land at 2m or 2m + 1.  The buckets are built in the narrowest type that
+    # holds 2m + 1, with its own scalar, so that no promotion rule can widen
+    # them or let them wrap.
     bucket_type = np.min_scalar_type(2 * m + 1)
     buckets = _group_slots(mf, spec).astype(bucket_type, copy=False)
     buckets *= bucket_type.type(2)
     buckets += donor
-    order = np.argsort(buckets, kind="stable")
+    del donor
     sizes = _count(buckets, 2 * m + 2)
-    edges = np.concatenate(([0], np.cumsum(sizes)))
     found, donors = sizes[0 : 2 * m : 2], sizes[1 : 2 * m : 2]
     capacity = found + donors
 
@@ -798,35 +822,71 @@ def rewrite_microfile(
         )
 
     rng = random.Random(seed)
-    starts = edges.tolist()
-    grown, cycle, shrunk = [], [], []
+    pool_sizes = sizes.tolist()
+    pools, ranks, cycle = [], [], []
     for g in np.flatnonzero(new != old).tolist():
         delta = int(new[g] - old[g])
-        bucket = 2 * g + (delta > 0)
-        start = starts[bucket]
-        # The pool order[start:end] is ascending, so its sorted sampled
-        # positions pick the rows that sampling its row list itself would.
-        picked = sorted(rng.sample(range(starts[bucket + 1] - start), abs(delta)))
+        pool = 2 * g + (delta > 0)
+        # A pool's rows are ranked in ascending order, so its sorted sampled
+        # ranks pick the rows that sampling its row list itself would.
+        ranks += sorted(rng.sample(range(pool_sizes[pool]), abs(delta)))
+        pools += [pool] * abs(delta)
         if delta > 0:
-            grown += [start + p for p in picked]
             cycle += range(delta)
-        else:
-            shrunk += [start + p for p in picked]
-    rows = order[np.array(grown + shrunk, dtype=np.intp)]
-    grown, shrunk = rows[: len(grown)], rows[len(grown) :]
+    pools = np.array(pools, dtype=np.intp)
+    rows = _rows_of_ranks(buckets, sizes, pools, np.array(ranks, dtype=np.intp))
+    del buckets
+    grown, shrunk = rows[pools % 2 == 1], rows[pools % 2 == 0]
 
     codes = list(mf.codes)
     vocabularies = list(mf.vocabularies)
     for position, attribute in enumerate(spec.vital_attributes):
         j = mf.column_index(attribute)
-        # Values the column has not seen yet extend its vocabulary.
+        # Values the column has not seen yet extend its vocabulary; then the
+        # column is copied once, at the width that vocabulary needs.
         index = dict(vocabularies[j])
-        column = codes[j].copy()
+        edits = []
         if grown.size:
             combos = [combo[position] for combo in spec.vital_combinations]
-            column[grown] = _encode(combos, index)[np.array(cycle) % len(combos)]
+            edits.append((grown, _encode(combos, index)[np.array(cycle) % len(combos)]))
         if shrunk.size:
-            column[shrunk] = _encode([spec.fallback_combination[position]], index)
+            edits.append((shrunk, _encode([spec.fallback_combination[position]], index)))
+        column = codes[j].astype(_code_type(len(index)))
+        for at, values in edits:
+            column[at] = values
         codes[j], vocabularies[j] = column, index
     edited = np.union1d(mf.edited, rows)
     return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)
+
+
+def _rows_of_ranks(buckets: np.ndarray, sizes: np.ndarray, pools: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Per pick ``i``, the row of rank ``ranks[i]`` (from 0) among the rows of bucket ``pools[i]``.
+
+    That is ``np.argsort(buckets, kind="stable")[edges[pools] + ranks]``, with
+    ``edges[b]`` the rows in buckets below ``b`` (``sizes`` counts each
+    bucket's rows), for picks in ascending (pool, rank) order.  It is found
+    without that order of every row: the rows are counted a block of
+    ``_CHUNK_ROWS`` at a time, and only a block that holds a pick is sorted,
+    on its own.
+    """
+    # Per bucket, the sorted position of its first row in the block.
+    seen = np.cumsum(sizes) - sizes
+    positions = seen[pools] + ranks
+    rows = np.empty(positions.size, dtype=np.intp)
+    found = 0
+    for start in range(0, buckets.size, _CHUNK_ROWS):
+        if found == positions.size:
+            break
+        block = buckets[start : start + _CHUNK_ROWS]
+        counts = np.bincount(block, minlength=sizes.size)
+        # Bucket b's picks in the block are positions[lo[b] : lo[b] + take[b]].
+        lo = np.searchsorted(positions, seen)
+        take = np.searchsorted(positions, seen + counts) - lo
+        if take.any():
+            picks = np.arange(take.sum()) + np.repeat(lo - (np.cumsum(take) - take), take)
+            order = np.argsort(block, kind="stable")
+            at = np.repeat(np.cumsum(counts) - counts - seen, take) + positions[picks]
+            rows[picks] = start + order[at]
+            found += picks.size
+        seen += counts
+    return rows

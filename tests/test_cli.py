@@ -439,11 +439,11 @@ def test_anonymize_census_golden(census_file, tmp_path):
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("command, limit", [("anonymize", 5), ("verify", 6)])
+@pytest.mark.parametrize("command, limit", [("anonymize", 3), ("verify", 4.5)])
 def test_census_runs_hold_few_bytes_per_input_byte(census_file, tmp_path, command, limit):
-    # The record layer holds the raw text, int32 offsets and int32 codes;
-    # whole-file temporaries on top of that (an int64 copy of a column, a
-    # bool per byte) would push the peaks past these multiples.
+    # The record layer holds the raw text, int32 offsets and uint8 codes;
+    # whole-file temporaries on top of that (an int32 or intp array of every
+    # record, a bool per byte) would push the peaks past these multiples.
     config = load_config(write_census_config(tmp_path, census_file))
     if command == "verify":
         assert run_anonymize(config)[0] == EXIT_OK

@@ -393,12 +393,88 @@ def test_rewrite_appends_new_values_in_code_order():
 
 # ------------------------------------------------- columns and raw bytes
 
-def test_census_columns_are_int32_codes(census_microfile):
+def test_census_columns_are_narrowest_codes(census_microfile):
     n = sum(EMPLOYED)
     for codes, vocabulary in zip(census_microfile.codes, census_microfile.vocabularies):
-        assert isinstance(codes, np.ndarray) and codes.dtype == np.int32 and codes.shape == (n,)
+        assert isinstance(codes, np.ndarray) and codes.dtype == np.uint8 and codes.shape == (n,)
         assert 0 <= codes.min() and codes.max() < len(vocabulary) <= 13
     assert list(census_microfile.vocabularies[0]) == list(REGION_CODES)
+
+
+def _widening_text():
+    # A crosses 256 values in its second chunk of 1,000 rows and 65,536 in
+    # its 67th; B has exactly 256 values; C crosses 256 in its 26th chunk.
+    rows = [(str(i % 100 if i < 1000 else i - 900), str(i % 256), str(i // 100 % 300))
+            for i in range(70_000)]
+    return rows, "A,B,C\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _int64_codes(values):
+    index = {}
+    return np.array([index.setdefault(value, len(index)) for value in values], dtype=np.int64)
+
+
+@pytest.mark.parametrize("route", ["plain", "csv", "delta"])
+def test_code_columns_widen_to_the_narrowest_type(monkeypatch, route):
+    monkeypatch.setattr(microdata, "_CHUNK_ROWS", 1000)
+    rows, text = _widening_text()
+    if route == "csv":
+        text = text.replace("A,B,C", '"A",B,C', 1)
+    if route == "delta":
+        like = load_microfile(io.StringIO(text))
+        snapshot = [column.copy() for column in like.codes]
+        old = ",".join(rows[40_000])
+        rows[40_000] = (rows[40_000][0], "new", rows[40_000][2])
+        text = text.replace(f"\n{old}\n", "\n{}\n".format(",".join(rows[40_000])))
+        mf = load_microfile(io.StringIO(text), like=like)
+        assert mf.parsed == 1 and mf.codes[0] is like.codes[0]
+        for before, column in zip(snapshot, like.codes):
+            assert column.dtype == before.dtype
+            np.testing.assert_array_equal(column, before)
+        types = (np.uint32, np.uint16, np.uint16)
+    else:
+        mf = load_microfile(io.StringIO(text))
+        types = (np.uint32, np.uint8, np.uint16)
+    for j, values in enumerate(zip(*rows)):
+        assert mf.codes[j].dtype == types[j]
+        np.testing.assert_array_equal(mf.codes[j], _int64_codes(values))
+    assert_codes_in_order(mf.vocabularies)
+
+
+def test_rewrite_widens_a_column_for_its_257th_value(monkeypatch):
+    # B has 256 values; shrinking p0 turns two of its four vital records
+    # (B "0") into the fallback "new", B's 257th value, so B needs uint16.
+    monkeypatch.setattr(microdata, "_CHUNK_ROWS", 100)
+    rows = [(f"p{i % 2}", str(i % 256)) for i in range(1024)]
+    mf = make_microfile(rows, attributes=("P", "B"))
+    spec = AttributeSpec(vital_attributes=("B",), vital_combinations=(("0",), ("1",)),
+                         parameter_attribute="P", parameter_values=("p0", "p1"),
+                         fallback_combination=("new",))
+    out = rewrite_microfile(mf, spec, [4, 4], [2, 4], seed=4)
+    assert mf.codes[1].dtype == np.uint8 and out.codes[1].dtype == np.uint16
+    expected = _int64_codes([b for _, b in rows])
+    assert len(out.edited) == 2 and set(expected[out.edited].tolist()) == {0}
+    expected[out.edited] = 256
+    np.testing.assert_array_equal(out.codes[1], expected)
+    np.testing.assert_array_equal(mf.codes[1], _int64_codes([b for _, b in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=40), st.integers(1, 7), st.data())
+def test_block_wise_rows_of_ranks_match_a_stable_sort(values, block, data):
+    # Buckets 6 and 7, and any value not drawn, are empty.
+    buckets = np.array(values, dtype=np.uint8)
+    sizes = np.bincount(buckets, minlength=8)
+    pools, ranks = [], []
+    for pool, size in enumerate(sizes.tolist()):
+        picked = sorted(data.draw(st.sets(st.integers(0, size - 1)))) if size else []
+        pools += [pool] * len(picked)
+        ranks += picked
+    pools, ranks = np.array(pools, dtype=np.intp), np.array(ranks, dtype=np.intp)
+    with mock.patch.object(microdata, "_CHUNK_ROWS", block):
+        rows = microdata._rows_of_ranks(buckets, sizes, pools, ranks)
+    edges = np.cumsum(sizes) - sizes
+    np.testing.assert_array_equal(rows, np.argsort(buckets, kind="stable")[edges[pools] + ranks])
 
 
 @pytest.mark.parametrize("text", ["A,B\nx,y\nx,z\r\nw,y", 'A,B\n"x",y\nx,z\r\nw,y'], ids=["plain", "csv"])
@@ -684,7 +760,7 @@ def _check_modes_agree_with_csv(case):
 def test_crlf_census_takes_plain_path(census_file):
     # Unquoted CRLF text splits on "\n" and drops one "\r" per line.
     data = census_file.read_bytes().replace(b"\n", b"\r\n")
-    assert microdata._is_plain(data, ",", microdata._line_ends(data))
+    assert microdata._is_plain(data, ",")
     _assert_parsers_agree(data, ",")
     buffer = io.BytesIO()
     write_microfile(load_microfile(io.BytesIO(data)), buffer)
@@ -749,11 +825,10 @@ def test_block_scans_match_whole_text_scans(data, block):
         return
     with mock.patch.object(microdata, "_BLOCK_BYTES", block):
         ends = microdata._line_ends(data)
-    plain = microdata._is_plain(data, ",", ends)
-    assert plain == (data.count(b"\r") == data.count(b"\r\n"))
     # Text read with newline="" splits lines as csv does.
     lines = io.StringIO(data.decode(), newline="").readlines()
     assert ends.tolist() == list(itertools.accumulate(map(len, lines)))
+    assert microdata._is_plain(data, ",") == (not any(line.endswith("\r") for line in lines))
     assert ends.dtype == np.int32
 
 
@@ -775,13 +850,11 @@ def test_line_end_scan_makes_no_array_per_byte():
 
 
 def test_bare_cr_and_quotes_stay_on_csv():
-    def plain(data):
-        return microdata._is_plain(data, ",", microdata._line_ends(data))
-
-    assert plain(b"A,B\r\nx,y\r\nz,w\n")
-    assert not plain(b"A,B\rx,y\n")
-    assert not plain(b"A,B\r\nx,y\r")
-    assert not plain(b'A,B\r\n"x",y\r\n')
+    assert microdata._is_plain(b"A,B\r\nx,y\r\nz,w\n", ",")
+    assert not microdata._is_plain(b"A,B\rx,y\n", ",")
+    assert not microdata._is_plain(b"A,B\r\nx,y\r", ",")
+    assert not microdata._is_plain(b"A,B\r\r\nx,y\n", ",")
+    assert not microdata._is_plain(b'A,B\r\n"x",y\r\n', ",")
 
 
 # --------------------------------------------------------------- delta read
