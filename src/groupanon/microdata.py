@@ -12,11 +12,16 @@ one array with a code per record, in the narrowest unsigned type that holds
 its vocabulary's codes, plus the vocabulary, an ordered dict from each value
 to its code (loading numbers values in order of first appearance; a rewrite
 appends the values it introduces).  Signals are vocabulary lookups and
-``np.bincount``; the rewrite assigns codes.  The microfile also keeps the
-raw bytes it was read from and each record's span in them, so writing
-copies every record the rewrite did not touch verbatim (quotes and line
-terminators included) and re-serialises only the edited ones.  No Python
-object per record outlives :func:`load_microfile`.
+``np.bincount``; the rewrite assigns codes.  The microfile does not keep its
+text.  It keeps where the text came from (a regular file is named by its
+path; other text is held in memory) and each record's span in it, so
+writing copies every record the rewrite did not touch verbatim (quotes and
+line terminators included), a block at a time from the source, and
+re-serialises only the edited ones.  Every read after the first checks the
+text's size and CRC-32 against the first read's, so a file that changes
+while a microfile depends on it raises a :class:`MicrofileError` instead of
+mixing two texts.  No Python object per record outlives
+:func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
@@ -25,13 +30,14 @@ the rewrite's search for the rows it picks).  A code column starts as
 ``uint8`` and is copied to a wider type only when its vocabulary outgrows
 the one it has, so at most three times.
 
-A load finds where every line ends once, by the rule of :mod:`csv` reading
-a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or a lone
-``\r``.  Two parsers then build the same codes and vocabularies from those
-ends.  Text in which every record is one line (no quote character, and no
-line ended by a lone ``\r``) takes the plain path, which splits the records
-in chunks of rows.  Each chunk first sorts its lines into classes of equal
-lines, in one of two modes chosen from what earlier chunks showed:
+A load's first read finds where every line ends, by the rule of :mod:`csv`
+reading a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or
+a lone ``\r``.  The same read finds whether every record is one line (no
+quote character, and no line ended by a lone ``\r``).  Two parsers then
+build the same codes and vocabularies from those ends.  Text whose records
+are lines takes the plain path, which reads the text again and splits the
+records in chunks of rows.  Each chunk first sorts its lines into classes
+of equal lines, in one of two modes chosen from what earlier chunks showed:
 
 * while lines repeat, equal lines are found in numpy from their bytes
   (packed into ``uint64`` words, keyed, and compared word for word with
@@ -43,22 +49,28 @@ Then one step serves both modes: the first line of each class is gathered
 from the text, its fields are counted from the delimiter positions in its
 bytes, and it is decoded, loses its ``\r`` and is split into cells.
 
-Everything else goes through :mod:`csv`, whose line count, read against
-the line ends, gives each record's span.
+Everything else goes through :mod:`csv`, which reads the whole text at once
+and whose line count, read against the line ends, gives each record's span.
 
 A load may name a microfile the text is expected to repeat (``like``, for
 ``verify`` the original of a release).  On the plain path a record whose
 bytes equal that file's record at the same position then takes its codes,
-and only the other records are split.  An identical line parses to
-identical cells, so this gives the cell values of a full parse.
+and only the other records are split; the two texts are read chunk by chunk
+in step.  An identical line parses to identical cells, so this gives the
+cell values of a full parse.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import os
 import random
+import shutil
+import zlib
 from array import array
+from contextlib import ExitStack
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -71,10 +83,12 @@ from .errors import MicrofileError, RewriteError
 # Rows split per step of the plain-text parser; bounds its transient memory.
 _CHUNK_ROWS = 1 << 15
 
-# Bytes scanned per step of a search through the whole text.  A block is
-# larger than a chunk's temporaries on purpose: glibc's malloc raises its
-# mmap threshold to the largest block it has freed, so the chunks then reuse
-# heap pages instead of mapping (and faulting in) fresh ones every time.
+# Bytes read per step of a pass over the text that does not split it: the
+# line-end scan, a write's copy, a check's read of what is left.  So a pass
+# holds one block of the text, never all of it.  A block is larger than a
+# chunk's temporaries on purpose: glibc's malloc raises its mmap threshold to
+# the largest block it has freed, so the chunks then reuse heap pages instead
+# of mapping (and faulting in) fresh ones every time.
 _BLOCK_BYTES = 1 << 20
 
 # Integer types from narrowest to widest, for the values a lookup maps to.
@@ -85,23 +99,92 @@ _INT32_BOUNDS_LIMIT = np.iinfo(np.int32).max
 
 # A byte order mark that may open UTF-8 text.  It is dropped from the decoded
 # header (before csv reads it, so a quoted first name still parses) and kept
-# in the raw bytes, which writing copies.
+# in the text, which writing copies.
 _BOM = "\ufeff"
+
+
+@dataclass(frozen=True)
+class _Source:
+    """Where a microfile's text is read from, and what the first read of it found.
+
+    A regular file is read again from its resolved ``path`` by every pass;
+    any other text (a file object's, a pipe's, :meth:`Microfile.from_rows`')
+    is held as ``data``.  ``size`` and ``crc`` (``zlib.crc32``) are the
+    text's at its first read, against which :class:`_Reader` checks every
+    later read.  ``plain`` is whether every record is one line: the text has
+    no quote character and no line ended by a lone CR.
+    """
+
+    path: Path | None = None
+    data: bytes | None = None
+    size: int = 0
+    crc: int = 0
+    plain: bool = False
+
+    def open(self):
+        """A binary stream of the text, from its start."""
+        return io.BytesIO(self.data) if self.path is None else open(self.path, "rb")
+
+
+class _Reader:
+    """A read of a source's text from its start, checked against the first read.
+
+    :meth:`read` returns the next ``count`` bytes.  :meth:`check` reads the
+    rest, then compares the size and CRC-32 of all that was read with the
+    first read's.  Both raise a :class:`MicrofileError` that names the file
+    when the text has changed since then.
+    """
+
+    def __init__(self, source: _Source):
+        self.source, self.size, self.crc = source, 0, 0
+        self.stream = source.open()
+
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stream.close()
+
+    def read(self, count) -> bytes:
+        count = int(count)
+        piece = self.stream.read(count)
+        self.size += len(piece)
+        self.crc = zlib.crc32(piece, self.crc)
+        if len(piece) != count:
+            raise self._changed()
+        return piece
+
+    def copy(self, count, write) -> None:
+        """Pass the next ``count`` bytes to ``write``, ``_BLOCK_BYTES`` at a time."""
+        while count > 0:
+            piece = self.read(min(count, _BLOCK_BYTES))
+            write(piece)
+            count -= len(piece)
+
+    def check(self) -> None:
+        self.copy(self.source.size - self.size, lambda piece: None)
+        if self.stream.read(1) or self.crc != self.source.crc:
+            raise self._changed()
+
+    def _changed(self) -> MicrofileError:
+        return MicrofileError(f"{self.source.path} changed after it was loaded (its size or CRC-32 differs)")
 
 
 @dataclass(frozen=True, eq=False)
 class Microfile:
-    """Dictionary-encoded columns plus the raw text they were read from.
+    """Dictionary-encoded columns plus where the text they were read from lies.
 
     ``codes[j]`` holds one code per record for ``attributes[j]``, in the
     narrowest unsigned type that holds ``len(vocabularies[j]) - 1``.
     ``vocabularies[j]`` is an ordered dict from each value to its code, in
-    code order: its i-th key has code i.  Record ``r`` is
-    ``raw[bounds[r]:bounds[r + 1]]``, line terminator included, and
-    ``raw[:bounds[0]]`` is the header; ``bounds`` is ``int32`` for a text of
-    at most ``_INT32_BOUNDS_LIMIT`` bytes (2 GiB less one) and ``int64``
-    above.  ``edited`` lists in ascending order the records whose codes no
-    longer match their raw bytes.  ``parsed`` counts the records the load
+    code order: its i-th key has code i.  ``source`` is where the text is
+    read from: a regular file's path, or the text itself when it came from
+    anywhere else.  Record ``r`` is bytes ``bounds[r]`` to ``bounds[r + 1]``
+    of the text, line terminator included, and the bytes before
+    ``bounds[0]`` are the header; ``bounds`` is ``int32`` for a text of at
+    most ``_INT32_BOUNDS_LIMIT`` bytes (2 GiB less one) and ``int64`` above.
+    ``edited`` lists in ascending order the records whose codes no longer
+    match their bytes in the text.  ``parsed`` counts the records the load
     split into cells; the others took their codes from the microfile passed
     as ``like``.  Code arrays and vocabularies are never changed in place; a
     rewrite copies the ones it changes.  A load with ``like`` shares every
@@ -113,7 +196,7 @@ class Microfile:
     attributes: list[str]
     codes: list[np.ndarray]
     vocabularies: list[dict[str, int]]
-    raw: bytes
+    source: _Source
     bounds: np.ndarray
     delimiter: str
     edited: np.ndarray
@@ -124,7 +207,7 @@ class Microfile:
                   delimiter: str = ",") -> Microfile:
         """Serialise ``rows`` under a header of ``attributes`` and parse the text."""
         lines = _format_rows([attributes, *rows], delimiter)
-        return _parse(("\n".join(lines) + "\n").encode("utf-8"), delimiter)
+        return _parse(_Source(data=("\n".join(lines) + "\n").encode("utf-8")), delimiter)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -251,6 +334,12 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     malformed line is still reported at its own line number, as a full
     parse would.
 
+    A path to a regular file is resolved now and read a block or a chunk at
+    a time by this load and by every later pass that needs the text (a
+    delta load against the microfile, a write); its size and CRC-32 are
+    checked at each.  A file object's text, and the text of any other path
+    (a pipe, a device), are read whole and kept.
+
     ``like`` is a microfile the text mostly repeats, such as the original
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
@@ -264,91 +353,100 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     """
     if hasattr(source, "read"):
         data = source.read()
+        text = _Source(data=data.encode("utf-8") if isinstance(data, str) else data)
+    elif Path(source).is_file():
+        text = _Source(path=Path(source).resolve())
     else:
+        # A pipe or a device cannot be read again, so its text is kept.
         with open(source, "rb") as handle:
-            data = handle.read()
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return _parse(data, delimiter, like)
+            text = _Source(data=handle.read())
+    return _parse(text, delimiter, like)
 
 
-def _parse(data: bytes, delimiter: str, like: Microfile | None = None) -> Microfile:
+def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Microfile:
     if len(delimiter) != 1 or delimiter in '"\r\n':
         raise MicrofileError(
             f"delimiter must be one character other than a quote or line break, got {delimiter!r}"
         )
-    if not data:
+    ends, source = _line_ends(source)
+    if not source.size:
         raise MicrofileError("empty file")
-    ends = _line_ends(data)
-    if _is_plain(data, delimiter):
-        split = _split_plain(data, delimiter, ends, like)
+    if source.plain and delimiter.isascii():
+        split = _split_plain(source, delimiter, ends, like)
     else:
-        split = _split_csv(data, delimiter, ends)
+        split = _split_csv(source, delimiter, ends)
     attributes, codes, vocabularies, bounds, parsed = split
-    return Microfile(attributes, codes, vocabularies, data, bounds, delimiter,
+    return Microfile(attributes, codes, vocabularies, source, bounds, delimiter,
                      np.empty(0, dtype=np.intp), parsed)
 
 
-def _is_plain(data: bytes, delimiter: str) -> bool:
-    """Whether every record is one line: no quote, and no line ended by a lone CR.
-
-    A CR that no "\n" follows always ends a line, so no line ends in a lone
-    CR exactly when every CR starts a "\r\n".  Text without a CR skips the
-    two counting passes.
-    """
-    if not delimiter.isascii() or b'"' in data:
-        return False
-    return b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
-
-
-def _bounds_type(size: int) -> type:
-    """The integer type of the record offsets of a text of ``size`` bytes."""
-    return np.int32 if size <= _INT32_BOUNDS_LIMIT else np.int64
-
-
-def _line_ends(data: bytes) -> np.ndarray:
-    """The offset just past each line of ``data``; the last line may lack its line break.
+def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
+    """The offset just past each line of the text, and ``source`` with what this first read found.
 
     A line ends at "\n", "\r\n" or a lone "\r", as :mod:`csv` reads a file
-    opened with ``newline=""``.  The breaks are found a block at a time and
-    written straight into the result, in the type :func:`_bounds_type`
-    gives, so the only array as long as the text's lines is the result.  It
-    is sized from the lines per byte seen so far, and resized in place
-    (``realloc``, which remaps a large array rather than copying it) when a
-    block shows more.
+    opened with ``newline=""``; the last line may lack its line break.  The
+    text is read ``_BLOCK_BYTES`` at a time into one buffer, and each
+    block's breaks are written straight into the result, so the only array
+    as long as the text's lines is the result.  It is sized from the lines
+    per byte seen so far, and resized in place (``realloc``, which remaps a
+    large array rather than copying it) when a block shows more; it is
+    ``int32`` until the text passes ``_INT32_BOUNDS_LIMIT`` bytes, then
+    ``int64``.  The source comes back with the text's size, CRC-32 and
+    whether it is plain (see :class:`_Source`).
     """
-    size = len(data)
-    ends = np.empty(0, dtype=_bounds_type(size))
-    n = 0
-    for start in range(0, size, _BLOCK_BYTES):
-        stop = min(start + _BLOCK_BYTES, size)
-        at = _breaks(data, start, stop)
-        if n + at.size + 1 > ends.size:  # one more for a last line without a break
-            ends.resize((n + at.size) * size // stop + 1, refcheck=False)
-        np.add(at, start + 1, out=ends[n : n + at.size], casting="unsafe")
-        n += at.size
+    block = bytearray(_BLOCK_BYTES)
+    ends = np.empty(1, dtype=np.int32)
+    n = size = crc = 0
+    # Whether the text read so far ends in a CR, which ends a line unless
+    # the next block starts with "\n".
+    plain, cr = True, False
+    with source.open() as stream:
+        expected = stream.seek(0, io.SEEK_END)
+        stream.seek(0)
+        while count := stream.readinto(block):
+            stop = size + count
+            if stop > _INT32_BOUNDS_LIMIT and ends.dtype == np.int32:
+                ends = ends.astype(np.int64)
+            at, lone = _breaks(block, count)
+            need = n + at.size + 2  # and a lone CR before the block, and a last line without a break
+            if need > ends.size:
+                ends.resize(max(need, need * expected // stop), refcheck=False)
+            if cr and block[0] != ord("\n"):
+                ends[n] = size
+                n += 1
+                lone = True
+            np.add(at, size + 1, out=ends[n : n + at.size], casting="unsafe")
+            n += at.size
+            del at  # before the next block's are found
+            plain = plain and not lone and block.find(b'"', 0, count) == -1
+            cr = block[count - 1] == ord("\r")
+            crc = zlib.crc32(memoryview(block)[:count], crc)
+            size = stop
     if n == 0 or ends[n - 1] != size:
         ends[n] = size
         n += 1
     ends.resize(n, refcheck=False)
-    return ends
+    return ends, replace(source, size=size, crc=crc, plain=plain and not cr)
 
 
-def _breaks(data: bytes, start: int, stop: int) -> np.ndarray:
-    """The offsets from ``start`` of the bytes of ``data[start:stop]`` that end a line.
+def _breaks(block: bytearray, count: int) -> tuple[np.ndarray, bool]:
+    """The offsets of the bytes of ``block[:count]`` that end a line, and whether a lone CR is one.
 
-    The block's masks are freed on return, before the next block's are made,
-    so that glibc hands the next block the same heap pages.
+    A CR that is the last of the bytes is left to the caller, which knows
+    the byte after it.  The block's masks are freed on return, before the
+    next block's are made.
     """
-    block = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    breaks = block == ord("\n")
-    if data.find(b"\r", start, stop) != -1:
-        # A CR ends a line unless a "\n" follows it, in this block or the next.
-        lone = block == ord("\r")
-        np.greater(lone[:-1], breaks[1:], out=lone[:-1])
-        lone[-1] &= data[stop : stop + 1] != b"\n"
-        breaks |= lone
-    return np.flatnonzero(breaks)
+    buf = np.frombuffer(block, dtype=np.uint8, count=count)
+    breaks = buf == ord("\n")
+    lone = False
+    if block.find(b"\r", 0, count) != -1:
+        # A CR ends a line unless a "\n" follows it.
+        crs = buf == ord("\r")
+        np.greater(crs[:-1], breaks[1:], out=crs[:-1])
+        crs[-1] = False
+        lone = bool(crs.any())
+        breaks |= crs
+    return np.flatnonzero(breaks), lone
 
 
 def _decode(text: bytes, line_at) -> str:
@@ -381,92 +479,107 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_plain(data: bytes, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
-    """Parser for text whose records are the lines ending at ``bounds``; see :func:`load_microfile` for ``like``."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    header = _decode(data[: bounds[0]], lambda offset: 1).removeprefix(_BOM)
-    header = header.removesuffix("\n").removesuffix("\r")
-    attributes = _header_attributes(header.split(delimiter) if header else [])
-    q = len(attributes)
-    n = len(bounds) - 1
-    if n == 0:
-        raise MicrofileError("empty file")
-    if like is not None and not (
-        like.delimiter == delimiter and not like.edited.size
-        and data[: bounds[0]] == like.raw[: like.bounds[0]] and _is_plain(like.raw, delimiter)
-    ):
-        like = None
-    if like is None:
-        shared = 0
-        indexes = [{} for _ in range(q)]
-        codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
-    else:
-        shared = min(n, len(like))
-        # like's own vocabularies, and arrays if it has n rows, copied only
-        # when a parsed record changes one.
-        indexes = list(like.vocabularies)
-        if n == len(like):
-            codes = list(like.codes)
+def _split_plain(source: _Source, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
+    """Parser for text whose records are the lines ending at ``bounds``; see :func:`load_microfile` for ``like``.
+
+    The text is read again a chunk of rows at a time, and so is ``like``'s,
+    in step; both reads are checked against the first.
+    """
+    with ExitStack() as stack:
+        reader = stack.enter_context(_Reader(source))
+        head = reader.read(bounds[0])
+        header = _decode(head, lambda offset: 1).removeprefix(_BOM)
+        header = header.removesuffix("\n").removesuffix("\r")
+        attributes = _header_attributes(header.split(delimiter) if header else [])
+        q = len(attributes)
+        n = len(bounds) - 1
+        if n == 0:
+            raise MicrofileError("empty file")
+        if like is not None and like.delimiter == delimiter and not like.edited.size and like.source.plain:
+            old_reader = stack.enter_context(_Reader(like.source))
+            if old_reader.read(like.bounds[0]) != head:
+                like = None
         else:
-            # Copies cut or padded to n rows; rows past like's end are all parsed.
-            codes = [np.resize(column, n) for column in like.codes]
-    crlf = b"\r" in data
-    parsed = 0
-    repeating = True
-    for r0 in range(0, n, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, n)
-        todo = np.ones(r1 - r0, dtype=bool)
-        if r0 < shared:
-            todo[: min(r1, shared) - r0] = _changed(data, bounds, like, r0, min(r1, shared))
-        rows = r0 + np.flatnonzero(todo)
-        if not rows.size:
-            continue
-        parsed += rows.size
-        at = slice(r0, r1) if rows.size == r1 - r0 else rows
-        starts, ends = bounds[at], bounds[1:][at]
-        if repeating:
-            # Equal lines are found from their bytes.  A chunk with more
-            # distinct lines than half its rows shows this does not pay, and
-            # in later chunks every line is its own class.
-            firsts, classes = _line_classes(buf, starts, ends)
-            repeating = 2 * firsts.size <= rows.size
+            like = None
+        if like is None:
+            shared = 0
+            indexes = [{} for _ in range(q)]
+            codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
         else:
-            firsts = classes = np.arange(rows.size)
-        # Only the first line of each class is decoded and split.  Their bytes
-        # are one slice of the text when they are all the chunk's lines, and
-        # else gathered by one index array: the gathered byte k, in line i,
-        # is buf[k + starts[i] - (bytes before line i)].
-        starts, sizes = starts[firsts], ends[firsts] - starts[firsts]
-        if firsts.size == r1 - r0:
-            lines = buf[bounds[r0] : bounds[r1]]
-        else:
-            gather = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
-            gather += np.arange(gather.size, dtype=gather.dtype)
-            lines = buf[gather]
-        fields = _field_counts(lines, sizes, delimiter)[classes]
-        text = _decode(lines.tobytes(), _line_at(rows[firsts], sizes))
-        if crlf:
-            text = text.replace("\r", "")
-        cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
-        bad = np.flatnonzero(fields != q)
-        if bad.size:
-            r = bad[0]
-            raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
-        for j in range(q):
-            values = cells[j::q]
-            if like is not None and indexes[j] is like.vocabularies[j]:
-                if not all(map(indexes[j].__contains__, values)):
-                    indexes[j] = dict(indexes[j])
-            column = _encode(values, indexes[j])[classes]
-            wide = _code_type(len(indexes[j]))
-            if not np.can_cast(wide, codes[j].dtype):
-                # A copy, so a column shared with like is never widened in place.
-                codes[j] = codes[j].astype(wide)
-            elif like is not None and codes[j] is like.codes[j]:
-                if np.array_equal(codes[j][at], column):
-                    continue
-                codes[j] = codes[j].copy()
-            codes[j][at] = column
+            shared = min(n, len(like))
+            # like's own vocabularies, and arrays if it has n rows, copied only
+            # when a parsed record changes one.
+            indexes = list(like.vocabularies)
+            if n == len(like):
+                codes = list(like.codes)
+            else:
+                # Copies cut or padded to n rows; rows past like's end are all parsed.
+                codes = [np.resize(column, n) for column in like.codes]
+        parsed = 0
+        repeating = True
+        for r0 in range(0, n, _CHUNK_ROWS):
+            r1 = min(r0 + _CHUNK_ROWS, n)
+            chunk = reader.read(bounds[r1] - bounds[r0])
+            buf = np.frombuffer(chunk, dtype=np.uint8)
+            todo = np.ones(r1 - r0, dtype=bool)
+            if r0 < shared:
+                s1 = min(r1, shared)
+                old = np.frombuffer(old_reader.read(like.bounds[s1] - like.bounds[r0]), dtype=np.uint8)
+                todo[: s1 - r0] = _changed(buf[: bounds[s1] - bounds[r0]], bounds[r0 : s1 + 1],
+                                           old, like.bounds[r0 : s1 + 1])
+            rows = r0 + np.flatnonzero(todo)
+            if not rows.size:
+                continue
+            parsed += rows.size
+            at = slice(r0, r1) if rows.size == r1 - r0 else rows
+            # Offsets from the chunk's start.
+            starts, ends = bounds[at] - bounds[r0], bounds[1:][at] - bounds[r0]
+            if repeating:
+                # Equal lines are found from their bytes.  A chunk with more
+                # distinct lines than half its rows shows this does not pay, and
+                # in later chunks every line is its own class.
+                firsts, classes = _line_classes(buf, starts, ends)
+                repeating = 2 * firsts.size <= rows.size
+            else:
+                firsts = classes = np.arange(rows.size)
+            # Only the first line of each class is decoded and split.  Their bytes
+            # are the whole chunk when they are all the chunk's lines, and else
+            # gathered by one index array: the gathered byte k, in line i, is
+            # buf[k + starts[i] - (bytes before line i)].
+            starts, sizes = starts[firsts], ends[firsts] - starts[firsts]
+            if firsts.size == r1 - r0:
+                lines = buf
+            else:
+                gather = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
+                gather += np.arange(gather.size, dtype=gather.dtype)
+                lines = buf[gather]
+            fields = _field_counts(lines, sizes, delimiter)[classes]
+            text = _decode(lines.tobytes(), _line_at(rows[firsts], sizes))
+            if b"\r" in chunk:
+                text = text.replace("\r", "")
+            cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
+            bad = np.flatnonzero(fields != q)
+            if bad.size:
+                r = bad[0]
+                raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
+            for j in range(q):
+                values = cells[j::q]
+                if like is not None and indexes[j] is like.vocabularies[j]:
+                    if not all(map(indexes[j].__contains__, values)):
+                        indexes[j] = dict(indexes[j])
+                column = _encode(values, indexes[j])[classes]
+                wide = _code_type(len(indexes[j]))
+                if not np.can_cast(wide, codes[j].dtype):
+                    # A copy, so a column shared with like is never widened in place.
+                    codes[j] = codes[j].astype(wide)
+                elif like is not None and codes[j] is like.codes[j]:
+                    if np.array_equal(codes[j][at], column):
+                        continue
+                    codes[j] = codes[j].copy()
+                codes[j][at] = column
+        reader.check()
+        if like is not None:
+            old_reader.check()
     return attributes, codes, indexes, bounds, parsed
 
 
@@ -556,19 +669,18 @@ def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.nd
     return fields
 
 
-def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int) -> np.ndarray:
-    """Per record ``r0 <= r < r1``, whether its bytes differ from ``like``'s record ``r``.
+def _changed(new: np.ndarray, bounds: np.ndarray, old: np.ndarray, old_bounds: np.ndarray) -> np.ndarray:
+    """Per record of ``new``, whether its bytes differ from ``old``'s record at the same position.
 
-    Records of another length differ.  The records of equal length are
-    compacted out of both texts by a byte mask, compared in one step, and
-    each differing byte marks its record.
+    ``new`` holds the bytes from offset ``bounds[0]`` to ``bounds[-1]`` of a
+    text whose records start at ``bounds[:-1]``; ``old`` and ``old_bounds``
+    are the same for the other text.  Records of another length differ.  The
+    records of equal length are compacted out of both by a byte mask,
+    compared in one step, and each differing byte marks its record.
     """
-    lengths = np.diff(bounds[r0 : r1 + 1])
-    old_lengths = np.diff(like.bounds[r0 : r1 + 1])
+    lengths = np.diff(bounds)
+    old_lengths = np.diff(old_bounds)
     same = lengths == old_lengths
-    new = np.frombuffer(data, dtype=np.uint8, count=bounds[r1] - bounds[r0], offset=bounds[r0])
-    old = np.frombuffer(like.raw, dtype=np.uint8, count=like.bounds[r1] - like.bounds[r0],
-                        offset=like.bounds[r0])
     if not same.all():
         new, old = new[np.repeat(same, lengths)], old[np.repeat(same, old_lengths)]
     differing = np.flatnonzero(new != old)
@@ -578,8 +690,14 @@ def _changed(data: bytes, bounds: np.ndarray, like: Microfile, r0: int, r1: int)
     return ~same
 
 
-def _split_csv(data: bytes, delimiter: str, ends: np.ndarray):
-    """Parser for any text the csv module reads, whose lines end at ``ends``; records may span lines."""
+def _split_csv(source: _Source, delimiter: str, ends: np.ndarray):
+    """Parser for any text the csv module reads, whose lines end at ``ends``; records may span lines.
+
+    The text is read again, whole, and checked against the first read.
+    """
+    with _Reader(source) as reader:
+        data = reader.read(source.size)
+        reader.check()
     text = _decode(data, lambda offset: np.searchsorted(ends, offset, side="right") + 1).removeprefix(_BOM)
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     # The plain parser takes a cell of any length, so this one must too; the
@@ -648,12 +766,19 @@ def write_microfile(mf: Microfile, sink) -> None:
     """Write the microfile back out; inverse of :func:`load_microfile`.
 
     The header and every record the rewrite did not edit are copied from the
-    raw text, so writing a loaded file gives back its bytes.  Edited records
-    are re-serialised with csv quoting in the file's own delimiter and keep
-    their own line terminator.  ``sink`` is a path or a text or binary file
-    object.
+    source's text, a block at a time, so writing a loaded file gives back its
+    bytes.  Edited records are re-serialised with csv quoting in the file's
+    own delimiter and keep their own line terminator.  The text read is
+    checked against the load's first read, and a :class:`MicrofileError`
+    names a source that has changed since.
+
+    ``sink`` is a path or a text or binary file object.  A path is written
+    through a new file in its directory, which replaces it only once the
+    whole text is written and checked: a failed write leaves no file
+    behind, and a microfile may be written over its own source.  A path
+    that exists and is not a regular file (a pipe, a device) is written in
+    place.
     """
-    raw = memoryview(mf.raw)
     columns = [
         np.asarray(list(vocabulary), dtype=object)[codes[mf.edited]]
         for codes, vocabulary in zip(mf.codes, mf.vocabularies)
@@ -662,24 +787,41 @@ def write_microfile(mf: Microfile, sink) -> None:
     starts = mf.bounds[mf.edited].tolist()
     ends = mf.bounds[mf.edited + 1].tolist()
 
-    def pieces():
-        position = 0
-        for record, start, end in zip(records, starts, ends):
-            yield raw[position:start]
-            yield record.encode("utf-8") + _terminator(mf.raw[start:end])
-            position = end
-        yield raw[position:]
+    def copy(write):
+        with _Reader(mf.source) as reader:
+            position = 0
+            for record, start, end in zip(records, starts, ends):
+                reader.copy(start - position, write)
+                write(record.encode("utf-8") + _terminator(reader.read(end - start)))
+                position = end
+            reader.copy(mf.source.size - position, write)
+            reader.check()
 
     if hasattr(sink, "write"):
         if isinstance(sink, io.TextIOBase):
-            sink.write(b"".join(pieces()).decode("utf-8"))
+            # A block may end inside a character.
+            decoder = codecs.getincrementaldecoder("utf-8")()
+            copy(lambda piece: sink.write(decoder.decode(piece)))
+            sink.write(decoder.decode(b"", final=True))
         else:
-            sink.writelines(pieces())
+            copy(sink.write)
         return
     path = Path(sink)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as handle:
+            copy(handle.write)
+        return
+    path = path.resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.writelines(pieces())
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "xb") as handle:
+            copy(handle.write)
+        if path.exists():
+            shutil.copymode(path, temporary)  # as writing into the file would keep it
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def microfile_text(mf):
     buffer = io.StringIO()
     write_microfile(mf, buffer)
     return buffer.getvalue()
+
+
+def flip_byte(path, offset):
+    """Change the byte at ``offset`` of ``path``, keeping its size and times, so only its bytes tell."""
+    stat = path.stat()
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1
+    path.write_bytes(data)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
 def band_matrix(f, k, n):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupanon import db2_filter, load_microfile, write_microfile
+from groupanon import cli, db2_filter, load_microfile, write_microfile
 from groupanon.cli import (
     EXIT_ERROR,
     EXIT_INVARIANT,
@@ -21,6 +21,7 @@ from groupanon.errors import ConfigError, PlanError
 from groupanon.microdata import Microfile
 
 import reference as ref
+from conftest import flip_byte
 from reference import build_reconstruction_matrix
 
 
@@ -439,11 +440,13 @@ def test_anonymize_census_golden(census_file, tmp_path):
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
 
 
-@pytest.mark.parametrize("command, limit", [("anonymize", 3), ("verify", 4.5)])
+@pytest.mark.parametrize("command, limit", [("anonymize", 1.6), ("verify", 2.2)])
 def test_census_runs_hold_few_bytes_per_input_byte(census_file, tmp_path, command, limit):
-    # The record layer holds the raw text, int32 offsets and uint8 codes;
-    # whole-file temporaries on top of that (an int32 or intp array of every
-    # record, a bool per byte) would push the peaks past these multiples.
+    # The record layer holds int32 offsets and uint8 codes and reads the text
+    # a block or a chunk at a time; holding a whole text (verify would hold
+    # two) or a whole-file temporary on top of that (an int32 or intp array
+    # of every record, a bool per byte) would push the peaks past these
+    # multiples.
     config = load_config(write_census_config(tmp_path, census_file))
     if command == "verify":
         assert run_anonymize(config)[0] == EXIT_OK
@@ -529,6 +532,29 @@ def test_inspect_prints_the_plans_fixed_set(tmp_path):
 
 
 # ---------------------------------------------------------------- verify
+
+def test_anonymize_of_an_input_changed_before_the_write_fails(small_run, capsys, monkeypatch):
+    # The input changes after its load and before the release is written,
+    # keeping its size and times: its last cell, a "1" or a "2", flips.
+    tmp_path, config_path = small_run
+    input_path = tmp_path / "input.csv"
+    rewrite = cli.rewrite_microfile
+
+    def change_then_rewrite(*args, **kwargs):
+        flip_byte(input_path, input_path.stat().st_size - 2)
+        return rewrite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rewrite_microfile", change_then_rewrite)
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    message = f"{input_path.resolve()} changed after it was loaded"
+    assert message in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "MicrofileError"
+    assert report["error"]["message"].startswith(message)
+    # No release, and no file it was written through.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "input.csv", "report.json"]
+
 
 def test_verify_after_anonymize(small_run):
     _, config_path = small_run

@@ -1,7 +1,11 @@
 import csv
 import io
 import itertools
+import os
+import re
+import threading
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -25,7 +29,7 @@ from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribu
 
 import reference as ref
 from reference import round_half_away_from_zero
-from conftest import make_microfile, microfile_text, records
+from conftest import flip_byte, make_microfile, microfile_text, records
 
 
 def small_spec(**overrides):
@@ -597,10 +601,15 @@ def assert_codes_in_order(vocabularies):
         assert list(v.values()) == list(range(len(v)))
 
 
+def _scanned(data):
+    """The line ends of ``data`` and its source, as a load's first read finds them."""
+    return microdata._line_ends(microdata._Source(data=data))
+
+
 def _assert_parsers_agree(data, d):
-    ends = microdata._line_ends(data)
-    plain = microdata._split_plain(data, d, ends)
-    via_csv = microdata._split_csv(data, d, ends)
+    ends, source = _scanned(data)
+    plain = microdata._split_plain(source, d, ends)
+    via_csv = microdata._split_csv(source, d, ends)
     assert plain[0] == via_csv[0]
     assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
     assert [list(v) for v in plain[2]] == [list(v) for v in via_csv[2]]
@@ -705,8 +714,9 @@ def chunked_texts(draw):
 
 
 def _split_or_error(split, data, d):
+    ends, source = _scanned(data)
     try:
-        return split(data, d, microdata._line_ends(data))
+        return split(source, d, ends)
     except MicrofileError as exc:
         return str(exc)
 
@@ -760,7 +770,7 @@ def _check_modes_agree_with_csv(case):
 def test_crlf_census_takes_plain_path(census_file):
     # Unquoted CRLF text splits on "\n" and drops one "\r" per line.
     data = census_file.read_bytes().replace(b"\n", b"\r\n")
-    assert microdata._is_plain(data, ",")
+    assert _scanned(data)[1].plain
     _assert_parsers_agree(data, ",")
     buffer = io.BytesIO()
     write_microfile(load_microfile(io.BytesIO(data)), buffer)
@@ -815,33 +825,44 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
     assert released.parsed == (1 if body[0] != '"' else 2)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=40).map(lambda b: bytes(b"a\r\n,"[x % 4] for x in b)), st.integers(1, 9))
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=40).map(lambda b: bytes(b'a\r\n,"'[x % 5] for x in b)), st.integers(1, 9))
+# A CR as a block's last byte, with a "\n" opening the next block.
+@example(b"ab\r\ncd\r\n", 3)
+@example(b"a\r\n", 2)
+# A CR as a block's last byte, and no "\n" after it.
+@example(b"ab\rcd\n", 3)
+# A lone CR that ends the text, at a block's end and inside one.
+@example(b"ab\r", 3)
+@example(b"ab\r", 9)
+# A quote only in the last block.
+@example(b'ab\ncd\nef"\n', 3)
 def test_block_scans_match_whole_text_scans(data, block):
     # The line-end scan reads the text a block at a time; a CR or "\n" at
     # either side of a block edge counts as in one pass.  A line ends at
-    # "\n", "\r\n" or a lone "\r".
-    if not data:
-        return
+    # "\n", "\r\n" or a lone "\r".  The text is plain when it has no quote
+    # and no line ends in a lone CR.
     with mock.patch.object(microdata, "_BLOCK_BYTES", block):
-        ends = microdata._line_ends(data)
+        ends, source = _scanned(data)
     # Text read with newline="" splits lines as csv does.
     lines = io.StringIO(data.decode(), newline="").readlines()
-    assert ends.tolist() == list(itertools.accumulate(map(len, lines)))
-    assert microdata._is_plain(data, ",") == (not any(line.endswith("\r") for line in lines))
+    assert ends.tolist() == (list(itertools.accumulate(map(len, lines))) or [0])
+    assert source.plain == (b'"' not in data and not any(line.endswith("\r") for line in lines))
+    assert (source.size, source.crc) == (len(data), zlib.crc32(data))
     assert ends.dtype == np.int32
 
 
 def test_line_end_scan_makes_no_array_per_byte():
     # 16 blocks of lines ended by "\n", "\r\n" and a lone "\r".  Besides its
-    # result, the scan holds two masks of a block and the line offsets of
-    # two blocks (about 3.3 blocks here); a mask of every byte would be 16.
+    # result, the scan holds the block it read, two masks of it and its
+    # line offsets (about 3.7 blocks here); a mask of every byte would be 16.
     block = 1 << 16
     data = b"alpha,beta\n" + b"gamma,delta\r\nepsilon,zeta\ralpha,beta\n" * (16 * block // 36)
+    source = microdata._Source(data=data)
     with mock.patch.object(microdata, "_BLOCK_BYTES", block):
         tracemalloc.start()
         try:
-            ends = microdata._line_ends(data)
+            ends, _ = microdata._line_ends(source)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -850,11 +871,11 @@ def test_line_end_scan_makes_no_array_per_byte():
 
 
 def test_bare_cr_and_quotes_stay_on_csv():
-    assert microdata._is_plain(b"A,B\r\nx,y\r\nz,w\n", ",")
-    assert not microdata._is_plain(b"A,B\rx,y\n", ",")
-    assert not microdata._is_plain(b"A,B\r\nx,y\r", ",")
-    assert not microdata._is_plain(b"A,B\r\r\nx,y\n", ",")
-    assert not microdata._is_plain(b'A,B\r\n"x",y\r\n', ",")
+    assert _scanned(b"A,B\r\nx,y\r\nz,w\n")[1].plain
+    assert not _scanned(b"A,B\rx,y\n")[1].plain
+    assert not _scanned(b"A,B\r\nx,y\r")[1].plain
+    assert not _scanned(b"A,B\r\r\nx,y\n")[1].plain
+    assert not _scanned(b'A,B\r\n"x",y\r\n')[1].plain
 
 
 # --------------------------------------------------------------- delta read
@@ -922,7 +943,12 @@ def test_delta_read_equals_full_read(case, chunk_rows):
         return
     assert not isinstance(delta, str), delta
     assert delta.attributes == full.attributes
-    assert delta.raw == full.raw
+    written = []
+    for mf in (delta, full):
+        buffer = io.BytesIO()
+        write_microfile(mf, buffer)
+        written.append(buffer.getvalue())
+    assert written == [released, released]
     np.testing.assert_array_equal(delta.bounds, full.bounds)
     assert records(delta) == records(full)
     assert_codes_in_order(delta.vocabularies)
@@ -994,3 +1020,100 @@ def test_delta_read_ignores_an_edited_like():
     again = load_microfile(io.StringIO(microfile_text(mf)), like=rewritten)
     assert again.parsed == len(mf)
     assert records(again) == SMALL_ROWS
+
+
+# ----------------------------------------------------------------- re-reads
+
+def _small_source(tmp_path):
+    path = tmp_path / "in.csv"
+    write_microfile(make_microfile(SMALL_ROWS * 4), path)
+    return path
+
+
+@pytest.mark.parametrize("stage", ["load", "write"])
+def test_a_source_changed_between_reads_fails_and_leaves_no_file(tmp_path, monkeypatch, stage):
+    # The first read fixes the text's size and CRC-32; the load's second
+    # read and the write each check both.  The flipped byte turns the last
+    # record's "2" into a "3", which parses, in a record the rewrite leaves.
+    path = _small_source(tmp_path)
+    size = path.stat().st_size
+    if stage == "load":
+        def scan_then_flip(source):
+            scanned = line_ends(source)
+            flip_byte(path, size - 2)
+            return scanned
+
+        line_ends = microdata._line_ends
+        monkeypatch.setattr(microdata, "_line_ends", scan_then_flip)
+        with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
+            load_microfile(path)
+        return
+    mf = rewrite_microfile(load_microfile(path), small_spec(), [8, 4], [4, 12], seed=2)
+    assert mf.edited.max() < len(mf) - 1
+    flip_byte(path, size - 2)
+    release = tmp_path / "out" / "release.csv"
+    with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
+        write_microfile(mf, release)
+    assert [p.name for p in tmp_path.rglob("*")] == ["in.csv", "out"]
+
+
+def test_delta_load_against_a_changed_original_fails(tmp_path):
+    # verify loads the original, then reads the release against it.
+    path = _small_source(tmp_path)
+    original = load_microfile(path)
+    release = tmp_path / "out.csv"
+    write_microfile(rewrite_microfile(original, small_spec(), [8, 4], [4, 12], seed=2), release)
+    assert load_microfile(release, like=original).parsed == 12
+    flip_byte(path, path.stat().st_size - 2)
+    with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
+        load_microfile(release, like=original)
+
+
+def test_write_over_its_own_source_equals_a_write_elsewhere(tmp_path, monkeypatch):
+    monkeypatch.setattr(microdata, "_BLOCK_BYTES", 7)
+    path = _small_source(tmp_path)
+    mf = rewrite_microfile(load_microfile(path), small_spec(), [8, 4], [4, 12], seed=2)
+    elsewhere = tmp_path / "elsewhere.csv"
+    write_microfile(mf, elsewhere)
+    path.chmod(0o640)
+    write_microfile(mf, path)
+    assert path.read_bytes() == elsewhere.read_bytes() != microfile_text(make_microfile(SMALL_ROWS * 4)).encode()
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere.csv", "in.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_input_and_output_load_and_write(tmp_path):
+    # A pipe cannot be read twice, so its text is kept; a pipe is written in place.
+    text = microfile_text(make_microfile(SMALL_ROWS)).encode()
+    inlet, outlet = tmp_path / "in.fifo", tmp_path / "out.fifo"
+    os.mkfifo(inlet)
+    os.mkfifo(outlet)
+    received = []
+
+    def feed():
+        with open(inlet, "wb") as handle:
+            handle.write(text)
+
+    def drain():
+        with open(outlet, "rb") as handle:
+            received.append(handle.read())
+
+    threads = [threading.Thread(target=target, daemon=True) for target in (feed, drain)]
+    for thread in threads:
+        thread.start()
+    mf = load_microfile(inlet)
+    write_microfile(mf, outlet)
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert records(mf) == SMALL_ROWS
+    assert received == [text]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fifo", "out.fifo"]
+
+
+def test_text_sink_takes_characters_split_across_blocks(monkeypatch):
+    # Every block of one byte ends inside a two-byte character.
+    monkeypatch.setattr(microdata, "_BLOCK_BYTES", 1)
+    text = "RÉG,JOB\né,ü\nß,X\n"
+    assert microfile_text(load_microfile(io.StringIO(text))) == text
