@@ -35,19 +35,26 @@ reading a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or
 a lone ``\r``.  The same read finds whether every record is one line (no
 quote character, and no line ended by a lone ``\r``).  Two parsers then
 build the same codes and vocabularies from those ends.  Text whose records
-are lines takes the plain path, which reads the text again and splits the
-records in chunks of rows.  Each chunk first sorts its lines into classes
-of equal lines, in one of two modes chosen from what earlier chunks showed:
+are lines takes the plain path, which reads the text again a chunk of rows
+at a time into one buffer.  The load keeps tables of what it has seen, in
+one of two modes:
 
-* while lines repeat, equal lines are found in numpy from their bytes
-  (packed into ``uint64`` words, keyed, and compared word for word with
-  the first line of their key);
-* once a chunk finds more distinct lines than half its rows, finding them
-  does not pay, and in every later chunk each line is its own class.
+* while lines repeat, one table holds each distinct line seen so far with
+  its codes;
+* from the first chunk with more new distinct lines than half its rows on,
+  the lines are split at the delimiters one mask of the chunk finds, and
+  each column has a table of the fields seen so far with their codes (a
+  chunk in which a column is mostly new values, such as an identifier,
+  does not add them to its table).
 
-Then one step serves both modes: the first line of each class is gathered
-from the text, its fields are counted from the delimiter positions in its
-bytes, and it is decoded, loses its ``\r`` and is split into cells.
+One kernel serves both modes.  Each span (a line or a field) is packed into
+``uint64`` words and keyed, its key is found by binary search among the
+table's sorted keys, and the span is compared word for word with the bytes
+the table holds for that entry, so its codes are exact.  Only the spans
+the table lacks are classed into equal spans and decoded, each class once,
+in one batch per chunk and table; their values are encoded and joined to
+the table, which stays sorted without a sort.  A chunk whose spans are all
+known decodes nothing, and no chunk makes a Python string per cell.
 
 Everything else goes through :mod:`csv`, which reads the whole text at once
 and whose line count, read against the line ends, gives each record's span.
@@ -55,9 +62,9 @@ and whose line count, read against the line ends, gives each record's span.
 A load may name a microfile the text is expected to repeat (``like``, for
 ``verify`` the original of a release).  On the plain path a record whose
 bytes equal that file's record at the same position then takes its codes,
-and only the other records are split; the two texts are read chunk by chunk
-in step.  An identical line parses to identical cells, so this gives the
-cell values of a full parse.
+and only the other records go through the tables above, which start
+empty; the two texts are read chunk by chunk in step.  An identical line
+parses to identical cells, so this gives the cell values of a full parse.
 """
 
 from __future__ import annotations
@@ -153,6 +160,14 @@ class _Reader:
         if len(piece) != count:
             raise self._changed()
         return piece
+
+    def readinto(self, buffer: np.ndarray) -> None:
+        """Fill the ``uint8`` array ``buffer`` with the next ``buffer.size`` bytes."""
+        count = self.stream.readinto(buffer)
+        self.size += count
+        self.crc = zlib.crc32(buffer[:count], self.crc)
+        if count != buffer.size:
+            raise self._changed()
 
     def copy(self, count, write) -> None:
         """Pass the next ``count`` bytes to ``write``, ``_BLOCK_BYTES`` at a time."""
@@ -329,10 +344,10 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     ``source`` is a path or an object whose ``read()`` returns text or
     bytes.  Every attribute the header names is loaded; a UTF-8 byte order
     mark before the header is not part of the first name, and writing
-    keeps it.  While lines repeat, only the first of each set of equal
-    lines in a chunk is decoded and split (see the module docstring); a
-    malformed line is still reported at its own line number, as a full
-    parse would.
+    keeps it.  Only a line or a field the load has not yet seen is decoded
+    (see the module docstring); a malformed line is still reported at its
+    own line number, as a full parse would, unless the text changed since
+    the load's first read of it, which is then reported instead.
 
     A path to a regular file is resolved now and read a block or a chunk at
     a time by this load and by every later pass that needs the text (a
@@ -385,7 +400,8 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
 
     A line ends at "\n", "\r\n" or a lone "\r", as :mod:`csv` reads a file
     opened with ``newline=""``; the last line may lack its line break.  The
-    text is read ``_BLOCK_BYTES`` at a time into one buffer, and each
+    text is read ``_BLOCK_BYTES`` at a time (all at once, when shorter) into
+    one buffer, whose two byte masks are made once per scan, and each
     block's breaks are written straight into the result, so the only array
     as long as the text's lines is the result.  It is sized from the lines
     per byte seen so far, and resized in place (``realloc``, which remaps a
@@ -394,7 +410,6 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
     ``int64``.  The source comes back with the text's size, CRC-32 and
     whether it is plain (see :class:`_Source`).
     """
-    block = bytearray(_BLOCK_BYTES)
     ends = np.empty(1, dtype=np.int32)
     n = size = crc = 0
     # Whether the text read so far ends in a CR, which ends a line unless
@@ -403,11 +418,14 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
     with source.open() as stream:
         expected = stream.seek(0, io.SEEK_END)
         stream.seek(0)
+        block = bytearray(min(_BLOCK_BYTES, max(expected, 1)))
+        buf = np.frombuffer(block, dtype=np.uint8)
+        masks = [np.empty(len(block), dtype=bool) for _ in range(2)]
         while count := stream.readinto(block):
             stop = size + count
             if stop > _INT32_BOUNDS_LIMIT and ends.dtype == np.int32:
                 ends = ends.astype(np.int64)
-            at, lone = _breaks(block, count)
+            at, lone = _breaks(block, buf[:count], [mask[:count] for mask in masks])
             need = n + at.size + 2  # and a lone CR before the block, and a last line without a break
             if need > ends.size:
                 ends.resize(max(need, need * expected // stop), refcheck=False)
@@ -415,9 +433,11 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
                 ends[n] = size
                 n += 1
                 lone = True
-            np.add(at, size + 1, out=ends[n : n + at.size], casting="unsafe")
+            shifted = ends[n : n + at.size]
+            shifted[:] = at
+            shifted += size + 1
             n += at.size
-            del at  # before the next block's are found
+            del at, shifted  # before the next block's are found
             plain = plain and not lone and block.find(b'"', 0, count) == -1
             cr = block[count - 1] == ord("\r")
             crc = zlib.crc32(memoryview(block)[:count], crc)
@@ -429,19 +449,19 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
     return ends, replace(source, size=size, crc=crc, plain=plain and not cr)
 
 
-def _breaks(block: bytearray, count: int) -> tuple[np.ndarray, bool]:
-    """The offsets of the bytes of ``block[:count]`` that end a line, and whether a lone CR is one.
+def _breaks(block: bytearray, buf: np.ndarray, masks: list[np.ndarray]) -> tuple[np.ndarray, bool]:
+    """The offsets of the bytes of ``buf`` (a view of ``block``) that end a line, and whether a lone CR is one.
 
-    A CR that is the last of the bytes is left to the caller, which knows
-    the byte after it.  The block's masks are freed on return, before the
-    next block's are made.
+    ``masks`` is two arrays of scratch space as long as ``buf``.  A CR that is
+    the last of the bytes is left to the caller, which knows the byte after
+    it.
     """
-    buf = np.frombuffer(block, dtype=np.uint8, count=count)
-    breaks = buf == ord("\n")
+    breaks, crs = masks
+    np.equal(buf, ord("\n"), out=breaks)
     lone = False
-    if block.find(b"\r", 0, count) != -1:
+    if block.find(b"\r", 0, buf.size) != -1:
         # A CR ends a line unless a "\n" follows it.
-        crs = buf == ord("\r")
+        np.equal(buf, ord("\r"), out=crs)
         np.greater(crs[:-1], breaks[1:], out=crs[:-1])
         crs[-1] = False
         lone = bool(crs.any())
@@ -483,104 +503,228 @@ def _split_plain(source: _Source, delimiter: str, bounds: np.ndarray, like: Micr
     """Parser for text whose records are the lines ending at ``bounds``; see :func:`load_microfile` for ``like``.
 
     The text is read again a chunk of rows at a time, and so is ``like``'s,
-    in step; both reads are checked against the first.
+    in step; both reads are checked against the first, also before a parse
+    error is raised, so that a text changed between reads is reported as
+    changed.
     """
     with ExitStack() as stack:
-        reader = stack.enter_context(_Reader(source))
-        head = reader.read(bounds[0])
-        header = _decode(head, lambda offset: 1).removeprefix(_BOM)
-        header = header.removesuffix("\n").removesuffix("\r")
-        attributes = _header_attributes(header.split(delimiter) if header else [])
-        q = len(attributes)
-        n = len(bounds) - 1
-        if n == 0:
-            raise MicrofileError("empty file")
-        if like is not None and like.delimiter == delimiter and not like.edited.size and like.source.plain:
-            old_reader = stack.enter_context(_Reader(like.source))
-            if old_reader.read(like.bounds[0]) != head:
-                like = None
-        else:
-            like = None
-        if like is None:
-            shared = 0
-            indexes = [{} for _ in range(q)]
-            codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
-        else:
-            shared = min(n, len(like))
-            # like's own vocabularies, and arrays if it has n rows, copied only
-            # when a parsed record changes one.
-            indexes = list(like.vocabularies)
-            if n == len(like):
-                codes = list(like.codes)
+        readers = [stack.enter_context(_Reader(source))]
+        try:
+            head = readers[0].read(bounds[0])
+            header = _decode(head, lambda offset: 1).removeprefix(_BOM)
+            header = header.removesuffix("\n").removesuffix("\r")
+            attributes = _header_attributes(header.split(delimiter) if header else [])
+            q = len(attributes)
+            n = len(bounds) - 1
+            if n == 0:
+                raise MicrofileError("empty file")
+            if like is not None and like.delimiter == delimiter and not like.edited.size and like.source.plain:
+                readers.append(stack.enter_context(_Reader(like.source)))
+                if readers[1].read(like.bounds[0]) != head:
+                    like = None
             else:
-                # Copies cut or padded to n rows; rows past like's end are all parsed.
-                codes = [np.resize(column, n) for column in like.codes]
-        parsed = 0
-        repeating = True
-        for r0 in range(0, n, _CHUNK_ROWS):
-            r1 = min(r0 + _CHUNK_ROWS, n)
-            chunk = reader.read(bounds[r1] - bounds[r0])
-            buf = np.frombuffer(chunk, dtype=np.uint8)
+                like = None
+            codes, lines = _split_lines(readers, delimiter, q, bounds, like)
+        except MicrofileError:
+            for reader in readers:
+                reader.check()
+            raise
+        for reader in readers:
+            reader.check()
+    return attributes, codes, lines.indexes, bounds, lines.parsed
+
+
+def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndarray, like: Microfile | None):
+    """The code columns of the records ending at ``bounds[1:]``, read a chunk at a time, and the :class:`_Lines` that parsed them."""
+    n = len(bounds) - 1
+    if like is None:
+        shared = 0
+        lines = _Lines(delimiter, [{} for _ in range(q)], [None] * q)
+        codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
+    else:
+        shared = min(n, len(like))
+        # like's own vocabularies, and arrays if it has n rows, copied only
+        # when a parsed record changes one.
+        lines = _Lines(delimiter, list(like.vocabularies), like.vocabularies)
+        if n == len(like):
+            codes = list(like.codes)
+        else:
+            # Copies cut or padded to n rows; rows past like's end are all parsed.
+            codes = [np.resize(column, n) for column in like.codes]
+    # One read buffer for every chunk, with room for the words of its last
+    # line (see _pack).
+    block = np.empty(0, dtype=np.uint8)
+    for r0 in range(0, n, _CHUNK_ROWS):
+        r1 = min(r0 + _CHUNK_ROWS, n)
+        size = int(bounds[r1] - bounds[r0])
+        if block.size < size + 8:
+            block = np.empty(size + 8, dtype=np.uint8)
+        readers[0].readinto(block[:size])
+        rows = range(r0, r1)
+        if r0 < shared:
+            s1 = min(r1, shared)
+            old = np.frombuffer(readers[1].read(like.bounds[s1] - like.bounds[r0]), dtype=np.uint8)
             todo = np.ones(r1 - r0, dtype=bool)
-            if r0 < shared:
-                s1 = min(r1, shared)
-                old = np.frombuffer(old_reader.read(like.bounds[s1] - like.bounds[r0]), dtype=np.uint8)
-                todo[: s1 - r0] = _changed(buf[: bounds[s1] - bounds[r0]], bounds[r0 : s1 + 1],
-                                           old, like.bounds[r0 : s1 + 1])
+            todo[: s1 - r0] = _changed(block[: bounds[s1] - bounds[r0]], bounds[r0 : s1 + 1],
+                                       old, like.bounds[r0 : s1 + 1])
             rows = r0 + np.flatnonzero(todo)
             if not rows.size:
                 continue
-            parsed += rows.size
-            at = slice(r0, r1) if rows.size == r1 - r0 else rows
-            # Offsets from the chunk's start.
-            starts, ends = bounds[at] - bounds[r0], bounds[1:][at] - bounds[r0]
-            if repeating:
-                # Equal lines are found from their bytes.  A chunk with more
-                # distinct lines than half its rows shows this does not pay, and
-                # in later chunks every line is its own class.
-                firsts, classes = _line_classes(buf, starts, ends)
-                repeating = 2 * firsts.size <= rows.size
-            else:
-                firsts = classes = np.arange(rows.size)
-            # Only the first line of each class is decoded and split.  Their bytes
-            # are the whole chunk when they are all the chunk's lines, and else
-            # gathered by one index array: the gathered byte k, in line i, is
-            # buf[k + starts[i] - (bytes before line i)].
-            starts, sizes = starts[firsts], ends[firsts] - starts[firsts]
-            if firsts.size == r1 - r0:
-                lines = buf
-            else:
-                gather = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
-                gather += np.arange(gather.size, dtype=gather.dtype)
-                lines = buf[gather]
-            fields = _field_counts(lines, sizes, delimiter)[classes]
-            text = _decode(lines.tobytes(), _line_at(rows[firsts], sizes))
-            if b"\r" in chunk:
-                text = text.replace("\r", "")
-            cells = text.removesuffix("\n").replace("\n", delimiter).split(delimiter)
-            bad = np.flatnonzero(fields != q)
-            if bad.size:
-                r = bad[0]
-                raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
-            for j in range(q):
-                values = cells[j::q]
-                if like is not None and indexes[j] is like.vocabularies[j]:
-                    if not all(map(indexes[j].__contains__, values)):
-                        indexes[j] = dict(indexes[j])
-                column = _encode(values, indexes[j])[classes]
-                wide = _code_type(len(indexes[j]))
-                if not np.can_cast(wide, codes[j].dtype):
-                    # A copy, so a column shared with like is never widened in place.
-                    codes[j] = codes[j].astype(wide)
-                elif like is not None and codes[j] is like.codes[j]:
-                    if np.array_equal(codes[j][at], column):
-                        continue
-                    codes[j] = codes[j].copy()
-                codes[j][at] = column
-        reader.check()
-        if like is not None:
-            old_reader.check()
-    return attributes, codes, indexes, bounds, parsed
+        # Offsets from the chunk's start; the lines to parse, if not all the
+        # chunk's, are gathered into a buffer of their own.
+        if len(rows) == r1 - r0:
+            at, buf = slice(r0, r1), block
+            starts, ends = bounds[r0:r1] - bounds[r0], bounds[r0 + 1 : r1 + 1] - bounds[r0]
+        else:
+            at = rows
+            starts, sizes = bounds[rows] - bounds[r0], bounds[rows + 1] - bounds[rows]
+            buf = np.empty(int(sizes.sum()) + 8, dtype=np.uint8)
+            buf[:-8] = _gather(block, starts, sizes)
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+        for j, column in enumerate(lines.parse(buf, starts, ends, rows)):
+            wide = _code_type(len(lines.indexes[j]))
+            if not np.can_cast(wide, codes[j].dtype):
+                # A copy, so a column shared with like is never widened in place.
+                codes[j] = codes[j].astype(wide)
+            elif like is not None and codes[j] is like.codes[j]:
+                if np.array_equal(codes[j][at], column):
+                    continue
+                codes[j] = codes[j].copy()
+            codes[j][at] = column
+    return codes, lines
+
+
+class _Lines:
+    """What one load of plain text keeps from chunk to chunk: vocabularies and key tables.
+
+    While lines repeat, one :class:`_Table` maps every line seen so far to
+    its codes.  The first chunk with more new distinct lines than half its
+    rows switches the load to fields: from that chunk on, each column has a
+    table of its own that maps each field seen so far to its code.  Only the
+    spans a table does not hold are decoded; each distinct one is decoded
+    once, in one batch per chunk and table, and encoded.
+    """
+
+    def __init__(self, delimiter: str, indexes: list[dict[str, int]], shared: list[dict[str, int] | None]):
+        self.delimiter, self.indexes = delimiter, indexes
+        # The vocabularies of like, each copied before the first value it lacks joins it.
+        self.shared = shared
+        self.lines: _Table | None = _Table(len(indexes))
+        self.fields: list[_Table] = []
+        self.parsed = 0
+
+    def parse(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, rows: Sequence[int]):
+        """Per column, the ``int32`` codes of the records ``rows``, which are the lines ``buf[starts[i]:ends[i]]``.
+
+        ``buf`` holds 8 bytes past the last line (see :func:`_pack`).
+        """
+        self.parsed += len(rows)
+        if self.lines is not None:
+            codes = self._lines(buf, starts, ends, rows)
+            if codes is not None:
+                return codes
+            self.lines = None
+            self.fields = [_Table(1) for _ in self.indexes]
+        return self._fields(buf, starts, ends, rows)
+
+    def _lines(self, buf, starts, ends, rows):
+        # A line is its bytes before the "\n"; only the text's last line may lack one.
+        sizes = ends - starts - 1
+        sizes[-1] += buf[ends[-1] - 1] != ord("\n")
+        codes, new = self.lines.lookup(buf, starts, sizes)
+        if not new.at.size:
+            return codes
+        firsts, classes = new.classes()
+        if 2 * firsts.size > len(rows):
+            return None
+        # The new lines, each with its line break, decoded and split.
+        f = new.at[firsts]
+        line_sizes = ends[f] - starts[f]
+        lines = _gather(buf, starts[f], line_sizes)
+        if (_field_counts(lines, line_sizes, self.delimiter) != len(self.indexes)).any():
+            self._fail(buf, starts, ends, rows)
+        text = self._text(lines, buf, starts, ends, rows)
+        if "\r" in text:
+            text = text.replace("\r", "")
+        cells = text.removesuffix("\n").replace("\n", self.delimiter).split(self.delimiter)
+        q = len(self.indexes)
+        values = np.stack([self._encode(j, cells[j::q]) for j in range(q)])
+        self.lines.add(new, firsts, values)
+        codes[:, new.at] = values[:, classes]
+        return codes
+
+    def _fields(self, buf, starts, ends, rows):
+        q = len(self.indexes)
+        # Where each line's last field ends: before its "\n" and a "\r" before that.
+        last = ends - (buf[ends - 1] == ord("\n"))
+        last -= (last > starts) & (buf[last - 1] == ord("\r"))
+        # One delimiter mask of the lines.  When there are q - 1 delimiters
+        # per line and each line's lie inside it, every line has q fields.
+        delimiters = np.flatnonzero(buf[: ends[-1]] == ord(self.delimiter)).astype(starts.dtype)
+        if delimiters.size != len(rows) * (q - 1):
+            self._fail(buf, starts, ends, rows)
+        delimiters = delimiters.reshape(len(rows), q - 1)
+        if q == 1:
+            fits = (last > starts).all()  # an empty line has no field
+        else:
+            fits = (delimiters[:, 0] >= starts).all() and (delimiters[:, -1] < last).all()
+        if not fits:
+            self._fail(buf, starts, ends, rows)
+        columns = []
+        for j, table in enumerate(self.fields):
+            first = starts if j == 0 else delimiters[:, j - 1] + 1
+            sizes = (last if j == q - 1 else delimiters[:, j]) - first
+            codes, new = table.lookup(buf, first, sizes)
+            codes = codes[0]
+            if new.at.size:
+                firsts, classes = new.classes()
+                # The new fields, each followed by a delimiter, decoded and split.
+                f = new.at[firsts]
+                cells = _gather(buf, first[f], sizes[f] + 1)
+                cells[np.cumsum(sizes[f] + 1) - 1] = ord(self.delimiter)
+                values = self._encode(j, self._text(cells, buf, starts, ends, rows)[:-1].split(self.delimiter))
+                # A column of mostly new values (an identifier) would only
+                # grow its table; its codes are taken as they are.
+                if 2 * firsts.size <= len(rows):
+                    table.add(new, firsts, values[None])
+                codes[new.at] = values[classes]
+            columns.append(codes)
+        return columns
+
+    def _encode(self, j: int, values: list[str]) -> np.ndarray:
+        if self.indexes[j] is self.shared[j] and not all(map(self.indexes[j].__contains__, values)):
+            self.indexes[j] = dict(self.indexes[j])
+        return _encode(values, self.indexes[j])
+
+    def _text(self, data: np.ndarray, buf, starts, ends, rows) -> str:
+        """``data``, spans of the given lines, decoded as UTF-8; see :meth:`_fail` for an error."""
+        try:
+            return data.tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            self._fail(buf, starts, ends, rows)
+            raise
+
+    def _fail(self, buf, starts, ends, rows):
+        """Raise the error a full parse of the given lines raises first.
+
+        That is the first line that is not UTF-8 text, else the first line
+        without one field per attribute.
+        """
+        _decode(buf[: ends[-1]].tobytes(), _line_at(rows, ends - starts))
+        fields = _field_counts(buf[: ends[-1]], ends - starts, self.delimiter)
+        r = np.flatnonzero(fields != len(self.indexes))[0]
+        raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {len(self.indexes)}")
+
+
+def _gather(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The bytes ``buf[starts[i] : starts[i] + sizes[i]]`` of each span, one after another.
+
+    The gathered byte k, in span i, is ``buf[k + starts[i] - (bytes before span i)]``.
+    """
+    index = np.repeat(starts - (np.cumsum(sizes, dtype=starts.dtype) - sizes), sizes)
+    index += np.arange(index.size, dtype=index.dtype)
+    return buf[index]
 
 
 def _line_at(rows: np.ndarray, sizes: np.ndarray):
@@ -593,65 +737,169 @@ _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _mix(keys: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """``keys`` with one more word of each line folded in (a multiply-xorshift step)."""
-    keys = (keys ^ words) * np.uint64(0x9E3779B97F4A7C15)
-    return keys ^ (keys >> np.uint64(32))
+    """``keys`` with one more word of each span folded in (a multiply-xorshift step)."""
+    keys = keys ^ words
+    keys *= np.uint64(0x9E3779B97F4A7C15)
+    keys ^= keys >> np.uint64(32)
+    return keys
 
 
-def _line_classes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Classes of equal lines among the lines ``buf[starts[i]:ends[i]]``, ascending.
+def _pack(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> _Spans:
+    """The spans ``buf[starts[i] : starts[i] + sizes[i]]``, packed into words and keyed.
 
-    A line is its bytes without the "\n", packed into little-endian uint64
-    words, and its key is a mix of its length and its words.  Each line is
-    compared word for word with the first line of its key, and the lines
-    that differ (a key collision) are matched by their bytes, so a class
-    holds exactly the lines equal to its first.  Word w is read only from
-    the lines that have one, so the work grows with the chunk's bytes and
-    rows, not with its rows times its longest line.  Returns the index of
-    each class's first line, ascending, and each line's class: classes are
-    numbered by first appearance.
+    A span's words are its bytes as little-endian ``uint64`` words, the last
+    one zero-padded; an empty span has one word, 0.  ``buf`` holds 8 bytes
+    past the last span for that word's read.  A span's key is a mix of its
+    size and its words.  A word after the first is read only from the spans
+    that have one, so the work grows with the spans' bytes and number, not
+    with their number times the longest.
     """
-    lengths = ends - starts - 1
-    lengths[-1] += buf[ends[-1] - 1] != ord("\n")  # only the text's last line may lack one
-    width = max(1, -(-int(lengths.max()) // 8))
-    # A copy of the lines with room for the words of the last one.
-    region = np.zeros(int(ends[-1] - starts[0]) + 8 * width, dtype=np.uint8)
-    region[: ends[-1] - starts[0]] = buf[starts[0] : ends[-1]]
-    # Every 8-byte window of the region, as raw bytes: numpy gathers those
-    # faster than unaligned integers.
-    windows = np.ndarray((region.size - 7,), dtype="V8", buffer=region, strides=(1,))
-    # Lines by descending word count, stable so that the first of equal
-    # lines stays first: the lines with more than w words are the first has[w].
-    counts = -(-lengths // 8)
-    order = np.argsort(-counts, kind="stable")
-    at, sizes = starts[order] - starts[0], lengths[order]
-    has = np.searchsorted(-counts[order], -np.arange(width + 1))
-    keys = sizes.astype(np.uint64)
-    words = []
-    for w in range(width):
-        word = windows[at[: has[w]] + 8 * w].view("<u8")
-        word[has[w + 1] :] &= _BYTE_MASKS[sizes[has[w + 1] : has[w]] - 8 * w]  # lines ending in it
-        keys[: has[w]] = _mix(keys[: has[w]], word)
-        words.append(word)
-    _, first, key_class = np.unique(keys, return_index=True, return_inverse=True)
-    first = first[key_class]  # per line, the first line with its key
-    differ = sizes != sizes[first]
-    # A line is compared with its key's first line when their lengths are
-    # equal, so that line has as many words; otherwise with itself.
-    other = np.where(differ, np.arange(sizes.size), first)
-    for word in words:
-        differ[: word.size] |= word != word[other[: word.size]]
-    # Per line in the lines' own order, the first line with its key.
-    lines = np.empty_like(order)
-    lines[order] = order[first]
-    seen: dict[bytes, int] = {}
-    for i in np.sort(order[differ]).tolist():
-        lines[i] = seen.setdefault(buf[starts[i] : starts[i] + lengths[i]].tobytes(), i)
-    index = np.arange(lines.size)
-    firsts = np.flatnonzero(lines == index)
-    classes = np.empty_like(index)
-    classes[firsts] = np.arange(firsts.size)
-    return firsts, classes[lines]
+    # Every 8-byte window of buf, as raw bytes: numpy gathers those faster
+    # than unaligned integers.
+    windows = np.ndarray((buf.size - 7,), dtype="V8", buffer=buf, strides=(1,))
+    word = windows[starts].view("<u8")
+    word &= _BYTE_MASKS.take(np.minimum(sizes, 8))
+    keys = _mix(sizes.astype(np.uint64), word)
+    levels = [(slice(None), word)]
+    have = np.flatnonzero(sizes > 8)
+    while have.size:
+        w = 8 * len(levels)
+        word = windows[starts[have] + w].view("<u8")
+        word &= _BYTE_MASKS.take(np.minimum(sizes[have] - w, 8))
+        keys[have] = _mix(keys[have], word)
+        levels.append((have, word))
+        have = have[sizes[have] > w + 8]
+    return _Spans(buf, starts, sizes, keys, levels)
+
+
+@dataclass
+class _Spans:
+    """Packed spans of a buffer (see :func:`_pack`); after a lookup, the spans ``at`` of those it was given.
+
+    ``levels[w]`` is the spans that have a word w, ascending (every span,
+    as a slice, for word 0), and that word of each.
+    """
+
+    buf: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    keys: np.ndarray
+    levels: list[tuple[slice | np.ndarray, np.ndarray]]
+    at: np.ndarray | None = None
+
+    def bytes(self, i: int) -> bytes:
+        return self.buf[self.starts[i] : self.starts[i] + self.sizes[i]].tobytes()
+
+    def take(self, at: np.ndarray) -> _Spans:
+        """The spans ``at``, in order."""
+        levels = [(slice(None), self.levels[0][1][at])]
+        if len(self.levels) > 1:
+            position = np.full(self.sizes.size, -1, dtype=np.intp)
+            position[at] = np.arange(at.size)
+            for have, word in self.levels[1:]:
+                kept = position[have]
+                keep = kept >= 0
+                levels.append((kept[keep], word[keep]))
+        return _Spans(self.buf, self.starts[at], self.sizes[at], self.keys[at], levels, at)
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Classes of equal spans: the first span of each, ascending, and each span's class.
+
+        Each span is compared word for word with the first span of its key,
+        and the spans that differ (a key collision) are matched by their
+        bytes, so a class holds exactly the spans equal to its first.
+        Classes are numbered by first appearance.
+        """
+        _, first, key_class = np.unique(self.keys, return_index=True, return_inverse=True)
+        first = first[key_class]  # per span, the first span with its key
+        differ = self.sizes != self.sizes[first]
+        word = self.levels[0][1]
+        differ |= word != word[first]
+        for have, word in self.levels[1:]:
+            # A span is compared with its key's first when their sizes are
+            # equal, so that one has this word too; otherwise with itself.
+            other = np.where(differ[have], have, first[have])
+            differ[have] |= word != word[np.searchsorted(have, other)]
+        seen: dict[bytes, int] = {}
+        for i in np.flatnonzero(differ).tolist():
+            first[i] = seen.setdefault(self.bytes(i), i)
+        index = np.arange(first.size)
+        firsts = np.flatnonzero(first == index)
+        classes = np.empty_like(index)
+        classes[firsts] = np.arange(firsts.size)
+        return firsts, classes[first]
+
+
+class _Table:
+    """Spans (lines or fields) seen so far in a load, found by key, each with a column of codes.
+
+    ``keys`` is sorted and holds each key once, with in ``ids`` the entry of
+    the first span added under it; an entry whose key was already held is
+    found by its bytes in ``others``.  Per entry, ``sizes`` and ``starts``
+    give its size and where its words (see :func:`_pack`) start in
+    ``words``, and ``values[:, entry]`` its codes.  Entry 0 matches no span
+    (its size is -1); it sits under the largest key, so that a search always
+    lands on an entry.  Entries are only ever added, so a merge costs the
+    size of the table plus the new entries, and never sorts the table.
+    """
+
+    def __init__(self, width: int):
+        self.keys = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
+        self.ids = np.zeros(1, dtype=np.intp)
+        self.sizes = np.array([-1], dtype=np.intp)
+        self.starts = np.zeros(1, dtype=np.intp)
+        self.words = np.zeros(1, dtype=np.uint64)
+        self.values = np.zeros((width, 1), dtype=np.int32)
+        self.others: dict[bytes, int] = {}
+
+    def lookup(self, buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, _Spans]:
+        """The codes of the entry equal to each span ``buf[starts[i] : starts[i] + sizes[i]]``, and the spans with none.
+
+        A span is found by its key and compared word for word with the
+        entry found, so its codes are exact.  The codes of the spans with no
+        entry are any.
+        """
+        spans = _pack(buf, starts, sizes)
+        entry = self.ids[np.searchsorted(self.keys, spans.keys)]
+        same = self.sizes[entry] == sizes
+        first = self.starts[entry]
+        same &= spans.levels[0][1] == self.words.take(first, mode="clip")
+        for w, (have, word) in enumerate(spans.levels[1:], 1):
+            same[have] &= word == self.words.take(first[have] + w, mode="clip")
+        del first
+        if self.others:
+            for i in np.flatnonzero(~same).tolist():
+                entry[i] = self.others.get(spans.bytes(i), 0)
+                same[i] = entry[i] > 0
+        miss = np.flatnonzero(~same)
+        if miss.size < same.size:
+            spans = spans.take(miss)
+        else:
+            spans.at = miss
+        return self.values.take(entry, axis=1), spans
+
+    def add(self, spans: _Spans, firsts: np.ndarray, values: np.ndarray) -> None:
+        """Add the spans ``firsts`` of ``spans`` as entries, with the columns of codes ``values``."""
+        new = spans.take(firsts)
+        ids = self.values.shape[1] + np.arange(firsts.size)
+        counts = np.maximum(new.sizes + 7, 8) // 8
+        starts = np.cumsum(counts) - counts
+        words = np.zeros(int(counts.sum()), dtype=np.uint64)
+        for w, (have, word) in enumerate(new.levels):
+            words[starts[have] + w] = word
+        self.starts = np.concatenate([self.starts, self.words.size + starts])
+        self.words = np.concatenate([self.words, words])
+        self.sizes = np.concatenate([self.sizes, new.sizes])
+        self.values = np.concatenate([self.values, values], axis=1)
+        keys, index = np.unique(new.keys, return_index=True)
+        at = np.searchsorted(self.keys, keys)
+        fresh = self.keys[at] != keys
+        self.keys = np.insert(self.keys, at[fresh], keys[fresh])
+        self.ids = np.insert(self.ids, at[fresh], ids[index[fresh]])
+        held = np.zeros(firsts.size, dtype=bool)
+        held[index[fresh]] = True
+        for c in np.flatnonzero(~held).tolist():
+            self.others[new.bytes(c)] = ids[c]
 
 
 def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:
@@ -831,12 +1079,21 @@ def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
 
 
 def _vital_mask(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
-    vital = np.zeros(len(mf), dtype=bool)
+    # Each combination starts from its first lookup, and the mask from the
+    # first combination, so no per-record array is made only to be combined.
+    vital = None
     for combo in spec.vital_combinations:
-        match = np.ones(len(mf), dtype=bool)
+        match = None
         for attribute, value in zip(spec.vital_attributes, combo):
-            match &= mf.lookup(attribute, {value: True}, False)
-        vital |= match
+            hit = mf.lookup(attribute, {value: True}, False)
+            if match is None:
+                match = hit
+            else:
+                match &= hit
+        if vital is None:
+            vital = match
+        else:
+            vital |= match
     return vital
 
 

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 
 import numpy as np
 import pytest
@@ -59,13 +60,28 @@ def microfile_text(mf):
     return buffer.getvalue()
 
 
-def flip_byte(path, offset):
-    """Change the byte at ``offset`` of ``path``, keeping its size and times, so only its bytes tell."""
+def flip_byte(path, offset, to=None):
+    """Change the byte at ``offset`` of ``path`` (its lowest bit, or to ``to``), keeping its size and times, so only its bytes tell."""
     stat = path.stat()
     data = bytearray(path.read_bytes())
-    data[offset] ^= 1
+    data[offset] = data[offset] ^ 1 if to is None else ord(to)
     path.write_bytes(data)
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+def write_distinct_lines_file(path, seed=0, categories=4_000):
+    """Write a microfile whose lines mostly differ: about 100,000 shuffled records over ``categories`` categories.
+
+    Like the long-domain benchmark input: each category ``C0001``... has
+    16 to 32 records, each with one of four ``JOB`` codes and one of two
+    ``SEX`` codes, so about 32,000 distinct lines.  Seeded by ``seed``.
+    """
+    rng = random.Random(seed)
+    lines = [f"C{c:04d},{rng.choice('VNMK')},{rng.choice('12')}\n"
+             for c in range(1, categories + 1) for _ in range(rng.randint(16, 32))]
+    rng.shuffle(lines)
+    path.write_text("CAT,JOB,SEX\n" + "".join(lines), encoding="utf-8")
+    return path
 
 
 def band_matrix(f, k, n):
