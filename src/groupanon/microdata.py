@@ -30,41 +30,34 @@ the rewrite's search for the rows it picks).  A code column starts as
 ``uint8`` and is copied to a wider type only when its vocabulary outgrows
 the one it has, so at most three times.
 
-A load's first read finds where every line ends, by the rule of :mod:`csv`
-reading a file opened with ``newline=""``: a line ends at ``\n``, ``\r\n`` or
-a lone ``\r``.  The same read finds whether every record is one line (no
-quote character, and no line ended by a lone ``\r``).  Two parsers then
-build the same codes and vocabularies from those ends.  Text whose records
-are lines takes the plain path, which reads the text again a chunk of rows
-at a time into one buffer.  The load keeps tables of what it has seen, in
-one of two modes:
+A load's first read finds where every record ends, as :mod:`csv` reads a
+file opened with ``newline=""``: at a ``\n``, ``\r\n`` or lone ``\r`` outside
+quotes.  A byte lies inside quotes when an odd number of quotes come before
+it.  A field that holds a quote starts and ends with one, and holds others
+only as ``""`` pairs; a quote inside an unquoted field (``a"b``), text after
+a closing quote (``"a"b``) and an unclosed quote fail before anything is
+written, naming the record's line.  The delimiter is one ASCII character.
 
-* while lines repeat, one table holds each distinct line seen so far with
-  its codes;
-* from the first chunk with more new distinct lines than half its rows on,
-  the lines are split at the delimiters one mask of the chunk finds, and
-  each column has a table of the fields seen so far with their codes (a
-  chunk in which a column is mostly new values, such as an identifier,
-  does not add them to its table).
-
-One kernel serves both modes.  Each span (a line or a field) is packed into
-``uint64`` words and keyed, its key is found by binary search among the
-table's sorted keys, and the span is compared word for word with the bytes
-the table holds for that entry, so its codes are exact.  Only the spans
-the table lacks are classed into equal spans and decoded, each class once,
-in one batch per chunk and table; their values are encoded and joined to
-the table, which stays sorted without a sort.  A chunk whose spans are all
-known decodes nothing, and no chunk makes a Python string per cell.
-
-Everything else goes through :mod:`csv`, which reads the whole text at once
-and whose line count, read against the line ends, gives each record's span.
+One tokenizer then reads the text again a chunk of rows at a time into one
+buffer, and keeps tables of what it has seen: while records repeat, one
+table of the distinct records seen so far with their codes; from the first
+chunk with more new distinct records than half its rows on, one table per
+column of the fields seen so far (a chunk in which a column is mostly new
+values, such as an identifier, does not add them to its table).  Each span
+(a record or a field) is packed into ``uint64`` words and keyed, found by
+binary search among the table's sorted keys, and compared word for word
+with the bytes the table holds for that entry, so its codes are exact.
+Only the spans the table lacks are classed into equal spans, split at the
+delimiters outside quotes, unquoted and decoded, each class once, in one
+batch per chunk and table; their values are joined to the table, which
+stays sorted without a sort.  No chunk makes a Python string per cell.
 
 A load may name a microfile the text is expected to repeat (``like``, for
-``verify`` the original of a release).  On the plain path a record whose
-bytes equal that file's record at the same position then takes its codes,
-and only the other records go through the tables above, which start
-empty; the two texts are read chunk by chunk in step.  An identical line
-parses to identical cells, so this gives the cell values of a full parse.
+``verify`` the original of a release).  A record whose bytes equal that
+file's record at the same position then takes its codes, and only the
+other records go through the tables, which start empty; the two texts are
+read chunk by chunk in step.  A record starts outside quotes, so identical
+bytes parse to identical cells, as a full parse would.
 """
 
 from __future__ import annotations
@@ -76,7 +69,6 @@ import os
 import random
 import shutil
 import zlib
-from array import array
 from contextlib import ExitStack
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
@@ -87,7 +79,7 @@ import numpy as np
 
 from .errors import MicrofileError, RewriteError
 
-# Rows split per step of the plain-text parser; bounds its transient memory.
+# Rows split per step of the tokenizer; bounds its transient memory.
 _CHUNK_ROWS = 1 << 15
 
 # Bytes read per step of a pass over the text that does not split it: the
@@ -104,10 +96,11 @@ _INTEGER_TYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, n
 # Record offsets are int32 for a text of at most this many bytes, else int64.
 _INT32_BOUNDS_LIMIT = np.iinfo(np.int32).max
 
-# A byte order mark that may open UTF-8 text.  It is dropped from the decoded
-# header (before csv reads it, so a quoted first name still parses) and kept
-# in the text, which writing copies.
-_BOM = "\ufeff"
+# A byte order mark that may open UTF-8 text: not part of the header's first
+# field, so a quoted first name still parses, and kept in the text.
+_BOM = codecs.BOM_UTF8
+
+_QUOTE, _LF, _CR = ord('"'), ord("\n"), ord("\r")
 
 
 @dataclass(frozen=True)
@@ -118,15 +111,13 @@ class _Source:
     any other text (a file object's, a pipe's, :meth:`Microfile.from_rows`')
     is held as ``data``.  ``size`` and ``crc`` (``zlib.crc32``) are the
     text's at its first read, against which :class:`_Reader` checks every
-    later read.  ``plain`` is whether every record is one line: the text has
-    no quote character and no line ended by a lone CR.
+    later read.
     """
 
     path: Path | None = None
     data: bytes | None = None
     size: int = 0
     crc: int = 0
-    plain: bool = False
 
     def open(self):
         """A binary stream of the text, from its start."""
@@ -342,29 +333,28 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     """Read a delimited UTF-8 text microfile with a header row.
 
     ``source`` is a path or an object whose ``read()`` returns text or
-    bytes.  Every attribute the header names is loaded; a UTF-8 byte order
-    mark before the header is not part of the first name, and writing
-    keeps it.  Only a line or a field the load has not yet seen is decoded
-    (see the module docstring); a malformed line is still reported at its
-    own line number, as a full parse would, unless the text changed since
-    the load's first read of it, which is then reported instead.
+    bytes.  ``delimiter`` is one ASCII character other than a quote or a
+    line break; fields may be quoted as :mod:`csv` writes them (see the
+    module docstring for the forms rejected).  Every attribute the header
+    names is loaded; a UTF-8 byte order mark before the header is not part
+    of the first name, and writing keeps it.  Only a record or a field the
+    load has not yet seen is decoded; a malformed record is still reported
+    at its own line number, as a full parse would, unless the text changed
+    since the load's first read of it, which is then reported instead.
 
     A path to a regular file is resolved now and read a block or a chunk at
-    a time by this load and by every later pass that needs the text (a
-    delta load against the microfile, a write); its size and CRC-32 are
-    checked at each.  A file object's text, and the text of any other path
-    (a pipe, a device), are read whole and kept.
+    a time by this load and by every later pass that needs the text (a delta
+    load against the microfile, a write), which checks its size and CRC-32.
+    A file object's text, and any other path's (a pipe, a device), are kept.
 
     ``like`` is a microfile the text mostly repeats, such as the original
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
     re-parsed, with every check of a full parse, and a value new to
-    ``like`` joins the end of a copy of its vocabulary.  This is exact
-    because on the plain path a record is one line, and an identical line
-    parses to identical cells.  Every record counts as changed, which is a full
-    parse, when either text needs the csv parser, when the headers or
-    delimiters differ, or when a rewrite has edited ``like``.  The decoded values
-    never depend on ``like``; the codes and vocabularies may.
+    ``like`` joins the end of a copy of its vocabulary.  Every record counts
+    as changed, which is a full parse, when the headers or delimiters
+    differ, or when a rewrite has edited ``like``.  The decoded values never
+    depend on ``like``; the codes and vocabularies may.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -379,45 +369,53 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
 
 
 def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Microfile:
-    if len(delimiter) != 1 or delimiter in '"\r\n':
+    if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n':
         raise MicrofileError(
-            f"delimiter must be one character other than a quote or line break, got {delimiter!r}"
+            f"delimiter must be one ASCII character other than a quote or line break, got {delimiter!r}"
         )
-    ends, source = _line_ends(source)
-    if not source.size:
+    ends, source = _line_ends(source, delimiter)
+    if len(ends) == 1:  # no record after the header, if any
         raise MicrofileError("empty file")
-    if source.plain and delimiter.isascii():
-        split = _split_plain(source, delimiter, ends, like)
-    else:
-        split = _split_csv(source, delimiter, ends)
-    attributes, codes, vocabularies, bounds, parsed = split
-    return Microfile(attributes, codes, vocabularies, source, bounds, delimiter,
+    attributes, codes, vocabularies, parsed = _split_records(source, delimiter, ends, like)
+    return Microfile(attributes, codes, vocabularies, source, ends, delimiter,
                      np.empty(0, dtype=np.intp), parsed)
 
 
-def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
-    """The offset just past each line of the text, and ``source`` with what this first read found.
+def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
+    """The offset just past each record of the text, and ``source`` with its size and CRC-32.
 
-    A line ends at "\n", "\r\n" or a lone "\r", as :mod:`csv` reads a file
-    opened with ``newline=""``; the last line may lack its line break.  The
-    text is read ``_BLOCK_BYTES`` at a time (all at once, when shorter) into
-    one buffer, whose two byte masks are made once per scan, and each
-    block's breaks are written straight into the result, so the only array
-    as long as the text's lines is the result.  It is sized from the lines
-    per byte seen so far, and resized in place (``realloc``, which remaps a
-    large array rather than copying it) when a block shows more; it is
-    ``int32`` until the text passes ``_INT32_BOUNDS_LIMIT`` bytes, then
-    ``int64``.  The source comes back with the text's size, CRC-32 and
-    whether it is plain (see :class:`_Source`).
+    A record ends at "\n", "\r\n" or a lone "\r" outside quotes; the last
+    may lack its line break.  The text is read ``_BLOCK_BYTES`` at a time
+    (all at once, when shorter) into one buffer, whose two byte masks are
+    made once per scan, and each block's breaks are written straight into
+    the result, the only array as long as the text's records.  It is sized
+    from the records per byte seen so far and resized in place (``realloc``
+    remaps rather than copies), ``int32`` until the text passes
+    ``_INT32_BOUNDS_LIMIT`` bytes, then ``int64``.  Only a block that holds
+    a quote, or starts inside quotes, has its quotes found: a break is
+    dropped when an odd number of quotes come before it, counting the
+    parity carried from the blocks before.  A quote that neither opens nor
+    closes a field (it must follow or precede a delimiter, a line break or
+    the other quote of a ``""`` pair), or an unclosed one, raises a
+    :class:`MicrofileError` that names the record's line.
     """
     ends = np.empty(1, dtype=np.int32)
-    n = size = crc = 0
-    # Whether the text read so far ends in a CR, which ends a line unless
-    # the next block starts with "\n".
-    plain, cr = True, False
+    n = 0
+    # Whether the text read so far ends inside quotes, in a CR outside them
+    # (a line break unless the next block starts with "\n"), and in a
+    # closing quote (checked against the next block's first byte).
+    inside = cr = closed = False
+    # The bytes that may stand before an opening quote or after a closing one.
+    fences = np.zeros(256, dtype=bool)
+    fences[[ord(delimiter), _LF, _CR, _QUOTE]] = True
+    before = _LF  # the byte before the block; the first record starts as if after a line break
     with source.open() as stream:
         expected = stream.seek(0, io.SEEK_END)
         stream.seek(0)
+        # A byte order mark is not scanned, so the header's first field starts after it.
+        size = len(_BOM) if stream.read(len(_BOM)) == _BOM else 0
+        stream.seek(size)
+        crc = zlib.crc32(_BOM[:size])
         block = bytearray(min(_BLOCK_BYTES, max(expected, 1)))
         buf = np.frombuffer(block, dtype=np.uint8)
         masks = [np.empty(len(block), dtype=bool) for _ in range(2)]
@@ -425,48 +423,69 @@ def _line_ends(source: _Source) -> tuple[np.ndarray, _Source]:
             stop = size + count
             if stop > _INT32_BOUNDS_LIMIT and ends.dtype == np.int32:
                 ends = ends.astype(np.int64)
-            at, lone = _breaks(block, buf[:count], [mask[:count] for mask in masks])
-            need = n + at.size + 2  # and a lone CR before the block, and a last line without a break
+            if closed and not fences[block[0]]:
+                raise MicrofileError(f"line {n + 1} has text after a closing quote")
+            lone = cr and block[0] != _LF
+            at = _breaks(block, buf[:count], [mask[:count] for mask in masks])
+            if inside or block.find(b'"', 0, count) != -1:
+                quotes = np.flatnonzero(np.equal(buf[:count], _QUOTE, out=masks[0][:count]))
+                at = at[(np.searchsorted(quotes, at) + inside) % 2 == 0]
+                # Quote k opens quotes when k + inside is even.  The byte before
+                # an opening quote, and the one after a closing quote, must be
+                # a fence.  Past the block's edges, the byte before it and a
+                # line break stand in (the real byte after is checked with the
+                # next block).
+                opens = np.zeros(quotes.size, dtype=bool)
+                opens[int(inside) :: 2] = True
+                padded = np.pad(buf[:count], 1, constant_values=(before, _LF))
+                bad = ~fences[padded[np.where(opens, quotes, quotes + 2)]]
+                if bad.any():
+                    fault = int(np.argmax(bad))
+                    line = n + lone + np.searchsorted(at, quotes[fault]) + 1
+                    what = "a quote inside an unquoted field" if opens[fault] else "text after a closing quote"
+                    raise MicrofileError(f"line {line} has {what}")
+                inside ^= quotes.size % 2 == 1
+                del quotes
+            need = n + lone + at.size + 1  # and a last record without a break
             if need > ends.size:
                 ends.resize(max(need, need * expected // stop), refcheck=False)
-            if cr and block[0] != ord("\n"):
+            if lone:
                 ends[n] = size
                 n += 1
-                lone = True
             shifted = ends[n : n + at.size]
             shifted[:] = at
             shifted += size + 1
             n += at.size
             del at, shifted  # before the next block's are found
-            plain = plain and not lone and block.find(b'"', 0, count) == -1
-            cr = block[count - 1] == ord("\r")
+            before = block[count - 1]
+            cr = before == _CR and not inside
+            closed = before == _QUOTE and not inside
             crc = zlib.crc32(memoryview(block)[:count], crc)
             size = stop
+    if inside:
+        raise MicrofileError(f"line {n + 1} has an unterminated quote")
     if n == 0 or ends[n - 1] != size:
         ends[n] = size
         n += 1
     ends.resize(n, refcheck=False)
-    return ends, replace(source, size=size, crc=crc, plain=plain and not cr)
+    return ends, replace(source, size=size, crc=crc)
 
 
-def _breaks(block: bytearray, buf: np.ndarray, masks: list[np.ndarray]) -> tuple[np.ndarray, bool]:
-    """The offsets of the bytes of ``buf`` (a view of ``block``) that end a line, and whether a lone CR is one.
+def _breaks(block: bytearray, buf: np.ndarray, masks: list[np.ndarray]) -> np.ndarray:
+    """The offsets of the bytes of ``buf`` (a view of ``block``) that end a line, quotes aside.
 
-    ``masks`` is two arrays of scratch space as long as ``buf``.  A CR that is
-    the last of the bytes is left to the caller, which knows the byte after
-    it.
+    ``masks`` is two scratch arrays as long as ``buf``.  A CR that is the
+    last byte is left to the caller, which knows the byte after it.
     """
     breaks, crs = masks
-    np.equal(buf, ord("\n"), out=breaks)
-    lone = False
+    np.equal(buf, _LF, out=breaks)
     if block.find(b"\r", 0, buf.size) != -1:
         # A CR ends a line unless a "\n" follows it.
-        np.equal(buf, ord("\r"), out=crs)
+        np.equal(buf, _CR, out=crs)
         np.greater(crs[:-1], breaks[1:], out=crs[:-1])
         crs[-1] = False
-        lone = bool(crs.any())
         breaks |= crs
-    return np.flatnonzero(breaks), lone
+    return np.flatnonzero(breaks)
 
 
 def _decode(text: bytes, line_at) -> str:
@@ -477,8 +496,16 @@ def _decode(text: bytes, line_at) -> str:
         raise MicrofileError(f"line {line_at(exc.start)} is not UTF-8 text ({exc.reason})") from None
 
 
-def _header_attributes(header: list[str]) -> list[str]:
-    attributes = [name.strip() for name in header]
+def _header(head: bytes, delimiter: str) -> list[str]:
+    """The attribute names of the header record ``head``, which may open with a byte order mark."""
+    buf = np.frombuffer(head + b"\n", dtype=np.uint8)  # a byte after the last field, for _decode_fields
+    start = len(_BOM) if head.startswith(_BOM) else 0
+    stop = int(_last(buf, np.array([start]), np.array([len(head)]))[0])
+    if stop == start:
+        raise MicrofileError("line 1 names no attribute")
+    _decode(head, lambda offset: 1)
+    edges = np.concatenate(([start - 1], _separators(buf, stop, delimiter), [stop]))
+    attributes = [name.strip() for name in _decode_fields(buf, edges[:-1] + 1, np.diff(edges) - 1, delimiter)]
     if len(set(attributes)) != len(attributes):
         raise MicrofileError("duplicate attribute names in header")
     return attributes
@@ -499,39 +526,32 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_plain(source: _Source, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
-    """Parser for text whose records are the lines ending at ``bounds``; see :func:`load_microfile` for ``like``.
+def _split_records(source: _Source, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
+    """The attributes, code columns and vocabularies of the records ending at ``bounds``, and the records parsed.
 
-    The text is read again a chunk of rows at a time, and so is ``like``'s,
-    in step; both reads are checked against the first, also before a parse
-    error is raised, so that a text changed between reads is reported as
-    changed.
+    See :func:`load_microfile` for ``like``.  The text is read again a chunk
+    of rows at a time, and so is ``like``'s, in step; both reads are checked
+    against the first, also before a parse error is raised.
     """
     with ExitStack() as stack:
         readers = [stack.enter_context(_Reader(source))]
         try:
             head = readers[0].read(bounds[0])
-            header = _decode(head, lambda offset: 1).removeprefix(_BOM)
-            header = header.removesuffix("\n").removesuffix("\r")
-            attributes = _header_attributes(header.split(delimiter) if header else [])
-            q = len(attributes)
-            n = len(bounds) - 1
-            if n == 0:
-                raise MicrofileError("empty file")
-            if like is not None and like.delimiter == delimiter and not like.edited.size and like.source.plain:
+            attributes = _header(head, delimiter)
+            if like is not None and like.delimiter == delimiter and not like.edited.size:
                 readers.append(stack.enter_context(_Reader(like.source)))
                 if readers[1].read(like.bounds[0]) != head:
                     like = None
             else:
                 like = None
-            codes, lines = _split_lines(readers, delimiter, q, bounds, like)
+            codes, lines = _split_lines(readers, delimiter, len(attributes), bounds, like)
         except MicrofileError:
             for reader in readers:
                 reader.check()
             raise
         for reader in readers:
             reader.check()
-    return attributes, codes, lines.indexes, bounds, lines.parsed
+    return attributes, codes, lines.indexes, lines.parsed
 
 
 def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndarray, like: Microfile | None):
@@ -596,14 +616,10 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndar
 
 
 class _Lines:
-    """What one load of plain text keeps from chunk to chunk: vocabularies and key tables.
+    """What one load keeps from chunk to chunk: vocabularies, and key tables (:class:`_Table`) of records or of fields.
 
-    While lines repeat, one :class:`_Table` maps every line seen so far to
-    its codes.  The first chunk with more new distinct lines than half its
-    rows switches the load to fields: from that chunk on, each column has a
-    table of its own that maps each field seen so far to its code.  Only the
-    spans a table does not hold are decoded; each distinct one is decoded
-    once, in one batch per chunk and table, and encoded.
+    The first chunk with more new distinct records than half its rows
+    switches the load from one table of records to a table per column.
     """
 
     def __init__(self, delimiter: str, indexes: list[dict[str, int]], shared: list[dict[str, int] | None]):
@@ -613,41 +629,46 @@ class _Lines:
         self.lines: _Table | None = _Table(len(indexes))
         self.fields: list[_Table] = []
         self.parsed = 0
+        # The records being parsed: buffer, offsets and row numbers, for _fail.
+        self.chunk = None
 
     def parse(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, rows: Sequence[int]):
-        """Per column, the ``int32`` codes of the records ``rows``, which are the lines ``buf[starts[i]:ends[i]]``.
+        """Per column, the ``int32`` codes of the records ``rows``, which are ``buf[starts[i]:ends[i]]``.
 
-        ``buf`` holds 8 bytes past the last line (see :func:`_pack`).
+        ``buf`` holds 8 bytes past the last record (see :func:`_pack`).
         """
         self.parsed += len(rows)
-        if self.lines is not None:
-            codes = self._lines(buf, starts, ends, rows)
-            if codes is not None:
-                return codes
-            self.lines = None
-            self.fields = [_Table(1) for _ in self.indexes]
-        return self._fields(buf, starts, ends, rows)
+        self.chunk = buf, starts, ends, rows
+        try:
+            if self.lines is not None:
+                codes = self._lines(buf, starts, ends, rows)
+                if codes is not None:
+                    return codes
+                self.lines = None
+                self.fields = [_Table(1) for _ in self.indexes]
+            return self._fields(buf, starts, ends, rows)
+        except UnicodeDecodeError:
+            self._fail()
+            raise
 
     def _lines(self, buf, starts, ends, rows):
-        # A line is its bytes before the "\n"; only the text's last line may lack one.
+        # A record is keyed by its bytes before its last byte, the line break;
+        # only the text's last record may lack one.
         sizes = ends - starts - 1
-        sizes[-1] += buf[ends[-1] - 1] != ord("\n")
+        sizes[-1] += buf[ends[-1] - 1] != _LF
         codes, new = self.lines.lookup(buf, starts, sizes)
         if not new.at.size:
             return codes
         firsts, classes = new.classes()
         if 2 * firsts.size > len(rows):
             return None
-        # The new lines, each with its line break, decoded and split.
+        # The new records, each with its line break and one byte after all, split and decoded.
         f = new.at[firsts]
         line_sizes = ends[f] - starts[f]
-        lines = _gather(buf, starts[f], line_sizes)
-        if (_field_counts(lines, line_sizes, self.delimiter) != len(self.indexes)).any():
-            self._fail(buf, starts, ends, rows)
-        text = self._text(lines, buf, starts, ends, rows)
-        if "\r" in text:
-            text = text.replace("\r", "")
-        cells = text.removesuffix("\n").replace("\n", self.delimiter).split(self.delimiter)
+        lines = np.append(_gather(buf, starts[f], line_sizes), np.uint8(_LF))
+        line_ends = np.cumsum(line_sizes)
+        edges = self._split(lines, line_ends - line_sizes, line_ends)
+        cells = _decode_fields(lines, (edges[:, :-1] + 1).ravel(), (np.diff(edges) - 1).ravel(), self.delimiter)
         q = len(self.indexes)
         values = np.stack([self._encode(j, cells[j::q]) for j in range(q)])
         self.lines.add(new, firsts, values)
@@ -655,35 +676,17 @@ class _Lines:
         return codes
 
     def _fields(self, buf, starts, ends, rows):
-        q = len(self.indexes)
-        # Where each line's last field ends: before its "\n" and a "\r" before that.
-        last = ends - (buf[ends - 1] == ord("\n"))
-        last -= (last > starts) & (buf[last - 1] == ord("\r"))
-        # One delimiter mask of the lines.  When there are q - 1 delimiters
-        # per line and each line's lie inside it, every line has q fields.
-        delimiters = np.flatnonzero(buf[: ends[-1]] == ord(self.delimiter)).astype(starts.dtype)
-        if delimiters.size != len(rows) * (q - 1):
-            self._fail(buf, starts, ends, rows)
-        delimiters = delimiters.reshape(len(rows), q - 1)
-        if q == 1:
-            fits = (last > starts).all()  # an empty line has no field
-        else:
-            fits = (delimiters[:, 0] >= starts).all() and (delimiters[:, -1] < last).all()
-        if not fits:
-            self._fail(buf, starts, ends, rows)
+        edges = self._split(buf, starts, ends)
         columns = []
         for j, table in enumerate(self.fields):
-            first = starts if j == 0 else delimiters[:, j - 1] + 1
-            sizes = (last if j == q - 1 else delimiters[:, j]) - first
+            first = edges[:, j] + 1
+            sizes = edges[:, j + 1] - first
             codes, new = table.lookup(buf, first, sizes)
             codes = codes[0]
             if new.at.size:
                 firsts, classes = new.classes()
-                # The new fields, each followed by a delimiter, decoded and split.
                 f = new.at[firsts]
-                cells = _gather(buf, first[f], sizes[f] + 1)
-                cells[np.cumsum(sizes[f] + 1) - 1] = ord(self.delimiter)
-                values = self._encode(j, self._text(cells, buf, starts, ends, rows)[:-1].split(self.delimiter))
+                values = self._encode(j, _decode_fields(buf, first[f], sizes[f], self.delimiter))
                 # A column of mostly new values (an identifier) would only
                 # grow its table; its codes are taken as they are.
                 if 2 * firsts.size <= len(rows):
@@ -692,29 +695,92 @@ class _Lines:
             columns.append(codes)
         return columns
 
+    def _split(self, buf, starts, ends):
+        """Per record ``buf[starts[i]:ends[i]]``, the q + 1 edges of its fields: the byte before its first, its delimiters, its last's end.
+
+        When there are q - 1 delimiters outside quotes per record and each
+        record's lie inside it, every record has q fields; otherwise the
+        chunk fails (see :meth:`_fail`).
+        """
+        q = len(self.indexes)
+        delimiters = _separators(buf, ends[-1], self.delimiter).astype(starts.dtype)
+        if delimiters.size != len(starts) * (q - 1):
+            self._fail()
+        edges = np.column_stack([starts - 1, delimiters.reshape(len(starts), q - 1), _last(buf, starts, ends)])
+        if q == 1:
+            fits = (edges[:, 1] - edges[:, 0] > 1).all()  # an empty record has no field
+        else:
+            fits = (edges[:, 1] > edges[:, 0]).all() and (edges[:, -2] < edges[:, -1]).all()
+        if not fits:
+            self._fail()
+        return edges
+
     def _encode(self, j: int, values: list[str]) -> np.ndarray:
         if self.indexes[j] is self.shared[j] and not all(map(self.indexes[j].__contains__, values)):
             self.indexes[j] = dict(self.indexes[j])
         return _encode(values, self.indexes[j])
 
-    def _text(self, data: np.ndarray, buf, starts, ends, rows) -> str:
-        """``data``, spans of the given lines, decoded as UTF-8; see :meth:`_fail` for an error."""
-        try:
-            return data.tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            self._fail(buf, starts, ends, rows)
-            raise
+    def _fail(self):
+        """Raise the error a full parse of the chunk's records raises first.
 
-    def _fail(self, buf, starts, ends, rows):
-        """Raise the error a full parse of the given lines raises first.
-
-        That is the first line that is not UTF-8 text, else the first line
-        without one field per attribute.
+        That is the first record that is not UTF-8 text, else the first
+        record without one field per attribute.
         """
+        buf, starts, ends, rows = self.chunk
         _decode(buf[: ends[-1]].tobytes(), _line_at(rows, ends - starts))
-        fields = _field_counts(buf[: ends[-1]], ends - starts, self.delimiter)
+        # A record has one field more than it has delimiters, unless it is empty.
+        fields = np.diff(np.searchsorted(_separators(buf, ends[-1], self.delimiter), ends), prepend=0) + 1
+        fields[_last(buf, starts, ends) == starts] = 0
         r = np.flatnonzero(fields != len(self.indexes))[0]
         raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {len(self.indexes)}")
+
+
+def _last(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Where the last field of each record ``buf[starts[i]:ends[i]]`` ends: before its line break."""
+    last = ends - (buf[ends - 1] == _LF)
+    last -= (last > starts) & (buf[last - 1] == _CR)
+    return last
+
+
+def _separators(buf: np.ndarray, stop, delimiter: str) -> np.ndarray:
+    """The offsets of the delimiters in ``buf[:stop]`` (which starts outside quotes) that an even number of quotes precede.
+
+    Every byte of a multi-byte UTF-8 character is above 127, so an ASCII
+    delimiter's byte is found only where the character is.
+    """
+    view = buf[:stop]
+    at = np.flatnonzero(view == ord(delimiter))
+    quotes = np.flatnonzero(view == _QUOTE)
+    if quotes.size:
+        at = at[np.searchsorted(quotes, at) % 2 == 0]
+    return at
+
+
+def _decode_fields(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray, delimiter: str) -> list[str]:
+    """The values of the fields ``buf[starts[i] : starts[i] + sizes[i]]``, each followed in ``buf`` by a byte.
+
+    Each field is gathered with the delimiter after it, so each is checked
+    as UTF-8 on its own (an error raises ``UnicodeDecodeError``).  A field
+    that holds a quote is quoted (the record-end scan checked it): its
+    opening quote, the closing quote that ends it and one quote of each
+    ``""`` pair are dropped, and the batch is sliced before each delimiter
+    at character offsets (bytes less continuation bytes, ``10xxxxxx``).
+    """
+    data = _gather(buf, starts, sizes + 1)
+    stops = np.cumsum(sizes + 1)  # just past each field's delimiter
+    data[stops - 1] = ord(delimiter)
+    quotes = np.flatnonzero(data == _QUOTE)
+    if not quotes.size:
+        return data[:-1].tobytes().decode("utf-8").split(delimiter)
+    ending = quotes + 2 == stops[np.searchsorted(stops, quotes, side="right")]
+    dropped = quotes[(np.arange(quotes.size) % 2 == 0) | ending]
+    data = np.delete(data, dropped)
+    stops -= np.searchsorted(dropped, stops)
+    text = data.tobytes().decode("utf-8")
+    if len(text) != data.size:
+        stops -= np.searchsorted(np.flatnonzero((data & 0xC0) == 0x80), stops)
+    stops = stops.tolist()
+    return [text[start : stop - 1] for start, stop in zip([0] + stops[:-1], stops)]
 
 
 def _gather(buf: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -902,21 +968,6 @@ class _Table:
             self.others[new.bytes(c)] = ids[c]
 
 
-def _field_counts(chunk: np.ndarray, sizes: np.ndarray, delimiter: str) -> np.ndarray:
-    """Fields per line of the bytes ``chunk``, whose lines have the lengths ``sizes``.
-
-    A line has one field more than it has delimiters, except an empty line,
-    which has none.  Every byte of a multi-byte UTF-8 character is above
-    127, so an ASCII delimiter's byte is found only where the character is.
-    """
-    ends = np.cumsum(sizes)
-    fields = np.diff(np.searchsorted(np.flatnonzero(chunk == ord(delimiter)), ends), prepend=0) + 1
-    # Empty lines: a bare "\n", or a "\r\n" (the only place a "\r" may stand).
-    lf = (sizes == 1) & (chunk[ends - 1] == ord("\n"))
-    fields[lf | ((sizes == 2) & (chunk[ends - 2] == ord("\r")))] = 0
-    return fields
-
-
 def _changed(new: np.ndarray, bounds: np.ndarray, old: np.ndarray, old_bounds: np.ndarray) -> np.ndarray:
     """Per record of ``new``, whether its bytes differ from ``old``'s record at the same position.
 
@@ -936,59 +987,6 @@ def _changed(new: np.ndarray, bounds: np.ndarray, old: np.ndarray, old_bounds: n
         kept = np.flatnonzero(same)
         same[kept[np.searchsorted(np.cumsum(lengths[kept]), differing, side="right")]] = False
     return ~same
-
-
-def _split_csv(source: _Source, delimiter: str, ends: np.ndarray):
-    """Parser for any text the csv module reads, whose lines end at ``ends``; records may span lines.
-
-    The text is read again, whole, and checked against the first read.
-    """
-    with _Reader(source) as reader:
-        data = reader.read(source.size)
-        reader.check()
-    text = _decode(data, lambda offset: np.searchsorted(ends, offset, side="right") + 1).removeprefix(_BOM)
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    # The plain parser takes a cell of any length, so this one must too; the
-    # limit is process-wide, hence restored afterwards.
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(data)))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MicrofileError("empty file")
-        attributes = _header_attributes(header)
-        q = len(attributes)
-        indexes = [{} for _ in range(q)]
-        chunks = [[] for _ in range(q)]
-        starts = array("q", [reader.line_num])
-        # Cells go into one flat list, so no row list outlives its record
-        # for the garbage collector to scan.
-        cells: list[str] = []
-
-        def flush():
-            for j in range(q):
-                chunks[j].append(_encode(cells[j::q], indexes[j]))
-            cells.clear()
-
-        for row in reader:
-            if len(row) != q:
-                raise MicrofileError(f"line {len(starts) + 1} has {len(row)} fields, expected {q}")
-            cells.extend(row)
-            starts.append(reader.line_num)
-            if len(cells) >= q * _CHUNK_ROWS:
-                flush()
-        flush()
-    except csv.Error as exc:
-        raise MicrofileError(f"line {reader.line_num}: {exc}") from None
-    finally:
-        csv.field_size_limit(limit)
-    if len(starts) == 1:
-        raise MicrofileError("empty file")
-    codes = [
-        np.concatenate(chunk, dtype=_code_type(len(index)), casting="unsafe")
-        for chunk, index in zip(chunks, indexes)
-    ]
-    # The text's first k lines end at ends[k - 1].
-    return attributes, codes, indexes, ends[np.frombuffer(starts, dtype=np.int64) - 1], len(starts) - 1
 
 
 def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:

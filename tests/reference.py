@@ -27,13 +27,20 @@ sums the synthesis of every channel of a decomposition from the products.
 ``round_half_away_from_zero`` is the scalar oracle for the counts that
 ``new_quantities`` rounds as one array, and ``local_extrema`` the loop oracle
 for the strict interior extrema that ``redistribution.local_extrema`` finds
-with array comparisons.
+with array comparisons.  ``csv_load`` is the oracle for the record layer's
+tokenizer: the :mod:`csv` module's reading of a microfile text, encoded the
+way ``load_microfile`` encodes it.
 """
 
+import csv
+import io
 import math
+import re
 from functools import reduce
 
 import numpy as np
+
+from groupanon.errors import MicrofileError
 
 
 def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
@@ -71,6 +78,65 @@ def reconstruct(dec) -> np.ndarray:
 
 def round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
+
+
+def csv_records(data: bytes, delimiter: str):
+    """Each record :mod:`csv` reads from a microfile text, with the byte offset just past it.
+
+    A record ends with the physical line on which csv finishes it; physical
+    lines end at "\\n", "\\r\\n" or a lone "\\r".  Bytes that are not UTF-8 are
+    read as lone surrogates, and a byte order mark before the header is not
+    part of the first name.
+    """
+    line_ends = [m.end() for m in re.finditer(rb"\r\n|\n|\r", data)] + [len(data)]
+    text = data.decode("utf-8", errors="surrogateescape").removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter, strict=True)
+    # A cell may be as long as the text; the limit is process-wide, hence restored.
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(data)))
+    try:
+        for row in reader:
+            yield row, line_ends[reader.line_num - 1]
+    finally:
+        csv.field_size_limit(limit)
+
+
+def csv_load(data: bytes, delimiter: str):
+    """The attributes, ``int64`` code columns, vocabularies and record ends of a microfile text, read by :mod:`csv`.
+
+    Codes number each column's values in order of first appearance; the
+    record ends are :func:`csv_records`', the header's first.  Raises the
+    ``MicrofileError`` that ``load_microfile`` raises for an empty text, a
+    duplicate attribute name, text that is not UTF-8 (at the first bad
+    byte's record) and else a record without one field per attribute.
+    """
+    records = csv_records(data, delimiter)
+    header, end = next(records, ([], 0))
+    ends = [end]
+    q = len(header)
+    vocabularies = [{} for _ in range(q)]
+    columns = [[] for _ in range(q)]
+    ragged = None
+    for row, end in records:
+        ends.append(end)
+        if len(row) != q:
+            ragged = ragged or f"line {len(ends)} has {len(row)} fields, expected {q}"
+            continue
+        for column, vocabulary, value in zip(columns, vocabularies, row):
+            column.append(vocabulary.setdefault(value, len(vocabulary)))
+    if len(ends) < 2:
+        raise MicrofileError("empty file")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = int(np.searchsorted(ends, exc.start, side="right")) + 1
+        raise MicrofileError(f"line {line} is not UTF-8 text ({exc.reason})") from None
+    attributes = [name.strip() for name in header]
+    if len(set(attributes)) != len(attributes):
+        raise MicrofileError("duplicate attribute names in header")
+    if ragged:
+        raise MicrofileError(ragged)
+    codes = [np.array(column, dtype=np.int64) for column in columns]
+    return attributes, codes, [list(v) for v in vocabularies], np.array(ends, dtype=np.int64)
 
 
 def local_extrema(values) -> tuple[list[int], list[int]]:

@@ -98,6 +98,10 @@ def test_config_errors(tmp_path):
     incomplete.write_text(json.dumps({"input": "x.csv"}))
     with pytest.raises(ConfigError, match="missing required key"):
         load_config(incomplete)
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"input": "x.csv"}]))
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        load_config(listed)
 
 
 @pytest.mark.parametrize("section, key, value, name", [
@@ -130,6 +134,12 @@ def test_config_errors(tmp_path):
     ("plan", "floor", -1, "plan.floor"),
     ("attributes", "parameter", "JOB", "attributes.parameter"),
     ("attributes", "fallback", "X", "attributes.fallback"),
+    ("attributes", "vital", [], "attributes.vital"),
+    ("attributes", "vital_combinations", [["X"], ["X"]], "attributes.vital_combinations"),
+    ("attributes", "parameter_values", [], "attributes.parameter_values"),
+    ("attributes", "fallback", ["Z", "1"], "attributes.fallback"),  # two values for one vital attribute
+    # A rule name the spec does not know: the message names the rule.
+    ("attributes", "denominator", "bogus", "bogus"),
     # Checked against the known filter names before the input is loaded.
     ("wavelet", "name", "db3", "wavelet.name"),
 ])
@@ -392,6 +402,37 @@ def test_anonymize_requires_output(small_run):
         run_anonymize(config)
 
 
+def test_verify_requires_output(small_run):
+    _, config_path = small_run
+    config = load_config(config_path)
+    config.output = None
+    with pytest.raises(ConfigError, match="^verify needs an output path"):
+        run_verify(config)
+
+
+@pytest.mark.parametrize("edit, delimiter, message", [
+    (lambda text: text.replace("\nR1,X,1\n", '\nR1,X"q",1\n', 1), ",",
+     "line 2 has a quote inside an unquoted field"),
+    (lambda text: text.replace("\nR1,X,1\n", '\nR1,"X"q,1\n', 1), ",",
+     "line 2 has text after a closing quote"),
+    (lambda text: text + 'R1,"Z,1\n', ",", "line 7002 has an unterminated quote"),
+    (lambda text: text.replace(",", "é"), "é",
+     "delimiter must be one ASCII character other than a quote or line break, got 'é'"),
+], ids=["quote_in_unquoted_field", "text_after_closing_quote", "unterminated_quote", "non_ascii_delimiter"])
+def test_anonymize_of_malformed_text_fails_before_output(small_run, capsys, edit, delimiter, message):
+    tmp_path, config_path = small_run
+    input_path = tmp_path / "input.csv"
+    input_path.write_text(edit(input_path.read_text()))
+    config = json.loads(config_path.read_text())
+    config["delimiter"] = delimiter
+    config_path.write_text(json.dumps(config))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+    error = json.loads((tmp_path / "report.json").read_text())["error"]
+    assert error == {"type": "MicrofileError", "message": message}
+    assert not (tmp_path / "out.csv").exists()
+
+
 def write_census_config(tmp_path, census_file):
     from groupanon.fixture import REGION_CODES
 
@@ -562,6 +603,21 @@ def test_verify_after_anonymize(small_run):
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
 
 
+def test_verify_of_a_quoted_release_reparses_only_changed_records(small_run, capsys):
+    # Every cell of the input is quoted.  The release copies the records it
+    # did not change, quotes and all, so verify's delta load parses exactly
+    # the records the rewrite changed.
+    tmp_path, config_path = small_run
+    input_path = tmp_path / "input.csv"
+    lines = input_path.read_text().splitlines()
+    input_path.write_text("".join('"' + line.replace(",", '","') + '"\n' for line in lines))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--config", str(config_path)]) == EXIT_OK
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert 0 < sizes["records_reparsed"] == sizes["records_changed"] < sizes["records"]
+
+
 def test_verify_detects_tampering(small_run, capsys):
     tmp_path, config_path = small_run
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
@@ -683,6 +739,23 @@ def test_verify_rejects_report_that_is_not_json(small_run, capsys):
         assert f"report {report_path} is not an anonymize report" in err
         assert "Traceback" not in err
         assert report_path.read_text() == text
+
+
+def test_verify_counts_a_report_of_another_length_as_mismatched(small_run, capsys):
+    # A report whose counts.new has another length than the signal cannot
+    # be compared entry by entry: the larger size is the mismatch count.
+    tmp_path, config_path = small_run
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report["counts"]["new"] += [1, 2, 3]
+    report_path.write_text(json.dumps(report))
+    assert main(["verify", "--config", str(config_path)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)["checks"]["released_counts_match"]
+    assert row["value"] == len(SEVEN_COUNTS) + 3 and row["passed"] is False
+    assert f"check failed: released_counts_match: value {len(SEVEN_COUNTS) + 3} (tolerance 0)" in captured.err
 
 
 def test_verify_rejects_missing_report(small_run, capsys):

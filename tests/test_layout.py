@@ -68,3 +68,16 @@ def test_every_export_is_used_by_the_readme_or_the_command_line():
     text = (ROOT / "README.md").read_text(encoding="utf-8") + (PACKAGE / "cli.py").read_text(encoding="utf-8")
     unused = [name for name in groupanon.__all__ if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_no_module_reads_text_with_the_csv_module():
+    # The record layer has one tokenizer; csv.reader would be a second one.
+    # The csv module stays only as a writer, and as the tests' oracle.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("reader", "DictReader", "Sniffer"):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found += [f"{path.name}:{node.lineno}: from csv import {alias.name}" for alias in node.names]
+    assert found == []

@@ -71,6 +71,11 @@ def test_load_empty_body():
 def test_load_no_header():
     with pytest.raises(MicrofileError, match="empty file"):
         load_microfile(io.StringIO(""))
+    # A lone line break, or a byte order mark alone, holds no record either.
+    for data in (b"\n", b"\xef\xbb\xbf"):
+        with pytest.raises(MicrofileError, match="^empty file$"):
+            load_microfile(io.BytesIO(data))
+        assert _csv_or_error(data, ",") == "empty file"
 
 
 def test_load_ragged_row_names_line():
@@ -150,6 +155,37 @@ def test_signal_custom_filter_denominator():
     # Each group has two SEX=1 records; vital counts are unaffected.
     np.testing.assert_array_equal(signal.denominators, [2, 2])
     np.testing.assert_array_equal(signal.numerators, [2, 1])
+
+
+def test_multi_attribute_vital_combinations_match_a_brute_force_count():
+    # A record is vital when its (JOB, SEX) pair is one of the combinations,
+    # so a JOB or a SEX value alone does not make it vital.
+    rng = np.random.default_rng(11)
+    rows = [(f"G{rng.integers(4)}", str(rng.choice(list("XYZW"))), str(rng.choice(list("12"))))
+            for _ in range(600)]
+    mf = make_microfile(rows)
+    combos = (("X", "1"), ("Y", "2"), ("Z", "1"))
+    spec = AttributeSpec(vital_attributes=("JOB", "SEX"), vital_combinations=combos,
+                         parameter_attribute="REG", parameter_values=("G0", "G1", "G2", "G3"),
+                         fallback_combination=("W", "2"))
+
+    def brute_force(recs):
+        vital = [sum((job, sex) in combos for reg, job, sex in recs if reg == group) for group in spec.parameter_values]
+        return vital, [sum(reg == group for reg, _, _ in recs) for group in spec.parameter_values]
+
+    signal = concentration_signal(mf, spec)
+    vital, totals = brute_force(rows)
+    assert signal.numerators.tolist() == vital and signal.denominators.tolist() == totals
+    new = np.array(vital) + [-5, 7, 0, 3]
+    out = rewrite_microfile(mf, spec, vital, new, seed=5)
+    assert brute_force(records(out)) == (new.tolist(), totals)
+    np.testing.assert_array_equal(concentration_signal(out, spec).numerators, new)
+    changed = [(before, after) for before, after in zip(rows, records(out)) if before != after]
+    assert len(changed) == len(out.edited) == 15
+    for before, after in changed:
+        assert before[0] == after[0]
+        # A shrunk record takes the fallback pair, a grown one a whole combination.
+        assert (after[1:] == ("W", "2")) if before[1:] in combos else (after[1:] in combos)
 
 
 def test_signal_ignores_unlisted_parameter_values():
@@ -443,7 +479,7 @@ def test_code_columns_widen_to_the_narrowest_type(monkeypatch, route):
         mf = load_microfile(io.StringIO(text))
         types = (np.uint32, np.uint8, np.uint16)
         if route == "plain":
-            _assert_parsers_agree(text.encode(), ",")
+            _assert_loads_like_csv(text.encode(), ",")
     for j, values in enumerate(zip(*rows)):
         assert mf.codes[j].dtype == types[j]
         np.testing.assert_array_equal(mf.codes[j], _int64_codes(values))
@@ -543,10 +579,50 @@ def test_load_rejects_bad_text_and_delimiters():
         load_microfile(io.BytesIO(b"REG,JOB\n\xff,X\n"))
     with pytest.raises(MicrofileError, match="delimiter"):
         load_microfile(io.StringIO("REG,JOB\nA,X\n"), delimiter=",,")
+    with pytest.raises(MicrofileError, match="^delimiter must be one ASCII character .*, got 'é'$"):
+        load_microfile(io.StringIO("REGéJOB\nAéX\n"), delimiter="é")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('A,B\nx,y\nx,a"b"\n', "line 3 has a quote inside an unquoted field"),
+    ('A,B\nx,y\n"a"b,y\n', "line 3 has text after a closing quote"),
+    ('A,B\r\nx,"y\r\nz,w\r\n', "line 2 has an unterminated quote"),
+    ('"A"x,B\nx,y\n', "line 1 has text after a closing quote"),
+    ('A,B\n"x\n""y"\rz,"a""b"c\n', "line 3 has text after a closing quote"),  # after a quoted line break
+    ("A,B,A\nx,y,z\n", "duplicate attribute names in header"),
+    ('\ufeff"A",B,"A "\nx,y,z\n', "duplicate attribute names in header"),
+    ("\n\nx\n", "line 1 names no attribute"),
+], ids=["quote_in_unquoted_field", "text_after_closing_quote", "unterminated_quote", "header_quote",
+        "after_quoted_break", "duplicate_names", "duplicate_quoted_names", "no_attribute"])
+def test_malformed_text_fails_naming_its_line(text, message):
+    # Every form the csv module would read some other way than quote
+    # parity fails before any record is parsed, at the record's line.
+    with pytest.raises(MicrofileError, match=f"^{re.escape(message)}$"):
+        load_microfile(io.BytesIO(text.encode()))
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"A,B\nx,y\nx,y\n\xc3,\xa9\n\xc3,\xa9\n", 4),
+    (b"A\n\xc3\n\xa9\n", 2),
+    (b'A,B\nx,y\nx,y\n"\xc3","\xa9"\n"\xc3","\xa9"\n', 4),
+    (b"A,B\nx,\xc3\n\xa9,y\n", 2),
+    (b"\xc3,\xa9\nx,y\n", 1),
+], ids=["in_record", "across_rows", "across_quotes", "across_records", "header"])
+def test_character_split_between_fields_is_not_utf8(data, line):
+    # A lead byte ends one field and a continuation byte starts the next:
+    # the two fields are each not UTF-8, though their bytes joined would be.
+    # Repeated records are split in lines mode, distinct ones in fields mode.
+    for chunk_rows in (2, 1 << 15):
+        with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
+            _assert_loads_like_csv(data, ",")
+            with pytest.raises(MicrofileError, match=f"^line {line} is not UTF-8 text"):
+                load_microfile(io.BytesIO(data))
 
 
 def test_long_cell_loads_in_every_parser():
-    # 200,000 characters is above csv's default field limit of 131,072.
+    # 200,000 characters is above csv's default field limit of 131,072: the
+    # loader takes a cell of any length, and the csv oracle raises the limit
+    # for its read and restores it, as the limit is process-wide.
     cell = "x" * 200_000
     limit = csv.field_size_limit()
     texts = {
@@ -554,7 +630,7 @@ def test_long_cell_loads_in_every_parser():
         "quoted": f'REG,JOB\nA,"{cell}"\nB,y\n',
         "crlf": f"REG,JOB\r\nA,{cell}\r\nB,y\r\n",
     }
-    loaded = {name: load_microfile(io.StringIO(text)) for name, text in texts.items()}
+    loaded = {name: _assert_loads_like_csv(text.encode(), ",") for name, text in texts.items()}
     for name, mf in loaded.items():
         assert mf.vocabularies == loaded["plain"].vocabularies, name
         assert microfile_text(mf) == texts[name], name
@@ -572,12 +648,15 @@ def _field(value, quote):
 
 
 @st.composite
-def microfile_texts(draw):
-    """Random microfile text: tiny groups, LF or CRLF, optional quotes, any delimiter."""
+def microfile_texts(draw, terminators=("\n", "\r\n"), bom=False):
+    """Random microfile text: tiny groups, any of ``terminators``, optional quotes, any delimiter.
+
+    With ``bom``, a byte order mark may open the text.
+    """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
     n = draw(st.integers(1, 6))
-    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    terminator = draw(st.sampled_from(terminators))
     values = st.sampled_from(_VALUES).map(lambda v: v.format(d=d))
     lines = []
     for row in [[f"A{j}" for j in range(q)]] + [draw(st.lists(values, min_size=q, max_size=q)) for _ in range(n)]:
@@ -587,7 +666,8 @@ def microfile_texts(draw):
             fields.append(_field(value, quote))
         lines.append(d.join(fields))
     final = draw(st.sampled_from([terminator, ""]))
-    return terminator.join(lines) + final, d
+    opening = "\ufeff" if bom and draw(st.booleans()) else ""
+    return opening + terminator.join(lines) + final, d
 
 
 @settings(max_examples=200, deadline=None)
@@ -600,27 +680,63 @@ def test_write_of_load_is_byte_identical(case):
     assert buffer.getvalue() == text.encode()
 
 
+@settings(max_examples=300, deadline=None)
+@given(microfile_texts(terminators=("\n", "\r\n", "\r"), bom=True), st.sampled_from([2, 3, 1 << 15]))
+# Quoted delimiters, quotes, CR and LF, in a header after a byte order mark and in records.
+@example(('\ufeff"A,0";"A""1"\r"x\ry";"l\nm"\r"";"q""q"\r', ";"), 2)
+@example(('A0,"A\r\n1"\n"a,b","\n,"""""\r\n', ","), 3)
+def test_quoted_texts_load_like_csv(case, chunk_rows):
+    # Every record, quoted or not, goes through the one tokenizer: in
+    # either table mode, and in a delta load against the text with its last
+    # record changed, which parses that record alone.
+    text, d = case
+    data = text.encode()
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
+        mf = _assert_loads_like_csv(data, d)
+        buffer = io.BytesIO()
+        write_microfile(mf, buffer)
+        assert buffer.getvalue() == data
+        changed = data[: mf.bounds[-2]] + _field("new" + d, True).encode() + d.encode() * (len(mf.attributes) - 1)
+        full = _assert_loads_like_csv(changed, d)
+        delta = load_microfile(io.BytesIO(changed), delimiter=d, like=mf)
+    assert delta.parsed == 1
+    assert records(delta) == records(full)
+
+
 def assert_codes_in_order(vocabularies):
     """Every vocabulary maps its i-th value to code i."""
     for v in vocabularies:
         assert list(v.values()) == list(range(len(v)))
 
 
-def _scanned(data):
-    """The line ends of ``data`` and its source, as a load's first read finds them."""
-    return microdata._line_ends(microdata._Source(data=data))
+def _scanned(data, d=","):
+    """The record ends of ``data`` and its source, as a load's first read finds them."""
+    return microdata._line_ends(microdata._Source(data=data), d)
 
 
-def _assert_parsers_agree(data, d):
-    ends, source = _scanned(data)
-    plain = microdata._split_plain(source, d, ends)
-    via_csv = microdata._split_csv(source, d, ends)
-    assert plain[0] == via_csv[0]
-    assert all(np.array_equal(a, b) for a, b in zip(plain[1], via_csv[1]))
-    assert [list(v) for v in plain[2]] == [list(v) for v in via_csv[2]]
-    assert_codes_in_order(plain[2])
-    assert_codes_in_order(via_csv[2])
-    np.testing.assert_array_equal(plain[3], via_csv[3])
+def _csv_or_error(data, d):
+    try:
+        return ref.csv_load(data, d)
+    except MicrofileError as exc:
+        return str(exc)
+
+
+def _assert_loads_like_csv(data, d):
+    """``load_microfile`` reads ``data`` as the csv oracle does: the same attributes, codes, vocabularies and record ends, or the same error."""
+    expected = _csv_or_error(data, d)
+    mf = _load_or_error(data, d)
+    if isinstance(expected, str):
+        assert mf == expected
+        return
+    assert not isinstance(mf, str), mf
+    attributes, codes, vocabularies, bounds = expected
+    assert mf.attributes == attributes
+    for column, want in zip(mf.codes, codes, strict=True):
+        np.testing.assert_array_equal(column, want)
+    assert [list(v) for v in mf.vocabularies] == vocabularies
+    assert_codes_in_order(mf.vocabularies)
+    np.testing.assert_array_equal(mf.bounds, bounds)
+    return mf
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,7 +752,7 @@ def test_plain_and_csv_parsers_agree(d, q, rows, final_newline):
         return
     text = "\n".join(d.join(row) for row in [[f"A{j}" for j in range(q)]] + rows)
     data = (text + ("\n" if final_newline else "")).encode()
-    _assert_parsers_agree(data, d)
+    _assert_loads_like_csv(data, d)
     assert records(load_microfile(io.BytesIO(data), delimiter=d)) == [tuple(row) for row in rows]
 
 
@@ -652,7 +768,7 @@ def test_parsers_agree_across_chunks(monkeypatch):
         assert microfile_text(chunked) == text
 
 
-_FAULTS = ("none", "none", "ragged", "short", "not_utf8")
+_FAULTS = ("none", "none", "ragged", "short", "not_utf8", "split_char")
 
 
 @st.composite
@@ -664,8 +780,8 @@ def chunked_texts(draw):
     words the parser packs lines and fields into; the last line may repeat
     the one before it, with or without a final terminator.  Returns the
     delimiter, the chunk size, the text, a fault-free text that differs
-    from it in some lines, and the number of lines that differ.  At most
-    one line is at fault.
+    from it in some lines, and the number of lines that differ.  The text
+    has at most one fault.
     """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
@@ -711,6 +827,17 @@ def chunked_texts(draw):
         lines[at] = lines[at].rpartition(d.encode())[0]
     elif fault == "not_utf8":
         lines[at] += b"\xff"
+    elif fault == "split_char":
+        # "é" split into its lead byte, ending a field, and its continuation
+        # byte, starting the next field of the line or, with one column, the
+        # next line.
+        cells = lines[at].split(d.encode())
+        cells[0] += b"\xc3"
+        if q > 1:
+            cells[1] = b"\xa9" + cells[1]
+        elif at + 1 < len(lines):
+            lines[at + 1] = b"\xa9" + lines[at + 1]
+        lines[at] = d.encode().join(cells)
     terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
     # An empty last line is a record only when a terminator follows it.
     final = terminator if draw(st.booleans()) or not lines[-1] else b""
@@ -752,14 +879,6 @@ def _decoding_chunks(text, d, chunk_rows):
     return decoding
 
 
-def _split_or_error(split, data, d):
-    ends, source = _scanned(data)
-    try:
-        return split(source, d, ends)
-    except MicrofileError as exc:
-        return str(exc)
-
-
 @settings(max_examples=300, deadline=None)
 @given(chunked_texts())
 # An empty line in a chunk that skips the dictionary, after LF and CRLF.
@@ -795,41 +914,48 @@ def test_colliding_line_keys_keep_lines_apart(case):
 
 def _check_modes_agree_with_csv(case):
     d, chunk_rows, text, like_text, edited = case
+    decoding, chunk = set(), []
+    parse, decode = microdata._Lines.parse, microdata._decode_fields
+
+    def parse_spy(lines, buf, starts, ends, rows):
+        chunk[:] = [int(rows[0]) // chunk_rows]
+        return parse(lines, buf, starts, ends, rows)
+
+    def decode_spy(*args):
+        decoding.update(chunk)  # empty while the header is decoded
+        return decode(*args)
+
     with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
-        expected = _split_or_error(microdata._split_csv, text, d)
         like = load_microfile(io.BytesIO(like_text), delimiter=d)
         delta = _load_or_error(text, d, like)
-        if isinstance(expected, str):
-            # The one fault is reported at the same line by every read.
-            assert _split_or_error(microdata._split_plain, text, d) == delta == expected
-            return
-        with mock.patch.object(microdata._Lines, "_text", autospec=True,
-                               side_effect=microdata._Lines._text) as spy:
-            ends, source = _scanned(text)
-            plain = microdata._split_plain(source, d, ends)
+        with mock.patch.object(microdata, "_decode_fields", decode_spy), \
+                mock.patch.object(microdata._Lines, "parse", parse_spy):
+            # The one fault, if any, is reported at the same line by every read.
+            full = _assert_loads_like_csv(text, d)
+    if full is None:
+        assert delta == _csv_or_error(text, d)
+        return
     # A chunk decodes bytes exactly when it holds a line or field that no
     # table holds yet; every other span is found in a table.
-    decoded = sorted({int(call.args[5][0]) // chunk_rows for call in spy.call_args_list})
-    assert decoded == _decoding_chunks(text, d, chunk_rows)
-    assert plain[0] == expected[0]
-    assert all(np.array_equal(a, b) for a, b in zip(plain[1], expected[1]))
-    assert [list(v) for v in plain[2]] == [list(v) for v in expected[2]]
-    assert_codes_in_order(plain[2])
-    np.testing.assert_array_equal(plain[3], expected[3])
+    assert sorted(decoding) == _decoding_chunks(text, d, chunk_rows)
     assert not isinstance(delta, str), delta
     assert delta.parsed == edited
     assert_codes_in_order(delta.vocabularies)
-    values = [np.asarray(list(v), dtype=object)[c] for c, v in zip(expected[1], expected[2])]
-    assert records(delta) == list(zip(*values))
+    assert records(delta) == records(full)
 
 
-def test_crlf_census_takes_plain_path(census_file):
-    # Unquoted CRLF text splits on "\n" and drops one "\r" per line.
-    data = census_file.read_bytes().replace(b"\n", b"\r\n")
-    assert _scanned(data)[1].plain
-    _assert_parsers_agree(data, ",")
+@pytest.mark.parametrize("variant", ["crlf", "quoted", "lone_cr"])
+def test_census_variants_load_like_csv(census_file, variant):
+    # The census with CRLF or lone-CR line breaks, or with every cell quoted,
+    # goes through the one tokenizer and reads as csv reads it.
+    data = census_file.read_bytes()
+    if variant == "quoted":
+        data = b'"' + data.replace(b",", b'","').replace(b"\n", b'"\n"')[:-1]
+    else:
+        data = data.replace(b"\n", b"\r\n" if variant == "crlf" else b"\r")
+    mf = _assert_loads_like_csv(data, ",")
     buffer = io.BytesIO()
-    write_microfile(load_microfile(io.BytesIO(data)), buffer)
+    write_microfile(mf, buffer)
     assert buffer.getvalue() == data
 
 
@@ -897,7 +1023,12 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
     released = load_microfile(io.BytesIO(data.replace(b"z", b"w")), like=mf)
     assert released.attributes == ["A", "B"]
     assert records(released) == [("x", "y"), ("x", "w")]
-    assert released.parsed == (1 if body[0] != '"' else 2)
+    # Only the changed record is parsed again, quoted text or not.
+    assert released.parsed == 1
+
+
+# A text whose every quote opens or closes a field, and that ends outside quotes.
+_QUOTED_WELL = re.compile(rb'(?:[^",\r\n]*|"(?:[^"]|"")*")(?:(?:,|\r\n|\n|\r)(?:[^",\r\n]*|"(?:[^"]|"")*"))*')
 
 
 @settings(max_examples=500, deadline=None)
@@ -910,19 +1041,26 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
 # A lone CR that ends the text, at a block's end and inside one.
 @example(b"ab\r", 3)
 @example(b"ab\r", 9)
-# A quote only in the last block.
-@example(b'ab\ncd\nef"\n', 3)
+# A quote only in the last block, and quotes that stay open across blocks.
+@example(b'ab\ncd\nef,""\n', 3)
+@example(b'a,"b\r\n\r\nc\r"\r\nd\r', 2)
+# A closing quote as a block's last byte, with the next block's first byte after it.
+@example(b'"ab"\n', 4)
+@example(b'"ab"c\n', 4)
+@example(b'"a""b"\n', 3)
 def test_block_scans_match_whole_text_scans(data, block):
-    # The line-end scan reads the text a block at a time; a CR or "\n" at
-    # either side of a block edge counts as in one pass.  A line ends at
-    # "\n", "\r\n" or a lone "\r".  The text is plain when it has no quote
-    # and no line ends in a lone CR.
+    # The record-end scan reads the text a block at a time; a CR or "\n" at
+    # either side of a block edge counts as in one pass, and so do the
+    # quotes.  A record ends at "\n", "\r\n" or a lone "\r" outside quotes,
+    # as csv reads it.  A text with a quote that does not open or close a
+    # field, or that ends inside quotes, fails.
     with mock.patch.object(microdata, "_BLOCK_BYTES", block):
+        if not _QUOTED_WELL.fullmatch(data):
+            with pytest.raises(MicrofileError, match="^line [0-9]+ has .*quote"):
+                _scanned(data)
+            return
         ends, source = _scanned(data)
-    # Text read with newline="" splits lines as csv does.
-    lines = io.StringIO(data.decode(), newline="").readlines()
-    assert ends.tolist() == (list(itertools.accumulate(map(len, lines))) or [0])
-    assert source.plain == (b'"' not in data and not any(line.endswith("\r") for line in lines))
+    assert ends.tolist() == ([end for _, end in ref.csv_records(data, ",")] or [0])
     assert (source.size, source.crc) == (len(data), zlib.crc32(data))
     assert ends.dtype == np.int32
 
@@ -931,26 +1069,37 @@ def test_line_end_scan_makes_no_array_per_byte():
     # 16 blocks of lines ended by "\n", "\r\n" and a lone "\r".  Besides its
     # result, the scan holds the block it read, two masks of it and its
     # line offsets (about 3.7 blocks here); a mask of every byte would be 16.
+    # Quoted text, 32 blocks of it with a line break inside quotes in every
+    # third record, adds each quote's offset and checks: about 8 blocks.
     block = 1 << 16
-    data = b"alpha,beta\n" + b"gamma,delta\r\nepsilon,zeta\ralpha,beta\n" * (16 * block // 36)
-    source = microdata._Source(data=data)
-    with mock.patch.object(microdata, "_BLOCK_BYTES", block):
-        tracemalloc.start()
-        try:
-            ends, _ = microdata._line_ends(source)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert len(ends) == 3 * (16 * block // 36) + 1
-    assert peak - ends.nbytes < 4 * block, f"{(peak - ends.nbytes) / block:.2f} blocks besides the result"
+    plain = b"alpha,beta\n" + b"gamma,delta\r\nepsilon,zeta\ralpha,beta\n" * (16 * block // 36)
+    quoted = b"alpha,beta\n" + b'"gamma","delta"\r\n"eps\r\nilon",zeta\ralpha,"beta"\n' * (32 * block // 44)
+    for data, records, bound in [(plain, 3 * (16 * block // 36) + 1, 4), (quoted, 3 * (32 * block // 44) + 1, 10)]:
+        with mock.patch.object(microdata, "_BLOCK_BYTES", block):
+            tracemalloc.start()
+            try:
+                ends, _ = microdata._line_ends(microdata._Source(data=data), ",")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(ends) == records
+        assert peak - ends.nbytes < bound * block, f"{(peak - ends.nbytes) / block:.2f} blocks besides the result"
 
 
-def test_bare_cr_and_quotes_stay_on_csv():
-    assert _scanned(b"A,B\r\nx,y\r\nz,w\n")[1].plain
-    assert not _scanned(b"A,B\rx,y\n")[1].plain
-    assert not _scanned(b"A,B\r\nx,y\r")[1].plain
-    assert not _scanned(b"A,B\r\r\nx,y\n")[1].plain
-    assert not _scanned(b'A,B\r\n"x",y\r\n')[1].plain
+@pytest.mark.parametrize("data", [
+    b"A,B\r\nx,y\r\nz,w\n",
+    b"A,B\rx,y\n",
+    b"A,B\r\nx,y\r",
+    b"A,B\r\r\nx,y\n",  # an empty record after a lone CR
+    b'A,B\r\n"x",y\r\n',
+    b'A,"B\r\nC"\r\n"x\ry",",\n"\r"""\r"\n',  # line breaks, delimiters and quotes inside quotes
+], ids=["crlf", "lone_cr", "lone_cr_last", "cr_crlf", "quoted", "quoted_breaks"])
+def test_bare_cr_and_quotes_load_like_csv(data):
+    mf = _assert_loads_like_csv(data, ",")
+    if mf is not None:
+        buffer = io.BytesIO()
+        write_microfile(mf, buffer)
+        assert buffer.getvalue() == data
 
 
 # --------------------------------------------------------------- delta read
@@ -1105,19 +1254,27 @@ def _small_source(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("stage", ["load", "load-delimiter", "write"])
+@pytest.mark.parametrize("stage", ["load", "load-delimiter", "load-truncate", "write", "write-truncate"])
 def test_a_source_changed_between_reads_fails_and_leaves_no_file(tmp_path, monkeypatch, stage):
     # The first read fixes the text's size and CRC-32; the load's second
     # read and the write each check both.  The flipped byte turns the last
     # record's "2" into a "3", which parses, in a record the rewrite leaves;
     # or, at load-delimiter, into a delimiter, so the record no longer
-    # parses and the change, not the parse error, is reported.
+    # parses and the change, not the parse error, is reported.  A file cut
+    # short ends a read early, in the middle of a chunk or of a block.
     path = _small_source(tmp_path)
     size = path.stat().st_size
-    if stage.startswith("load"):
-        def scan_then_flip(source):
-            scanned = line_ends(source)
+
+    def change():
+        if stage.endswith("truncate"):
+            os.truncate(path, size - 5)
+        else:
             flip_byte(path, size - 2, "," if stage == "load-delimiter" else None)
+
+    if stage.startswith("load"):
+        def scan_then_flip(source, delimiter):
+            scanned = line_ends(source, delimiter)
+            change()
             return scanned
 
         line_ends = microdata._line_ends
@@ -1127,7 +1284,7 @@ def test_a_source_changed_between_reads_fails_and_leaves_no_file(tmp_path, monke
         return
     mf = rewrite_microfile(load_microfile(path), small_spec(), [8, 4], [4, 12], seed=2)
     assert mf.edited.max() < len(mf) - 1
-    flip_byte(path, size - 2)
+    change()
     release = tmp_path / "out" / "release.csv"
     with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
         write_microfile(mf, release)
