@@ -17,11 +17,11 @@ text.  It keeps where the text came from (a regular file is named by its
 path; other text is held in memory) and each record's span in it, so
 writing copies every record the rewrite did not touch verbatim (quotes and
 line terminators included), a block at a time from the source, and
-re-serialises only the edited ones.  Every read after the first checks the
-text's size and CRC-32 against the first read's, so a file that changes
-while a microfile depends on it raises a :class:`MicrofileError` instead of
-mixing two texts.  No Python object per record outlives
-:func:`load_microfile`.
+re-serialises only the edited ones, each field quoted as it was and each
+record ending as it did.  Every read after the first checks the text's
+size and CRC-32 against the first read's, so a file that changes while a
+microfile depends on it raises a :class:`MicrofileError` instead of mixing
+two texts.  No Python object per record outlives :func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
@@ -63,7 +63,6 @@ bytes parse to identical cells, as a full parse would.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import os
 import random
@@ -73,7 +72,7 @@ from contextlib import ExitStack
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -212,8 +211,8 @@ class Microfile:
     def from_rows(cls, attributes: Iterable[str], rows: Iterable[Iterable[str]],
                   delimiter: str = ",") -> Microfile:
         """Serialise ``rows`` under a header of ``attributes`` and parse the text."""
-        lines = _format_rows([attributes, *rows], delimiter)
-        return _parse(_Source(data=("\n".join(lines) + "\n").encode("utf-8")), delimiter)
+        lines = (_format_record(list(row), (), delimiter) + "\n" for row in [attributes, *rows])
+        return _parse(_Source(data="".join(lines).encode("utf-8")), delimiter)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -989,23 +988,22 @@ def _changed(new: np.ndarray, bounds: np.ndarray, old: np.ndarray, old_bounds: n
     return ~same
 
 
-def _format_rows(rows: Iterable[Iterable[str]], delimiter: str) -> list[str]:
-    """Records as the csv module quotes them, without line terminators."""
-    buffer = io.StringIO()
-    # "\r\n" makes the writer quote fields holding either line-break character.
-    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\r\n")
-    ends = []
-    for row in rows:
-        writer.writerow(row)
-        ends.append(buffer.tell())
-    text = buffer.getvalue()
-    return [text[start : end - 2] for start, end in zip([0] + ends, ends)]
+def _format_record(values: Sequence[str], quoted: Container[int], delimiter: str) -> str:
+    """One record's ``values`` joined by ``delimiter``, without a line terminator.
 
-
-def _terminator(line: bytes) -> bytes:
-    if line.endswith(b"\r\n"):
-        return b"\r\n"
-    return line[-1:] if line[-1:] in (b"\n", b"\r") else b""
+    Field j is quoted (a quote in it doubled) when ``quoted`` holds j, as for
+    a field quoted in the input, or when its value holds the delimiter, a
+    quote, CR or LF, or is its record's lone empty field: with nothing in
+    ``quoted``, csv's minimal rule.
+    """
+    record = delimiter.join(values)
+    # Most records quote no field; one look at the joined values tells.
+    if quoted or not record or record.count(delimiter) >= len(values) or not {'"', "\r", "\n"}.isdisjoint(record):
+        special = {delimiter, '"', "\r", "\n"}
+        record = delimiter.join('"' + value.replace('"', '""') + '"'
+                                if j in quoted or not record or not special.isdisjoint(value) else value
+                                for j, value in enumerate(values))
+    return record
 
 
 def write_microfile(mf: Microfile, sink) -> None:
@@ -1013,44 +1011,45 @@ def write_microfile(mf: Microfile, sink) -> None:
 
     The header and every record the rewrite did not edit are copied from the
     source's text, a block at a time, so writing a loaded file gives back its
-    bytes.  Edited records are re-serialised with csv quoting in the file's
-    own delimiter and keep their own line terminator.  The text read is
-    checked against the load's first read, and a :class:`MicrofileError`
+    bytes.  An edited record is read from the source too: it keeps its line
+    terminator, and each field is quoted where its input field was (see
+    :func:`_format_record`), so a field that keeps its value keeps its
+    bytes, and a plain text gets :mod:`csv`'s minimal quoting.  The text read
+    is checked against the load's first read, and a :class:`MicrofileError`
     names a source that has changed since.
 
-    ``sink`` is a path or a text or binary file object.  A path is written
-    through a new file in its directory, which replaces it only once the
-    whole text is written and checked: a failed write leaves no file
-    behind, and a microfile may be written over its own source.  A path
-    that exists and is not a regular file (a pipe, a device) is written in
-    place.
+    ``sink`` is a path or a binary file object.  A path is written through a
+    new file in its directory, which replaces it only once the whole text is
+    written and checked: a failed write leaves no file behind, and a
+    microfile may be written over its own source.  A path that exists and
+    is not a regular file (a pipe, a device) is written in place.
     """
     columns = [
         np.asarray(list(vocabulary), dtype=object)[codes[mf.edited]]
         for codes, vocabulary in zip(mf.codes, mf.vocabularies)
     ]
-    records = _format_rows(zip(*columns), mf.delimiter)
-    starts = mf.bounds[mf.edited].tolist()
-    ends = mf.bounds[mf.edited + 1].tolist()
+    starts, ends = mf.bounds[mf.edited].tolist(), mf.bounds[mf.edited + 1].tolist()
 
     def copy(write):
         with _Reader(mf.source) as reader:
             position = 0
-            for record, start, end in zip(records, starts, ends):
+            for values, start, end in zip(zip(*columns), starts, ends):
                 reader.copy(start - position, write)
-                write(record.encode("utf-8") + _terminator(reader.read(end - start)))
+                line = reader.read(end - start)
+                quoted = ()
+                if b'"' in line:  # else no field is quoted, and the line needs no split
+                    buf = np.frombuffer(line + b"\n", dtype=np.uint8)  # a byte after an empty last field
+                    first = np.append(0, _separators(buf, len(line), mf.delimiter) + 1)
+                    quoted = set(np.flatnonzero(buf[first] == _QUOTE).tolist())
+                record = _format_record(values, quoted, mf.delimiter)
+                # The line terminator: no field ends in a CR or LF outside quotes.
+                write(record.encode("utf-8") + line[len(line.rstrip(b"\r\n")) :])
                 position = end
             reader.copy(mf.source.size - position, write)
             reader.check()
 
     if hasattr(sink, "write"):
-        if isinstance(sink, io.TextIOBase):
-            # A block may end inside a character.
-            decoder = codecs.getincrementaldecoder("utf-8")()
-            copy(lambda piece: sink.write(decoder.decode(piece)))
-            sink.write(decoder.decode(b"", final=True))
-        else:
-            copy(sink.write)
+        copy(sink.write)
         return
     path = Path(sink)
     if path.exists() and not path.is_file():

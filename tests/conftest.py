@@ -55,9 +55,9 @@ def records(mf):
 
 
 def microfile_text(mf):
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_microfile(mf, buffer)
-    return buffer.getvalue()
+    return buffer.getvalue().decode("utf-8")
 
 
 def flip_byte(path, offset, to=None):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -20,6 +21,7 @@ from groupanon.cli import (
 from groupanon.errors import ConfigError, PlanError
 from groupanon.microdata import Microfile
 
+import adversary
 import reference as ref
 from conftest import flip_byte
 from reference import build_reconstruction_matrix
@@ -433,7 +435,7 @@ def test_anonymize_of_malformed_text_fails_before_output(small_run, capsys, edit
     assert not (tmp_path / "out.csv").exists()
 
 
-def write_census_config(tmp_path, census_file):
+def write_census_config(tmp_path, census_file, **overrides):
     from groupanon.fixture import REGION_CODES
 
     config_path = tmp_path / "config.json"
@@ -458,6 +460,7 @@ def write_census_config(tmp_path, census_file):
             "floor": 2.0,
         },
     }
+    config.update(overrides)
     config_path.write_text(json.dumps(config, indent=2))
     return config_path
 
@@ -479,6 +482,45 @@ def test_anonymize_census_golden(census_file, tmp_path):
     assert report["redistribution"]["extrema_after"]["maxima"] == [9, 13]
     assert abs(report["counts"]["achieved_mean"] - ref.FINAL_COUNTS_MEAN) < 0.05
     assert main(["verify", "--config", str(config_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "410753788014fb2047624cfb5a362a9d655ed923a60acdb629173509bc918d78"),
+    (42, "f36165818481fd8f1a573843c8f5a3c6dc4e7ed7b9d1efb88400909b00110ddb"),
+])
+def test_census_release_is_pinned(census_file, tmp_path, seed, digest):
+    # The default release is fixed for a given config and seed, byte for
+    # byte: a change to the record layer that alters one byte of it fails here.
+    config_path = write_census_config(tmp_path, census_file, seed=seed)
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == digest
+
+
+def test_release_of_quoted_input_does_not_mark_its_edits(census_file, tmp_path):
+    # Every cell of the input is quoted.  An edited record that is quoted by
+    # a rule of its own stands out among the release's lines: the attack,
+    # which reads only the release and the config, must find nothing.
+    data = census_file.read_bytes()
+    quoted = b'"' + data.replace(b",", b'","').replace(b"\n", b'"\n"')[:-1]
+    (tmp_path / "quoted.csv").write_bytes(quoted)
+    config = load_config(write_census_config(tmp_path, census_file, input=str(tmp_path / "quoted.csv"), seed=1))
+    status, report = run_anonymize(config)
+    assert status == EXIT_OK
+    changed = report["sizes"]["records_changed"]
+    release = config.output.read_bytes()
+    assert 0 < changed and adversary.quoting_outliers(release, config) == []
+    # The same release with its edited lines quoted by csv's minimal rule
+    # (none of the census values needs a quote): the attack finds exactly those.
+    lines, originals = release.split(b"\n"), quoted.split(b"\n")
+    edited = [r for r, (line, original) in enumerate(zip(lines, originals)) if line != original]
+    assert len(edited) == changed
+    for r in edited:
+        lines[r] = lines[r].replace(b'"', b"")
+    assert adversary.quoting_outliers(b"\n".join(lines), config) == [r - 1 for r in edited]
+    del lines, originals
+    status, checked = run_verify(config)
+    assert status == EXIT_OK
+    assert checked["sizes"]["records_reparsed"] == changed
 
 
 @pytest.mark.parametrize("command, limit", [("anonymize", 1.6), ("verify", 2.2)])

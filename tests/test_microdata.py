@@ -6,6 +6,7 @@ import re
 import threading
 import tracemalloc
 import zlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -563,8 +564,9 @@ def test_rewritten_crlf_record_keeps_its_terminator():
     mf = load_microfile(io.StringIO(text))
     out = rewrite_microfile(mf, spec, [1, 1], [1, 2], seed=0)
     assert microfile_text(out) == 'REG,JOB,SEX\r\nA,X,"1"\r\nA,Z,"2"\r\nA,Z,1\nB,X,1\r\nB,X,2'
+    # The edited record's third field keeps its quotes.
     out = rewrite_microfile(mf, spec, [1, 1], [3, 1], seed=0)
-    assert microfile_text(out) == 'REG,JOB,SEX\r\nA,X,"1"\r\nA,X,2\r\nA,Y,1\nB,X,1\r\nB,Z,2'
+    assert microfile_text(out) == 'REG,JOB,SEX\r\nA,X,"1"\r\nA,X,"2"\r\nA,Y,1\nB,X,1\r\nB,Z,2'
 
 
 def test_load_ragged_quoted_row_names_line():
@@ -942,6 +944,79 @@ def _check_modes_agree_with_csv(case):
     assert delta.parsed == edited
     assert_codes_in_order(delta.vocabularies)
     assert records(delta) == records(full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DELIMITERS), st.lists(st.text(',;\t|"\r\n xé日', max_size=4), min_size=1, max_size=4))
+@example(",", [""])
+@example(",", ["", ""])
+@example("\t", ["a b", "\r", 'é"'])
+def test_unquoted_records_format_as_csv_writes_them(d, values):
+    # With no field quoted in the input, a record is quoted as csv.writer
+    # quotes it: a field holding the delimiter, a quote, CR or LF, and a
+    # record's lone empty field.
+    buffer = io.StringIO()
+    csv.writer(buffer, delimiter=d, lineterminator="\r\n").writerow(values)
+    assert microdata._format_record(values, (), d) == buffer.getvalue().removesuffix("\r\n")
+
+
+def _raw_fields(line, d):
+    """The bytes of each field of one record, and its line terminator (a split at the delimiters outside quotes)."""
+    fields, start, inside = [], 0, False
+    for i, byte in enumerate(line):
+        if byte == ord('"'):
+            inside = not inside
+        elif not inside and byte == ord(d):
+            fields.append(line[start:i])
+            start = i + 1
+        elif not inside and byte in b"\r\n":
+            return fields + [line[start:i]], line[i:]
+    return fields + [line[start:]], b""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        microfile_texts(terminators=("\n", "\r\n", "\r"), bom=True).map(lambda case: (case[0].encode(), case[1])),
+        chunked_texts().map(lambda case: (case[3], case[0])),
+    ),
+    st.data(),
+)
+def test_edited_records_keep_the_bytes_of_kept_fields(case, data):
+    # Records picked at random get values drawn from a pool (or keep their
+    # own).  Every record not picked keeps its bytes; a picked record keeps
+    # its line terminator and the bytes of each field whose value it keeps,
+    # quotes included.  The release reads back as the edited records.
+    text, d = case
+    mf = load_microfile(io.BytesIO(text), delimiter=d)
+    picked = sorted(data.draw(st.sets(st.integers(0, len(mf) - 1))))
+    pool = [value.format(d=d) for value in _VALUES] + ["new"]
+    codes, vocabularies = [], []
+    for column, vocabulary in zip(mf.codes, mf.vocabularies):
+        column, vocabulary = column.astype(np.int64), dict(vocabulary)
+        for r in picked:
+            if data.draw(st.booleans()):
+                column[r] = vocabulary.setdefault(data.draw(st.sampled_from(pool)), len(vocabulary))
+        codes.append(column)
+        vocabularies.append(vocabulary)
+    edited = replace(mf, codes=codes, vocabularies=vocabularies, edited=np.array(picked, dtype=np.intp))
+    buffer = io.BytesIO()
+    write_microfile(edited, buffer)
+    release = buffer.getvalue()
+    again = load_microfile(io.BytesIO(release), delimiter=d)
+    assert records(again) == records(edited)
+    assert release[: again.bounds[0]] == text[: mf.bounds[0]]
+    for r, (before, after) in enumerate(zip(records(mf), records(edited))):
+        old = text[mf.bounds[r] : mf.bounds[r + 1]]
+        new = release[again.bounds[r] : again.bounds[r + 1]]
+        if r not in picked:
+            assert new == old
+            continue
+        (old_fields, old_end), (new_fields, new_end) = _raw_fields(old, d), _raw_fields(new, d)
+        assert new_end == old_end
+        for j, (value, kept) in enumerate(zip(after, before)):
+            if value == kept:
+                assert new_fields[j] == old_fields[j], (r, j)
 
 
 @pytest.mark.parametrize("variant", ["crlf", "quoted", "lone_cr"])
@@ -1346,8 +1421,10 @@ def test_pipe_input_and_output_load_and_write(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fifo", "out.fifo"]
 
 
-def test_text_sink_takes_characters_split_across_blocks(monkeypatch):
+def test_one_byte_blocks_write_characters_split_across_blocks(monkeypatch):
     # Every block of one byte ends inside a two-byte character.
     monkeypatch.setattr(microdata, "_BLOCK_BYTES", 1)
-    text = "RÉG,JOB\né,ü\nß,X\n"
-    assert microfile_text(load_microfile(io.StringIO(text))) == text
+    data = "RÉG,JOB\né,ü\nß,X\n".encode()
+    buffer = io.BytesIO()
+    write_microfile(load_microfile(io.BytesIO(data)), buffer)
+    assert buffer.getvalue() == data
