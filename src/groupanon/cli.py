@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -103,7 +104,18 @@ def _of(*kinds):
 
 
 _string, _list, _object_of = _of(str), _of(list), _of(dict)
-_integer, _number = _of(int), _of(int, float)
+_integer = _of(int)
+
+
+def _number(value):
+    """A JSON number that a float holds finitely: Python's json also takes NaN, the infinities and any integer."""
+    try:
+        finite = math.isfinite(_of(int, float)(value))
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ValueError("must be finite")
+    return value
 
 
 def _positive(convert):
@@ -243,6 +255,8 @@ def load_config(path) -> RunConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -381,7 +395,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     bounds of :func:`groupanon.redistribution.rounding_tolerances` instead
     of the exact in-pipeline tolerance.  The anonymized file is read as a
     delta of the original: only its records that differ from the
-    original's record at the same position are parsed (``records_reparsed``).
+    original's record at the same position are parsed (``records_reparsed``),
+    or all of them when the record counts differ.
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")

@@ -52,12 +52,12 @@ delimiters outside quotes, unquoted and decoded, each class once, in one
 batch per chunk and table; their values are joined to the table, which
 stays sorted without a sort.  No chunk makes a Python string per cell.
 
-A load may name a microfile the text is expected to repeat (``like``, for
-``verify`` the original of a release).  A record whose bytes equal that
-file's record at the same position then takes its codes, and only the
-other records go through the tables, which start empty; the two texts are
-read chunk by chunk in step.  A record starts outside quotes, so identical
-bytes parse to identical cells, as a full parse would.
+A load may name a microfile of as many records that the text is expected
+to repeat (``like``, for ``verify`` the original of a release).  A record
+whose bytes equal that file's record at the same position takes its codes,
+and only the other records go through the tables, which start empty; the
+two texts are read chunk by chunk in step.  A record starts outside quotes,
+so identical bytes parse to identical cells, as a full parse would.
 """
 
 from __future__ import annotations
@@ -193,9 +193,8 @@ class Microfile:
     split into cells; the others took their codes from the microfile passed
     as ``like``.  Code arrays and vocabularies are never changed in place; a
     rewrite copies the ones it changes.  A load with ``like`` shares every
-    vocabulary of ``like`` to which no parsed record added a value, and, when
-    it has as many records, every code array of ``like`` in which no parsed
-    record changed a code.
+    vocabulary and code array of ``like`` to which no parsed record added a
+    value or changed a code.
     """
 
     attributes: list[str]
@@ -350,10 +349,10 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     of a release.  Each record whose bytes equal ``like``'s record at the
     same position takes ``like``'s codes; only the other records are
     re-parsed, with every check of a full parse, and a value new to
-    ``like`` joins the end of a copy of its vocabulary.  Every record counts
-    as changed, which is a full parse, when the headers or delimiters
-    differ, or when a rewrite has edited ``like``.  The decoded values never
-    depend on ``like``; the codes and vocabularies may.
+    ``like`` joins the end of a copy of its vocabulary.  The text is parsed
+    in full when the record counts, headers or delimiters differ, or when a
+    rewrite has edited ``like``.  The decoded values never depend on
+    ``like``; the codes and vocabularies may.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -368,6 +367,7 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
 
 
 def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Microfile:
+    """The microfile of ``source``'s text; see :func:`load_microfile` for ``like``, whose text is read in step."""
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n':
         raise MicrofileError(
             f"delimiter must be one ASCII character other than a quote or line break, got {delimiter!r}"
@@ -375,9 +375,23 @@ def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Mi
     ends, source = _line_ends(source, delimiter)
     if len(ends) == 1:  # no record after the header, if any
         raise MicrofileError("empty file")
-    attributes, codes, vocabularies, parsed = _split_records(source, delimiter, ends, like)
-    return Microfile(attributes, codes, vocabularies, source, ends, delimiter,
-                     np.empty(0, dtype=np.intp), parsed)
+    with ExitStack() as stack:
+        readers = [stack.enter_context(_Reader(source))]
+        try:
+            head = readers[0].read(ends[0])
+            attributes = _header(head, delimiter)
+            if like is not None and (len(like) != len(ends) - 1 or like.delimiter != delimiter or like.edited.size):
+                like = None
+            if like is not None:
+                readers.append(stack.enter_context(_Reader(like.source)))
+                if readers[1].read(like.bounds[0]) != head:
+                    like = None
+            codes, lines = _split_lines(readers, delimiter, len(attributes), ends, like)
+        finally:  # also when the parse fails: a changed text is reported instead
+            for reader in readers:
+                reader.check()
+    return Microfile(attributes, codes, lines.indexes, source, ends, delimiter,
+                     np.empty(0, dtype=np.intp), lines.parsed)
 
 
 def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
@@ -525,51 +539,16 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_records(source: _Source, delimiter: str, bounds: np.ndarray, like: Microfile | None = None):
-    """The attributes, code columns and vocabularies of the records ending at ``bounds``, and the records parsed.
-
-    See :func:`load_microfile` for ``like``.  The text is read again a chunk
-    of rows at a time, and so is ``like``'s, in step; both reads are checked
-    against the first, also before a parse error is raised.
-    """
-    with ExitStack() as stack:
-        readers = [stack.enter_context(_Reader(source))]
-        try:
-            head = readers[0].read(bounds[0])
-            attributes = _header(head, delimiter)
-            if like is not None and like.delimiter == delimiter and not like.edited.size:
-                readers.append(stack.enter_context(_Reader(like.source)))
-                if readers[1].read(like.bounds[0]) != head:
-                    like = None
-            else:
-                like = None
-            codes, lines = _split_lines(readers, delimiter, len(attributes), bounds, like)
-        except MicrofileError:
-            for reader in readers:
-                reader.check()
-            raise
-        for reader in readers:
-            reader.check()
-    return attributes, codes, lines.indexes, lines.parsed
-
-
 def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndarray, like: Microfile | None):
     """The code columns of the records ending at ``bounds[1:]``, read a chunk at a time, and the :class:`_Lines` that parsed them."""
     n = len(bounds) - 1
     if like is None:
-        shared = 0
         lines = _Lines(delimiter, [{} for _ in range(q)], [None] * q)
         codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
     else:
-        shared = min(n, len(like))
-        # like's own vocabularies, and arrays if it has n rows, copied only
-        # when a parsed record changes one.
+        # like's own vocabularies and arrays, copied only when a parsed record changes one.
         lines = _Lines(delimiter, list(like.vocabularies), like.vocabularies)
-        if n == len(like):
-            codes = list(like.codes)
-        else:
-            # Copies cut or padded to n rows; rows past like's end are all parsed.
-            codes = [np.resize(column, n) for column in like.codes]
+        codes = list(like.codes)
     # One read buffer for every chunk, with room for the words of its last
     # line (see _pack).
     block = np.empty(0, dtype=np.uint8)
@@ -580,13 +559,9 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndar
             block = np.empty(size + 8, dtype=np.uint8)
         readers[0].readinto(block[:size])
         rows = range(r0, r1)
-        if r0 < shared:
-            s1 = min(r1, shared)
-            old = np.frombuffer(readers[1].read(like.bounds[s1] - like.bounds[r0]), dtype=np.uint8)
-            todo = np.ones(r1 - r0, dtype=bool)
-            todo[: s1 - r0] = _changed(block[: bounds[s1] - bounds[r0]], bounds[r0 : s1 + 1],
-                                       old, like.bounds[r0 : s1 + 1])
-            rows = r0 + np.flatnonzero(todo)
+        if like is not None:
+            old = np.frombuffer(readers[1].read(like.bounds[r1] - like.bounds[r0]), dtype=np.uint8)
+            rows = r0 + np.flatnonzero(_changed(block[:size], bounds[r0 : r1 + 1], old, like.bounds[r0 : r1 + 1]))
             if not rows.size:
                 continue
         # Offsets from the chunk's start; the lines to parse, if not all the
@@ -628,8 +603,6 @@ class _Lines:
         self.lines: _Table | None = _Table(len(indexes))
         self.fields: list[_Table] = []
         self.parsed = 0
-        # The records being parsed: buffer, offsets and row numbers, for _fail.
-        self.chunk = None
 
     def parse(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, rows: Sequence[int]):
         """Per column, the ``int32`` codes of the records ``rows``, which are ``buf[starts[i]:ends[i]]``.
@@ -637,7 +610,6 @@ class _Lines:
         ``buf`` holds 8 bytes past the last record (see :func:`_pack`).
         """
         self.parsed += len(rows)
-        self.chunk = buf, starts, ends, rows
         try:
             if self.lines is not None:
                 codes = self._lines(buf, starts, ends, rows)
@@ -647,7 +619,7 @@ class _Lines:
                 self.fields = [_Table(1) for _ in self.indexes]
             return self._fields(buf, starts, ends, rows)
         except UnicodeDecodeError:
-            self._fail()
+            self._fail(buf, starts, ends, rows)
             raise
 
     def _lines(self, buf, starts, ends, rows):
@@ -661,12 +633,13 @@ class _Lines:
         firsts, classes = new.classes()
         if 2 * firsts.size > len(rows):
             return None
-        # The new records, each with its line break and one byte after all, split and decoded.
+        # The first record of each new class (equal records fail alike), each
+        # with its line break and one byte after all, split and decoded.
         f = new.at[firsts]
         line_sizes = ends[f] - starts[f]
         lines = np.append(_gather(buf, starts[f], line_sizes), np.uint8(_LF))
         line_ends = np.cumsum(line_sizes)
-        edges = self._split(lines, line_ends - line_sizes, line_ends)
+        edges = self._split(lines, line_ends - line_sizes, line_ends, [rows[i] for i in f.tolist()])
         cells = _decode_fields(lines, (edges[:, :-1] + 1).ravel(), (np.diff(edges) - 1).ravel(), self.delimiter)
         q = len(self.indexes)
         values = np.stack([self._encode(j, cells[j::q]) for j in range(q)])
@@ -675,7 +648,7 @@ class _Lines:
         return codes
 
     def _fields(self, buf, starts, ends, rows):
-        edges = self._split(buf, starts, ends)
+        edges = self._split(buf, starts, ends, rows)
         columns = []
         for j, table in enumerate(self.fields):
             first = edges[:, j] + 1
@@ -694,24 +667,24 @@ class _Lines:
             columns.append(codes)
         return columns
 
-    def _split(self, buf, starts, ends):
+    def _split(self, buf, starts, ends, rows):
         """Per record ``buf[starts[i]:ends[i]]``, the q + 1 edges of its fields: the byte before its first, its delimiters, its last's end.
 
         When there are q - 1 delimiters outside quotes per record and each
         record's lie inside it, every record has q fields; otherwise the
-        chunk fails (see :meth:`_fail`).
+        records fail (see :meth:`_fail`).
         """
         q = len(self.indexes)
         delimiters = _separators(buf, ends[-1], self.delimiter).astype(starts.dtype)
         if delimiters.size != len(starts) * (q - 1):
-            self._fail()
+            self._fail(buf, starts, ends, rows)
         edges = np.column_stack([starts - 1, delimiters.reshape(len(starts), q - 1), _last(buf, starts, ends)])
         if q == 1:
             fits = (edges[:, 1] - edges[:, 0] > 1).all()  # an empty record has no field
         else:
             fits = (edges[:, 1] > edges[:, 0]).all() and (edges[:, -2] < edges[:, -1]).all()
         if not fits:
-            self._fail()
+            self._fail(buf, starts, ends, rows)
         return edges
 
     def _encode(self, j: int, values: list[str]) -> np.ndarray:
@@ -719,13 +692,12 @@ class _Lines:
             self.indexes[j] = dict(self.indexes[j])
         return _encode(values, self.indexes[j])
 
-    def _fail(self):
-        """Raise the error a full parse of the chunk's records raises first.
+    def _fail(self, buf, starts, ends, rows):
+        """Raise the error a full parse of the records ``rows``, which are ``buf[starts[i]:ends[i]]``, raises first.
 
         That is the first record that is not UTF-8 text, else the first
         record without one field per attribute.
         """
-        buf, starts, ends, rows = self.chunk
         _decode(buf[: ends[-1]].tobytes(), _line_at(rows, ends - starts))
         # A record has one field more than it has delimiters, unless it is empty.
         fields = np.diff(np.searchsorted(_separators(buf, ends[-1], self.delimiter), ends), prepend=0) + 1

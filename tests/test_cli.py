@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from groupanon.microdata import Microfile
 
 import adversary
 import reference as ref
-from conftest import flip_byte
+from conftest import flip_byte, write_distinct_lines_file
 from reference import build_reconstruction_matrix
 
 
@@ -175,6 +176,40 @@ def test_value_outside_choices_names_key(small_run, capsys, section, key, value,
                f"(expected one of {allowed})")
     assert capsys.readouterr().err == f"error: {message}\n"
     assert json.loads(report_path.read_text())["error"]["message"] == message
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"{not json", "config is not valid JSON: "),
+    (b'{"input": "\xff.csv"}', "config {path} is not UTF-8 text: "),
+], ids=["not_json", "not_utf8"])
+def test_unreadable_config_fails_with_an_error_report(tmp_path, capsys, data, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(data)
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=config_path)) and err.count("\n") == 1
+    assert json.loads(report_path.read_text())["error"] == {"type": "ConfigError", "message": err[7:-1]}
+
+
+# Python's json reads NaN, Infinity and integers of any size.
+@pytest.mark.parametrize("plan, key", [
+    ({"strategy": "alleged_extrema", "targets": [[2, math.nan]]}, "plan.targets"),
+    ({"strategy": "manual", "free_values": {"3": math.nan}}, "plan.free_values"),
+    ({"strategy": "manual", "free_values": {"3": 10**400}}, "plan.free_values"),
+    ({"strategy": "manual", "free_values": {"3": 0.1}, "floor": math.inf}, "plan.floor"),
+], ids=["nan_target", "nan_free_value", "huge_free_value", "infinite_floor"])
+def test_non_finite_number_names_key(small_run, capsys, plan, key):
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config["plan"] = plan
+    config_path.write_text(json.dumps(config))
+    report_path = tmp_path / "error.json"
+    assert main(["anonymize", "--config", str(config_path), "--report", str(report_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} has a malformed value: ") and err.endswith(" (must be finite)\n")
+    assert json.loads(report_path.read_text())["error"] == {"type": "ConfigError", "message": err[7:-1]}
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -494,6 +529,29 @@ def test_census_release_is_pinned(census_file, tmp_path, seed, digest):
     config_path = write_census_config(tmp_path, census_file, seed=seed)
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "abca40d8292c98e9420d4a3f46a15096cc2374b3a69ee818d832eb21c6920d9c"),
+    (42, "0e57c24ce3289e38ff500b904638985bcb361308b1c9c7fb023e5eceeae02e95"),
+])
+def test_distinct_lines_release_is_pinned(tmp_path, seed, digest):
+    # Most lines of this input differ, so its load looks each column's fields
+    # up in a table of their own, as domain-8191's does; the census release
+    # pins the table of whole lines.
+    path = write_distinct_lines_file(tmp_path / "distinct.csv")
+    config_path = write_census_config(
+        tmp_path, path, seed=seed,
+        attributes={"vital": ["JOB"], "vital_combinations": [["V"]], "parameter": "CAT",
+                    "parameter_values": [f"C{c:04d}" for c in range(1, 4_001)], "fallback": "N"},
+        wavelet={"name": "db2", "level": 2, "extension": "left"},
+        plan={"strategy": "alleged_extrema", "targets": [[1_000, 0.3], [3_000, 0.3]], "floor": 2.0},
+    )
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == digest
+    status, checked = run_verify(load_config(config_path))
+    assert status == EXIT_OK
+    assert 0 < checked["sizes"]["records_reparsed"] == checked["sizes"]["records_changed"]
 
 
 def test_release_of_quoted_input_does_not_mark_its_edits(census_file, tmp_path):

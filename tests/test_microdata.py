@@ -388,6 +388,13 @@ def test_rewrite_stale_counts_detected():
         rewrite_microfile(mf, small_spec(), [3, 1], [3, 1], seed=0)
 
 
+@pytest.mark.parametrize("old, new", [([2], [2, 1]), ([2, 1], [2, 1, 0]), ([[2, 1]], [[2, 1]])])
+def test_rewrite_counts_of_the_wrong_length(old, new):
+    mf = make_microfile(SMALL_ROWS)
+    with pytest.raises(RewriteError, match=r"^counts must have one entry per parameter value \(2\)$"):
+        rewrite_microfile(mf, small_spec(), old, new, seed=0)
+
+
 def test_write_then_reload_census(tmp_path, census_microfile):
     spec = census_attribute_spec()
     signal = concentration_signal(census_microfile, spec)
@@ -1253,20 +1260,35 @@ def test_delta_read_equals_full_read(case, chunk_rows):
     assert_codes_in_order(delta.vocabularies)
     assert_codes_in_order(full.vocabularies)
     assert delta.parsed <= full.parsed == len(full)
+    if len(delta) != len(like):
+        assert delta.parsed == full.parsed
     if released == original:
         assert delta.parsed == 0
 
 
+_DELTA_ORIGINAL = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
+
+
 def test_delta_read_parses_only_changed_records():
-    original = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
-    like = load_microfile(io.StringIO(original))
-    released = load_microfile(io.StringIO("REG,JOB,SEX\nA,X,1\nA,Y,2\nB,ZZ,1\nB,X,2\nC,W,1\n"), like=like)
-    assert released.parsed == 3
-    assert records(released) == [("A", "X", "1"), ("A", "Y", "2"), ("B", "ZZ", "1"),
-                                 ("B", "X", "2"), ("C", "W", "1")]
+    like = load_microfile(io.StringIO(_DELTA_ORIGINAL))
+    released = load_microfile(io.StringIO("REG,JOB,SEX\nA,X,1\nA,Y,2\nB,ZZ,1\nB,X,2\n"), like=like)
+    assert released.parsed == 2
+    assert records(released) == [("A", "X", "1"), ("A", "Y", "2"), ("B", "ZZ", "1"), ("B", "X", "2")]
     # Unchanged records keep the original's codes; new values join the end.
     assert list(released.vocabularies[1])[: len(like.vocabularies[1])] == list(like.vocabularies[1])
     np.testing.assert_array_equal(released.codes[1][[0, 3]], like.codes[1][[0, 3]])
+
+
+def test_delta_read_of_another_record_count_parses_every_record():
+    # A release with a record appended is parsed in full (verify then fails
+    # on record_count_unchanged), and equals a full load.
+    like = load_microfile(io.StringIO(_DELTA_ORIGINAL))
+    text = _DELTA_ORIGINAL + "C,W,1\n"
+    released = load_microfile(io.StringIO(text), like=like)
+    full = load_microfile(io.StringIO(text))
+    assert released.parsed == full.parsed == 5
+    assert records(released) == records(full) == [("A", "X", "1"), ("A", "Z", "2"), ("B", "Z", "1"),
+                                                   ("B", "X", "2"), ("C", "W", "1")]
 
 
 def test_delta_read_error_names_line_in_released_file():

@@ -260,6 +260,14 @@ def test_redistribute_rejects_all_zero_signal(db2):
         redistribute(np.zeros(7), plan, db2, 1)
 
 
+def test_redistribute_rejects_a_negative_scale(db2, census_ratios):
+    # With no floor nothing shifts the rebuilt signal up, so free values far
+    # below the originals drive its informative sum, and the scale, below 0.
+    plan = RedistributionPlan(strategy="manual", free_values=dict.fromkeys(range(3, 7), -50.0), floor=None)
+    with pytest.raises(SignalError, match="^mean-preserving scale must be positive, got -"):
+        redistribute(census_ratios, plan, db2, 1, "left")
+
+
 def test_redistribute_fixed_coefficients_track_shift_and_scale(db2, census_ratios):
     # New approximation coefficients on the fixed set equal
     # scale * (original + shift * sqrt(2)**k): the shift is a constant
