@@ -5,8 +5,8 @@ signal, decompose, redistribute, integer quantities, rewrite, report);
 ``inspect`` prints the signal, coefficients, the rows of the synthesis
 operator (each expanded from :func:`groupanon.wavelets.operator_band` to
 one line of 4-decimal entries) and the fixed coefficient set the run uses,
-without writing anything; ``verify`` re-checks an already anonymized file
-against its original.
+writing each line as it is made, once every check has run, and no file;
+``verify`` re-checks an already anonymized file against its original.
 
 ``anonymize`` and ``verify`` build their ``checks`` the same way: the rows
 of :func:`groupanon.redistribution.verify_outcome` (mean, details,
@@ -35,6 +35,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -200,13 +201,13 @@ def _malformed(key: str, value, exc: Exception) -> ConfigError:
     return ConfigError(message, field=getattr(exc, "field", None))
 
 
-def _denominator(value) -> dict:
-    """A rule name, or an object naming the records the denominator counts."""
+def _denominator(value) -> tuple[str, tuple[str, ...]] | None:
+    """``"group_total"`` (None: every record of the group), or the filter an object names."""
     if isinstance(value, str):
-        return {"denominator": value}
+        _choice(("group_total",))(value)
+        return None
     rule = _object("attributes.denominator", value, _DENOMINATOR, ("attribute", "values"))
-    return {"denominator": "custom_filter",
-            "denominator_filter": (rule["attribute"], rule["values"])}
+    return rule["attribute"], rule["values"]
 
 
 # One key table per config object: JSON key -> (dataclass field, converter).
@@ -218,7 +219,7 @@ _ATTRIBUTES = {
     ),
     "parameter": ("parameter_attribute", _string),
     "parameter_values": ("parameter_values", _strings),
-    "denominator": (None, _denominator),
+    "denominator": ("denominator_filter", _denominator),
     "fallback": ("fallback_combination", _optional(_string_or_strings)),
 }
 _WAVELET = {
@@ -276,7 +277,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # Without indent, json serialises with its C encoder, not its Python one.
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    path.write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        print(text, file=handle)  # the text, then the newline: no concatenated copy
+
+
+def _finish(report: dict) -> tuple[int, dict]:
+    """Set ``report["status"]`` from its check rows; return the run's exit code and ``report``."""
+    passed = all(row["passed"] for row in report["checks"].values())
+    report["status"] = "ok" if passed else "invariant_violation"
+    return (EXIT_OK if passed else EXIT_INVARIANT), report
 
 
 def run_anonymize(config: RunConfig) -> tuple[int, dict]:
@@ -306,15 +315,13 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
     checks = red_report.pop("checks")
     checks["released_counts_match"] = _mismatch_row(recount.numerators, counts)
     checks["denominators_unchanged"] = _mismatch_row(recount.denominators, signal.denominators)
-    passed = all(row["passed"] for row in checks.values())
-    report = {
-        "status": "ok" if passed else "invariant_violation",
+    code, report = _finish({
         "input": str(config.input),
         "output": str(config.output),
         "seed": config.seed,
         "wavelet": {"name": config.wavelet, "level": config.level, "extension": config.extension},
         "signal": {
-            "parameter_values": list(signal.parameter_values),
+            "parameter_values": list(config.spec.parameter_values),
             "denominators": signal.denominators.tolist(),
             "ratios": signal.ratios.tolist(),
             "final_ratios": final_ratios.tolist(),
@@ -330,12 +337,12 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
         "timings": timings,
         "sizes": {
             "records": len(rewritten),
-            "categories": len(signal.parameter_values),
+            "categories": len(config.spec.parameter_values),
             "extended_length": ExtensionMeta(red_report["extension"], len(final_ratios)).extended_length,
             "level": config.level,
             "records_changed": len(rewritten.edited),
         },
-    }
+    })
     # The report file cannot hold its own write time; the returned report
     # and the summary on stdout carry it.
     with _stage(timings, "report"):
@@ -346,11 +353,11 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
             config.plot_data.write_text(
                 format_plot_data(signal.ratios, final_ratios), encoding="utf-8"
             )
-    return (EXIT_OK if passed else EXIT_INVARIANT), report
+    return code, report
 
 
-def run_inspect(config: RunConfig) -> tuple[int, str]:
-    """Compute and render the decomposition view; writes nothing."""
+def run_inspect(config: RunConfig, out) -> None:
+    """Write the decomposition view to the text stream ``out`` line by line, once every check has run."""
     mf = load_microfile(config.input, delimiter=config.delimiter)
     signal = concentration_signal(mf, config.spec)
     filters = filter_by_name(config.wavelet)
@@ -363,28 +370,26 @@ def run_inspect(config: RunConfig) -> tuple[int, str]:
     def fmt(values) -> str:
         return " ".join(format(v, ".4f") for v in values)
 
-    lines = [
-        f"parameter values: {' '.join(signal.parameter_values)}",
-        f"numerators: {' '.join(str(v) for v in signal.numerators)}",
-        f"denominators: {' '.join(str(v) for v in signal.denominators)}",
-        f"concentration signal: {fmt(signal.ratios)}",
-        f"extension: {meta.direction} ({meta.original_length} -> {meta.extended_length} samples)",
-        f"approximation coefficients (level {dec.level}): {fmt(dec.approx)}",
-    ]
+    put = partial(print, file=out)
+    put(f"parameter values: {' '.join(config.spec.parameter_values)}")
+    put(f"numerators: {' '.join(str(v) for v in signal.numerators)}")
+    put(f"denominators: {' '.join(str(v) for v in signal.denominators)}")
+    put(f"concentration signal: {fmt(signal.ratios)}")
+    put(f"extension: {meta.direction} ({meta.original_length} -> {meta.extended_length} samples)")
+    put(f"approximation coefficients (level {dec.level}): {fmt(dec.approx)}")
     for u, detail in enumerate(dec.details, start=1):
-        lines.append(f"detail coefficients (level {u}): {fmt(detail)}")
-    lines.append(f"reconstruction matrix ({n} x {m}):")
+        put(f"detail coefficients (level {u}): {fmt(detail)}")
+    put(f"reconstruction matrix ({n} x {m}):")
     # One row at a time: the cells outside a row's band all print as 0.
     zero = f"{0.0:8.4f}"
     cells = [zero] * m
     for row_cols, row_taps in zip(cols.tolist(), taps.tolist()):
         for j, tap in zip(row_cols, row_taps):
             cells[j] = f"{tap:8.4f}"
-        lines.append(" ".join(cells))
+        put(" ".join(cells))
         for j in row_cols:
             cells[j] = zero
-    lines.append(f"fixed coefficient indices: {' '.join(str(i) for i in fixed) if fixed else '(none)'}")
-    return EXIT_OK, "\n".join(lines)
+    put(f"fixed coefficient indices: {' '.join(str(i) for i in fixed) if fixed else '(none)'}")
 
 
 def run_verify(config: RunConfig) -> tuple[int, dict]:
@@ -396,10 +401,12 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     of the exact in-pipeline tolerance.  The anonymized file is read as a
     delta of the original: only its records that differ from the
     original's record at the same position are parsed (``records_reparsed``),
-    or all of them when the record counts differ.
+    or all of them when the record counts differ.  A configured report is
+    read first, and only its ``counts.new`` is kept.
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")
+    wanted = None if config.report is None else _released_counts(config.report)
     timings: dict[str, float] = {}
     with _stage(timings, "load"):
         original = load_microfile(config.input, delimiter=config.delimiter)
@@ -430,33 +437,35 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     checks["record_count_unchanged"] = _count_row(abs(len(original) - len(final)))
     checks["non_vital_cells_unchanged"] = _count_row(altered)
     checks["denominators_unchanged"] = _mismatch_row(sig_before.denominators, sig_after.denominators)
-    if config.report is not None:
-        try:
-            previous = json.loads(config.report.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"report {config.report} does not exist") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"report {config.report} is not valid JSON: {exc}") from None
-        counts = previous.get("counts") if isinstance(previous, dict) else None
-        wanted = counts.get("new") if isinstance(counts, dict) else None
-        if not isinstance(wanted, list):
-            raise ConfigError(f"report {config.report} is not an anonymize report: no 'counts.new' list")
+    if wanted is not None:
         checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
-    passed = all(row["passed"] for row in checks.values())
-    report = {
-        "status": "ok" if passed else "invariant_violation",
+    return _finish({
         "checks": checks,
         "timings": timings,
         "sizes": {
             "records": len(original),
-            "categories": len(sig_before.parameter_values),
+            "categories": len(config.spec.parameter_values),
             "extended_length": meta.extended_length,
             "level": config.level,
             "records_changed": int(changed.sum()),
             "records_reparsed": final.parsed,
         },
-    }
-    return (EXIT_OK if passed else EXIT_INVARIANT), report
+    })
+
+
+def _released_counts(path: Path) -> list:
+    """The ``counts.new`` list of the anonymize report at ``path``."""
+    try:
+        previous = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"report {path} does not exist") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"report {path} is not valid JSON: {exc}") from None
+    counts = previous.get("counts") if isinstance(previous, dict) else None
+    wanted = counts.get("new") if isinstance(counts, dict) else None
+    if not isinstance(wanted, list):
+        raise ConfigError(f"report {path} is not an anonymize report: no 'counts.new' list")
+    return wanted
 
 
 def _count_row(count: int) -> dict:
@@ -517,9 +526,8 @@ def main(argv=None) -> int:
         config = replace(config, **{key: value for key, value in flags.items() if value is not None})
         report_path = config.report
         if args.command == "inspect":
-            status, text = run_inspect(config)
-            print(text)
-            return status
+            run_inspect(config, sys.stdout)
+            return EXIT_OK
         run = run_anonymize if args.command == "anonymize" else run_verify
         status, report = run(config)
         summary = {key: report[key] for key in ("status", "checks", "timings", "sizes")}

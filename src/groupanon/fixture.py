@@ -6,7 +6,8 @@ the golden tests: per region, the first ``SCIENTISTS[i]`` records carry a
 science occupation code (alternating between the two codes) and the
 remaining ``EMPLOYED[i] - SCIENTISTS[i]`` records cycle through non-science
 filler codes.  A SEX column exists purely so conservation checks have
-non-vital cells to compare.  Generation is fully deterministic.
+non-vital cells to compare.  Each run of records is one short period of
+lines repeated, and generation is fully deterministic.
 
 Run ``python -m groupanon.fixture OUT.csv`` to write the file.
 """
@@ -14,6 +15,7 @@ Run ``python -m groupanon.fixture OUT.csv`` to write the file.
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from .microdata import AttributeSpec
@@ -26,6 +28,7 @@ SCIENCE_OCCUPATIONS = ("211", "311")
 FILLER_OCCUPATIONS = ("111", "231", "421", "516", "611", "721", "811", "999")
 FALLBACK_OCCUPATION = "999"
 
+SEXES = ("1", "2")
 ATTRIBUTES = ("REGNUK", "OCC", "SEX")
 
 
@@ -36,22 +39,16 @@ def census_attribute_spec() -> AttributeSpec:
         vital_combinations=tuple((code,) for code in SCIENCE_OCCUPATIONS),
         parameter_attribute="REGNUK",
         parameter_values=REGION_CODES,
-        denominator="group_total",
         fallback_combination=(FALLBACK_OCCUPATION,),
     )
 
 
-def _region_rows(region: str, employed: int, scientists: int):
-    sexes = ("1", "2")
-    for i in range(scientists):
-        yield region, SCIENCE_OCCUPATIONS[i % 2], sexes[i % 2]
-    for i in range(employed - scientists):
-        yield region, FILLER_OCCUPATIONS[i % len(FILLER_OCCUPATIONS)], sexes[i % 2]
-
-
-def iter_census_rows():
-    for region, employed, scientists in zip(REGION_CODES, EMPLOYED, SCIENTISTS):
-        yield from _region_rows(region, employed, scientists)
+def _periodic(region: str, occupations: tuple[str, ...], count: int) -> str:
+    """``count`` lines of ``region`` whose OCC cycles through ``occupations`` and SEX through ``SEXES``."""
+    period = [f"{region},{occupations[i % len(occupations)]},{SEXES[i % len(SEXES)]}\n"
+              for i in range(math.lcm(len(occupations), len(SEXES)))]
+    whole, rest = divmod(count, len(period))
+    return "".join(period) * whole + "".join(period[:rest])
 
 
 def write_census_fixture(path) -> Path:
@@ -60,7 +57,9 @@ def write_census_fixture(path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(ATTRIBUTES) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in iter_census_rows())
+        for region, employed, scientists in zip(REGION_CODES, EMPLOYED, SCIENTISTS):
+            handle.write(_periodic(region, SCIENCE_OCCUPATIONS, scientists))
+            handle.write(_periodic(region, FILLER_OCCUPATIONS, employed - scientists))
     return path
 
 

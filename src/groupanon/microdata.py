@@ -248,9 +248,9 @@ class AttributeSpec:
     ``vital_combinations`` are value tuples over ``vital_attributes``; a
     record is vital when its vital-attribute values equal any combination.
     ``parameter_values`` order defines the signal index order.  The
-    denominator of each ratio counts either every record in the parameter
-    group (``group_total``) or only those passing ``denominator_filter``
-    (``custom_filter``, an (attribute, allowed-values) pair).
+    denominator of each ratio counts every record in the parameter group
+    when ``denominator_filter`` is None, and otherwise only those it
+    passes (an (attribute, allowed-values) pair).
     ``fallback_combination`` is what a vital record becomes when the rewrite
     must shrink a group; there is deliberately no default.
     """
@@ -259,7 +259,6 @@ class AttributeSpec:
     vital_combinations: tuple[tuple[str, ...], ...]
     parameter_attribute: str
     parameter_values: tuple[str, ...]
-    denominator: str = "group_total"
     denominator_filter: tuple[str, tuple[str, ...]] | None = None
     fallback_combination: tuple[str, ...] | None = None
 
@@ -293,11 +292,7 @@ class AttributeSpec:
             raise MicrofileError("at least one parameter value is required", field="parameter_values")
         if len(set(self.parameter_values)) != len(self.parameter_values):
             raise MicrofileError("parameter values must be distinct", field="parameter_values")
-        if self.denominator not in ("group_total", "custom_filter"):
-            raise MicrofileError(f"unknown denominator rule {self.denominator!r}")
-        if self.denominator == "custom_filter":
-            if self.denominator_filter is None:
-                raise MicrofileError("custom_filter denominator needs a denominator_filter")
+        if self.denominator_filter is not None:
             attr, values = self.denominator_filter
             object.__setattr__(self, "denominator_filter", (attr, tuple(values)))
         if self.fallback_combination is not None:
@@ -316,9 +311,8 @@ class AttributeSpec:
 
 @dataclass(frozen=True)
 class ConcentrationSignal:
-    """Per parameter value: vital count, group denominator, and their ratio."""
+    """Per parameter value of the spec, in its order: vital count, group denominator, and their ratio."""
 
-    parameter_values: tuple[str, ...]
     numerators: np.ndarray
     denominators: np.ndarray
 
@@ -1083,7 +1077,7 @@ def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSig
     m = len(spec.parameter_values)
     slots = _group_slots(mf, spec)
     numerators = _count(slots[_vital_mask(mf, spec)], m + 1)[:m]
-    if spec.denominator == "custom_filter":
+    if spec.denominator_filter is not None:
         attribute, allowed = spec.denominator_filter
         slots = slots[mf.lookup(attribute, dict.fromkeys(allowed, True), False)]
     denominators = _count(slots, m + 1)[:m]
@@ -1097,7 +1091,7 @@ def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSig
             f"parameter value {value!r} has {numerators[slot]} vital records but a "
             f"denominator of {denominators[slot]}; its ratio would exceed 1"
         )
-    return ConcentrationSignal(spec.parameter_values, numerators, denominators)
+    return ConcentrationSignal(numerators, denominators)
 
 
 def new_quantities(final_ratios, denominators) -> tuple[np.ndarray, float]:

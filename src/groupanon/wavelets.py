@@ -144,17 +144,13 @@ def extend_to_even(s, direction: str = "left") -> tuple[np.ndarray, ExtensionMet
 
     Even-length input is returned unchanged with ``direction == "none"``.
     ``direction`` picks the side: ``"left"`` prepends a copy of the first
-    sample, ``"right"`` appends a copy of the last.
+    sample, ``"right"`` appends a copy of the last.  :class:`ExtensionMeta`
+    rejects any other direction.
     """
     arr = as_signal(s)
-    n = arr.size
-    if n % 2 == 0:
-        return arr, ExtensionMeta("none", n)
-    if direction == "left":
-        return np.concatenate(([arr[0]], arr)), ExtensionMeta("left", n)
-    if direction == "right":
-        return np.concatenate((arr, [arr[-1]])), ExtensionMeta("right", n)
-    raise SignalError(f"extension direction must be one of {EXTENSIONS}, got {direction!r}")
+    meta = ExtensionMeta(direction if arr.size % 2 else "none", arr.size)
+    pad = {"left": (1, 0), "right": (0, 1)}.get(meta.direction, (0, 0))
+    return np.pad(arr, pad, mode="edge"), meta
 
 
 def max_level(n: int) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -60,6 +61,13 @@ def write_config(path, input_path, regions, plan, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def inspect_text(config) -> str:
+    """What ``inspect`` writes for ``config``."""
+    out = io.StringIO()
+    run_inspect(config, out)
+    return out.getvalue()
 
 
 SEVEN_COUNTS = [200, 300, 100, 400, 200, 300, 200]
@@ -141,8 +149,10 @@ def test_config_errors(tmp_path):
     ("attributes", "vital_combinations", [["X"], ["X"]], "attributes.vital_combinations"),
     ("attributes", "parameter_values", [], "attributes.parameter_values"),
     ("attributes", "fallback", ["Z", "1"], "attributes.fallback"),  # two values for one vital attribute
-    # A rule name the spec does not know: the message names the rule.
-    ("attributes", "denominator", "bogus", "bogus"),
+    # The only rule name is "group_total"; any other string names the key.
+    ("attributes", "denominator", "bogus", "attributes.denominator"),
+    (None, "input", "", "input"),
+    (None, "plan", 5, "plan"),
     # Checked against the known filter names before the input is loaded.
     ("wavelet", "name", "db3", "wavelet.name"),
 ])
@@ -415,7 +425,7 @@ def test_reports_carry_timings_and_sizes(small_run):
 
 
 def test_anonymize_even_length_rejects_unknown_extension(tmp_path):
-    # Even-length signals skip extend_to_even's own direction check, so the
+    # Even-length signals skip the direction check of ExtensionMeta, so the
     # config check is the only one that sees this value.
     input_path = tmp_path / "input.csv"
     regions = write_small_input(input_path, [100, 200, 300, 100, 200, 300, 100, 200])
@@ -612,6 +622,10 @@ def test_fixture_generator_cli(tmp_path, capsys):
     assert first[0] == "REGNUK,OCC,SEX"
     assert first[1].startswith("11,")
     assert "wrote 1156526 records" in capsys.readouterr().out
+    # The bytes the benchmark's census-13 workload checks before it runs.
+    data = out.read_bytes()
+    assert len(data) == 10_408_749
+    assert hashlib.sha256(data).hexdigest() == "27c1f39a4312fe0015f52fc89df81bd241ef4f8a6cdfdda14fc12dc5fff9d9a5"
 
 
 # ---------------------------------------------------------------- inspect
@@ -646,8 +660,7 @@ def test_inspect_even_length_has_no_fixed_set(tmp_path):
     # The plan leaves the fixed set to the border rows, of which there are none.
     plan = {"strategy": "manual", "floor": None}
     config_path = write_config(tmp_path / "config.json", input_path, regions, plan)
-    status, text = run_inspect(load_config(config_path))
-    assert status == EXIT_OK
+    text = inspect_text(load_config(config_path))
     assert "extension: none (8 -> 8 samples)" in text
     assert "fixed coefficient indices: (none)" in text
 
@@ -658,18 +671,52 @@ def test_inspect_prints_the_plans_fixed_set(tmp_path):
     input_path = tmp_path / "input.csv"
     regions = write_small_input(input_path, SEVEN_COUNTS)
     config_path = write_config(tmp_path / "config.json", input_path, regions, IDENTITY_PLAN)
-    _, text = run_inspect(load_config(config_path))
+    text = inspect_text(load_config(config_path))
     assert "fixed coefficient indices: 1 2 3 4" in text
     status, report = run_anonymize(load_config(config_path))
     assert status == EXIT_OK
     assert report["redistribution"]["fixed_indices"] == [1, 2, 3, 4]
     write_config(config_path, input_path, regions, {"strategy": "manual", "floor": None})
-    _, text = run_inspect(load_config(config_path))
+    text = inspect_text(load_config(config_path))
     assert "fixed coefficient indices: 1 2 4" in text
-    # A set the run would reject is rejected by inspect too.
+    # A set the run would reject is rejected by inspect too, before any line is written.
     write_config(config_path, input_path, regions, {**IDENTITY_PLAN, "fixed_indices": [1, 9]})
+    out = io.StringIO()
     with pytest.raises(PlanError, match=r"fixed indices \[9\] outside 1..4"):
-        run_inspect(load_config(config_path))
+        run_inspect(load_config(config_path), out)
+    assert out.getvalue() == ""
+
+
+class _Digest:
+    """A text stream that keeps only the sha256 and the size of what is written to it."""
+
+    def __init__(self):
+        self.sha256, self.size = hashlib.sha256(), 0
+
+    def write(self, text: str) -> None:
+        data = text.encode()
+        self.sha256.update(data)
+        self.size += len(data)
+
+
+def test_inspect_of_many_categories_writes_line_by_line(tmp_path):
+    # 2,049 categories at level 1: the operator alone prints 2,050 rows of
+    # 1,025 cells.  inspect writes each line as it is made, so its peak stays
+    # far below the size of its text, which its sha256 pins.
+    input_path = tmp_path / "input.csv"
+    regions = write_small_input(input_path, [c % 5 for c in range(2_049)], per_group=6)
+    config_path = write_config(tmp_path / "config.json", input_path, regions, {"strategy": "manual", "floor": None})
+    config = load_config(config_path)
+    out = _Digest()
+    tracemalloc.start()
+    try:
+        run_inspect(config, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.size, out.sha256.hexdigest()) == (
+        18_960_392, "54b3ef34d91804768b83fbd507bb21d02b87ebfca6955fddd0f8dd0bbd9a0a4d")
+    assert peak < out.size / 8, f"inspect peak {peak} bytes for {out.size} bytes of text"
 
 
 # ---------------------------------------------------------------- verify
@@ -856,6 +903,19 @@ def test_verify_counts_a_report_of_another_length_as_mismatched(small_run, capsy
     row = json.loads(captured.out)["checks"]["released_counts_match"]
     assert row["value"] == len(SEVEN_COUNTS) + 3 and row["passed"] is False
     assert f"check failed: released_counts_match: value {len(SEVEN_COUNTS) + 3} (tolerance 0)" in captured.err
+
+
+def test_verify_reads_its_report_before_the_microfiles(small_run, capsys, monkeypatch):
+    # No anonymize has run, so the configured report does not exist; verify
+    # fails on it without loading either microfile.
+    tmp_path, config_path = small_run
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("verify loaded a microfile before reading its report")
+
+    monkeypatch.setattr(cli, "load_microfile", no_load)
+    assert main(["verify", "--config", str(config_path)]) == EXIT_ERROR
+    assert f"report {tmp_path / 'report.json'} does not exist" in capsys.readouterr().err
 
 
 def test_verify_rejects_missing_report(small_run, capsys):

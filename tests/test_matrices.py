@@ -5,6 +5,7 @@ operator; ``band_matrix`` expands it for comparison with the products of
 the brute-force per-level operators in ``reference.py``.
 """
 
+import io
 import json
 
 import numpy as np
@@ -119,7 +120,9 @@ def test_dump_format(db2, tmp_path):
     config.write_text(json.dumps({"input": str(data), "attributes": {
         "vital": ["JOB"], "vital_combinations": [["X"]], "parameter": "REG",
         "parameter_values": ["R0", "R1", "R2", "R3"]}}))
-    _, text = run_inspect(load_config(config))
+    out = io.StringIO()
+    run_inspect(load_config(config), out)
+    text = out.getvalue()
     M = band_matrix(db2, 1, 4)
     lines = text.split("reconstruction matrix (4 x 2):\n")[1].splitlines()[:-1]
     assert len(lines) == 4

@@ -114,8 +114,9 @@ def test_attribute_spec_validation():
         small_spec(vital_combinations=(("X", "Y"),))
     with pytest.raises(MicrofileError, match="must not itself be vital"):
         small_spec(fallback_combination=("X",))
-    with pytest.raises(MicrofileError, match="denominator_filter"):
-        small_spec(denominator="custom_filter")
+    with pytest.raises(MicrofileError, match="at least one vital value combination") as caught:
+        small_spec(vital_combinations=())
+    assert caught.value.field == "vital_combinations"
 
 
 # ---------------------------------------------------------------- signal
@@ -149,9 +150,7 @@ def test_signal_zero_denominator():
 
 def test_signal_custom_filter_denominator():
     mf = make_microfile(SMALL_ROWS)
-    spec = small_spec(
-        denominator="custom_filter", denominator_filter=("SEX", ("1",))
-    )
+    spec = small_spec(denominator_filter=("SEX", ("1",)))
     signal = concentration_signal(mf, spec)
     # Each group has two SEX=1 records; vital counts are unaffected.
     np.testing.assert_array_equal(signal.denominators, [2, 2])

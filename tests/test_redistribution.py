@@ -201,6 +201,13 @@ def test_infeasible_targets_report_rank(census_parts):
         make_coefficients(plan, dec)
 
 
+def test_alleged_extrema_needs_a_target(census_parts):
+    _, _, dec, _ = census_parts
+    plan = RedistributionPlan(strategy="alleged_extrema")
+    with pytest.raises(PlanError, match="alleged_extrema plans need at least one target"):
+        make_coefficients(plan, dec)
+
+
 def test_duplicate_targets_rejected(census_parts):
     _, _, dec, _ = census_parts
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((13, 1.0), (13, 2.0)))
