@@ -43,7 +43,6 @@ import numpy as np
 from .errors import ConfigError, GroupAnonError
 from .microdata import (
     AttributeSpec,
-    Microfile,
     concentration_signal,
     load_microfile,
     new_quantities,
@@ -210,6 +209,14 @@ def _denominator(value) -> tuple[str, tuple[str, ...]] | None:
     return rule["attribute"], rule["values"]
 
 
+def _free_values(value) -> dict[int, float]:
+    """Free values by coefficient index: JSON object keys, hence strings holding the index, no two naming one."""
+    values = {int(i): _number(x) for i, x in _object_of(value).items()}
+    if len(values) != len(value):
+        raise ValueError("two keys name one coefficient")
+    return values
+
+
 # One key table per config object: JSON key -> (dataclass field, converter).
 _DENOMINATOR = {"attribute": ("attribute", _string), "values": ("values", _strings)}
 _ATTRIBUTES = {
@@ -227,12 +234,10 @@ _WAVELET = {
     "level": ("level", _positive(_integer)),
     "extension": ("extension", _choice(EXTENSIONS)),
 }
-# Free-value keys are JSON object keys, hence strings holding the index.
 _PLAN = {
     "strategy": ("strategy", _choice(STRATEGIES)),
     "fixed_indices": ("fixed_indices", _optional(lambda v: frozenset(map(_integer, _list(v))))),
-    "free_values": ("free_values", _optional(
-        lambda v: {int(i): _number(x) for i, x in _object_of(v).items()})),
+    "free_values": ("free_values", _optional(_free_values)),
     "targets": ("targets", lambda v: tuple((_integer(p), _number(x)) for p, x in map(_list, _list(v)))),
     "floor": ("floor", _optional(_positive(_number))),
 }
@@ -401,8 +406,10 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     of the exact in-pipeline tolerance.  The anonymized file is read as a
     delta of the original: only its records that differ from the
     original's record at the same position are parsed (``records_reparsed``),
-    or all of them when the record counts differ.  A configured report is
-    read first, and only its ``counts.new`` is kept.
+    or all of them when the record counts or the attribute names differ.
+    A file of the original's shape is so read with the original's codes,
+    and its cells are compared code for code.  A configured report is read
+    first, and only its ``counts.new`` is kept.
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")
@@ -428,8 +435,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     # Files of another shape cannot be compared cell by cell; count the larger one's records.
     altered = 0 if same_shape else max(len(original), len(final))
     with _stage(timings, "compare"):
-        for attribute in original.attributes if same_shape else ():
-            differs = _cells_differ(original, final, attribute)
+        for j, attribute in enumerate(original.attributes) if same_shape else ():
+            differs = original.codes[j] != final.codes[j]
             if attribute in config.spec.vital_attributes:
                 changed |= differs
             else:
@@ -479,16 +486,6 @@ def _mismatch_row(actual, expected) -> dict:
     if actual.shape != expected.shape:
         return _count_row(max(actual.size, expected.size))
     return _count_row(int(np.count_nonzero(actual != expected)))
-
-
-def _cells_differ(before: Microfile, after: Microfile, attribute: str) -> np.ndarray:
-    """Per record, whether ``attribute`` holds another value in ``after``.
-
-    The two files have their own vocabularies, so ``before``'s codes are
-    first mapped into ``after``'s.
-    """
-    j = after.column_index(attribute)
-    return before.lookup(attribute, after.vocabularies[j], -1) != after.codes[j]
 
 
 def _absent_or_report(path: Path) -> bool:

@@ -52,12 +52,16 @@ delimiters outside quotes, unquoted and decoded, each class once, in one
 batch per chunk and table; their values are joined to the table, which
 stays sorted without a sort.  No chunk makes a Python string per cell.
 
-A load may name a microfile of as many records that the text is expected
-to repeat (``like``, for ``verify`` the original of a release).  A record
-whose bytes equal that file's record at the same position takes its codes,
-and only the other records go through the tables, which start empty; the
-two texts are read chunk by chunk in step.  A record starts outside quotes,
-so identical bytes parse to identical cells, as a full parse would.
+A load may name a microfile that the text is expected to repeat (``like``,
+for ``verify`` the original of a release).  When the text has as many
+records as ``like`` and its header names the same attributes, in whatever
+bytes, the result uses ``like``'s codes: each of its vocabularies starts
+with ``like``'s keys in order, so a value has one code in both files.  A
+record whose bytes equal ``like``'s record at the same position takes its
+codes, and only the other records go through the tables, which start
+empty; the two texts are read chunk by chunk in step.  A record starts
+outside quotes, so identical bytes parse to identical cells, as a full
+parse would.
 """
 
 from __future__ import annotations
@@ -88,9 +92,6 @@ _CHUNK_ROWS = 1 << 15
 # the largest block it has freed, so the chunks then reuse heap pages instead
 # of mapping (and faulting in) fresh ones every time.
 _BLOCK_BYTES = 1 << 20
-
-# Integer types from narrowest to widest, for the values a lookup maps to.
-_INTEGER_TYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64, np.uint64)
 
 # Record offsets are int32 for a text of at most this many bytes, else int64.
 _INT32_BOUNDS_LIMIT = np.iinfo(np.int32).max
@@ -228,16 +229,14 @@ class Microfile:
         """Per record, ``table`` applied to its value of ``attribute``.
 
         Values missing from ``table`` map to ``default``.  The table is
-        applied once per vocabulary entry, then gathered by code.  Integers
-        come back in the narrowest type that holds every mapped value.
+        applied once per vocabulary entry, then gathered by code.
+        Non-negative integers come back in the narrowest unsigned type that
+        holds the largest; other integers as ``int64``.
         """
         j = self.column_index(attribute)
         mapped = np.array([table.get(value, default) for value in self.vocabularies[j]])
-        if mapped.dtype.kind in "iu":
-            lo, hi = mapped.min(), mapped.max()
-            mapped = mapped.astype(next(
-                t for t in _INTEGER_TYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max
-            ))
+        if mapped.dtype.kind in "iu" and mapped.min() >= 0:
+            mapped = mapped.astype(np.min_scalar_type(mapped.max()))
         return mapped[self.codes[j]]
 
 
@@ -270,6 +269,8 @@ class AttributeSpec:
         object.__setattr__(self, "parameter_values", tuple(self.parameter_values))
         if not self.vital_attributes:
             raise MicrofileError("at least one vital attribute is required", field="vital_attributes")
+        if len(set(self.vital_attributes)) != len(self.vital_attributes):
+            raise MicrofileError("vital attributes must be distinct", field="vital_attributes")
         if not self.vital_combinations:
             raise MicrofileError(
                 "at least one vital value combination is required", field="vital_combinations"
@@ -340,13 +341,15 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     A file object's text, and any other path's (a pipe, a device), are kept.
 
     ``like`` is a microfile the text mostly repeats, such as the original
-    of a release.  Each record whose bytes equal ``like``'s record at the
-    same position takes ``like``'s codes; only the other records are
-    re-parsed, with every check of a full parse, and a value new to
-    ``like`` joins the end of a copy of its vocabulary.  The text is parsed
-    in full when the record counts, headers or delimiters differ, or when a
-    rewrite has edited ``like``.  The decoded values never depend on
-    ``like``; the codes and vocabularies may.
+    of a release.  When the text has ``like``'s record count, delimiter and
+    attribute names (however its header spells them) and no rewrite has
+    edited ``like``, the result keeps ``like``'s codes: a value new to
+    ``like`` joins the end of a copy of its vocabulary, so equal values
+    have equal codes in both.  Each record whose bytes equal ``like``'s
+    record at the same position takes ``like``'s codes; only the other
+    records are re-parsed, with every check of a full parse.  Otherwise the
+    text is parsed in full.  The decoded values never depend on ``like``;
+    the codes and vocabularies may.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -374,12 +377,13 @@ def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Mi
         try:
             head = readers[0].read(ends[0])
             attributes = _header(head, delimiter)
-            if like is not None and (len(like) != len(ends) - 1 or like.delimiter != delimiter or like.edited.size):
+            if like is not None and (len(like) != len(ends) - 1 or like.delimiter != delimiter
+                                     or like.attributes != attributes or like.edited.size):
                 like = None
             if like is not None:
+                # like's header is read, whatever its bytes, so that its records are read in step.
                 readers.append(stack.enter_context(_Reader(like.source)))
-                if readers[1].read(like.bounds[0]) != head:
-                    like = None
+                readers[1].read(like.bounds[0])
             codes, lines = _split_lines(readers, delimiter, len(attributes), ends, like)
         finally:  # also when the parse fails: a changed text is reported instead
             for reader in readers:

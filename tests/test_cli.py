@@ -155,6 +155,10 @@ def test_config_errors(tmp_path):
     (None, "plan", 5, "plan"),
     # Checked against the known filter names before the input is loaded.
     ("wavelet", "name", "db3", "wavelet.name"),
+    # int() reads each of these keys as 3: one of the two values would be dropped.
+    ("plan", "free_values", {"3": -2.0, "03": 7.0}, "plan.free_values"),
+    ("plan", "free_values", {"3": -2.0, " 3": 7.0}, "plan.free_values"),
+    ("plan", "free_values", {"3": -2.0, "+3": 7.0}, "plan.free_values"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -232,6 +236,22 @@ def test_numeric_keys_take_integers_for_floats(small_run):
     plan = load_config(config_path).plan
     assert plan.floor == 2.0 and plan.free_values == {3: 0.0}
     assert isinstance(plan.floor, float) and isinstance(plan.free_values[3], float)
+
+
+@pytest.mark.parametrize("combinations", [[["X", "X"]], [["X", "X"], ["Y", "Y"]]])
+def test_a_vital_attribute_named_twice_is_rejected(small_run, capsys, combinations):
+    # Named twice, one attribute's cell would have to equal both values of a
+    # combination, and a rewrite would write it twice: the run would fail
+    # late, or write a release whose grown records match no combination.
+    tmp_path, config_path = small_run
+    config = json.loads(config_path.read_text())
+    config["attributes"].update(vital=["JOB", "JOB"], vital_combinations=combinations, fallback=["Z", "Z"])
+    config_path.write_text(json.dumps(config))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    message = ("config key 'attributes.vital' has a malformed value: ['JOB', 'JOB'] "
+               "(vital attributes must be distinct)")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("path", [
@@ -810,6 +830,28 @@ def test_verify_detects_tampering_in_record_of_new_length(small_run, capsys):
     assert "check failed: non_vital_cells_unchanged: value 1 (tolerance 0)" in err
     assert summary["checks"]["non_vital_cells_unchanged"]["passed"] is False
     assert summary["sizes"]["records_reparsed"] >= 1
+
+
+def test_verify_of_a_respelled_header_reparses_only_changed_records(small_run, capsys):
+    # The release names the original's attributes in other bytes: quoted,
+    # and ended by CRLF.  It is still read in the original's codes, as a
+    # delta, and the one changed non-vital cell is found.
+    tmp_path, config_path = small_run
+
+    def edit(text):
+        lines = text.split("\n")
+        lines[0] = '"' + lines[0].replace(",", '","') + '"\r'
+        region, job, sex = lines[1].split(",")
+        lines[1] = ",".join((region, job, "2" if sex == "1" else "1"))
+        return "\n".join(lines)
+
+    summary, err = _tamper_and_verify(tmp_path, config_path, capsys, edit)
+    assert err == "check failed: non_vital_cells_unchanged: value 1 (tolerance 0)\n"
+    assert summary["checks"]["non_vital_cells_unchanged"]["value"] == 1
+    originals = (tmp_path / "input.csv").read_bytes().split(b"\n")[1:]
+    released = (tmp_path / "out.csv").read_bytes().split(b"\n")[1:]
+    changed = sum(new != old for new, old in zip(released, originals))
+    assert summary["sizes"]["records_reparsed"] == changed < summary["sizes"]["records"]
 
 
 def test_verify_detects_appended_record(small_run, capsys):

@@ -83,3 +83,23 @@ def test_no_module_imports_the_csv_module():
             if isinstance(node, ast.ImportFrom) and node.module == "csv":
                 found += [f"{path.name}:{node.lineno}: from csv import {alias.name}" for alias in node.names]
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is left over from code that
+    # moved or went.  The package's __init__ uses its imports by listing
+    # them in __all__, and a __future__ import is a compiler directive.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(alias.asname or alias.name.split(".")[0]): node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(alias.asname or alias.name): node.lineno for alias in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(importlib.import_module("groupanon").__all__)
+        found += [f"{path.name}:{line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+    assert found == []

@@ -210,8 +210,10 @@ def test_narrow_lookups_match_int64_reference():
     mf = make_microfile(rows)
     listed = tuple(regions[::-1][:200])
     spec = small_spec(parameter_values=listed)
+    # Non-negative values narrow to the smallest unsigned type; a negative one keeps int64.
     for table, default, dtype in [({v: i for i, v in enumerate(listed)}, 200, np.uint8),
-                                  ({v: i for i, v in enumerate(regions[:280])}, -1, np.int16)]:
+                                  ({v: i for i, v in enumerate(regions[:280])}, 280, np.uint16),
+                                  ({v: i for i, v in enumerate(regions[:280])}, -1, np.int64)]:
         narrow = mf.lookup("REG", table, default)
         assert narrow.dtype == dtype
         np.testing.assert_array_equal(narrow, _int64_lookup(mf, "REG", table, default))
@@ -1198,18 +1200,26 @@ _EDITS = ("keep", "keep", "keep", "same_length", "other_length", "ragged", "drop
 
 @st.composite
 def delta_cases(draw):
-    """An original microfile text and a release made from it by random edits."""
+    """An original microfile text and a release made from it by random edits.
+
+    The release's header may rename an attribute, or spell the original's
+    names in other bytes: quoted, padded with spaces the load strips, with
+    a byte order mark added or dropped, or ended by another line break.
+    """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
     pool = ["x", "y", "xy", "é", "a b"] + ([""] if q > 1 else [])
     values = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
-    header = d.join(f"A{j}" for j in range(q)).encode()
+    names = [f"A{j}" for j in range(q)]
+    header = d.join(names).encode()
     rows = [d.join(draw(values)).encode() for _ in range(draw(st.integers(1, 8)))]
 
     def text(lines, terminator, final):
         return terminator.join(lines) + (terminator if final else b"")
 
-    original = text([header] + rows, draw(st.sampled_from([b"\n", b"\r\n"])), draw(st.booleans()))
+    bom = draw(st.booleans())
+    original = microdata._BOM * bom + text([header] + rows, draw(st.sampled_from([b"\n", b"\r\n"])),
+                                           draw(st.booleans()))
     released = []
     for line in rows:
         edit = draw(st.sampled_from(_EDITS))
@@ -1229,10 +1239,17 @@ def delta_cases(draw):
             line += b"\xff"
         released.append(line)
     released += [d.join(draw(values)).encode() for _ in range(draw(st.integers(0, 3)))]
-    if draw(st.booleans()):
+    spelling = draw(st.sampled_from(["same", "renamed", "quoted", "spaced"]))
+    if spelling == "renamed":
         header = header.replace(b"A0", b"B0")
+    elif spelling == "quoted":
+        header = d.join(f'"{name}"' for name in names).encode()
+    elif spelling == "spaced":
+        header = d.join(f" {name} " for name in names).encode()
+    bom ^= draw(st.booleans())
     terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
-    return d, original, text([header] + released, terminator, draw(st.booleans()))
+    head_end = draw(st.sampled_from([terminator, b"\n", b"\r\n", b"\r"]))
+    return d, original, microdata._BOM * bom + header + head_end + text(released, terminator, draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1259,10 +1276,18 @@ def test_delta_read_equals_full_read(case, chunk_rows):
     assert_codes_in_order(delta.vocabularies)
     assert_codes_in_order(full.vocabularies)
     assert delta.parsed <= full.parsed == len(full)
-    if len(delta) != len(like):
+    if len(delta) != len(like) or delta.attributes != like.attributes:
         assert delta.parsed == full.parsed
-    if released == original:
-        assert delta.parsed == 0
+        return
+    # However the header spells the names, the release keeps like's codes,
+    # and only the records whose bytes changed are parsed.
+    for vocabulary, old in zip(delta.vocabularies, like.vocabularies):
+        assert list(vocabulary)[: len(old)] == list(old)
+
+    def lines(mf, text):
+        return [text[start:end] for start, end in zip(mf.bounds[:-1].tolist(), mf.bounds[1:].tolist())]
+
+    assert delta.parsed == sum(new != old for new, old in zip(lines(delta, released), lines(like, original)))
 
 
 _DELTA_ORIGINAL = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
