@@ -18,12 +18,12 @@ run passes when every row passes.  Both print ``status``, ``checks``,
 Exit status: 0 = success with all invariant checks passing, 2 = pipeline
 ran but an invariant check failed (outputs are still written for
 debugging; stderr names each failed check with its value and tolerance),
-1 = hard error (only ``anonymize`` writes a machine-readable error report,
-when a report path is known and the run's paths do not clash; when the
-config does not load, only over nothing or an earlier report).  Each
-config object has one key table: a key maps onto one dataclass field and
-one converter, defaults live on the dataclasses, and an unknown key is an
-error.
+1 = hard error, a usage error included (only ``anonymize`` writes a
+machine-readable error report, when a report path is known and the run's
+paths do not clash; when the config does not load, only over nothing or an
+earlier report).  Each config object has one key table: a key maps onto
+one dataclass field and one converter, defaults live on the dataclasses,
+and an unknown key is an error.
 """
 
 from __future__ import annotations
@@ -255,10 +255,20 @@ _RUN = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of ``pairs``, none of whose keys may repeat: json alone keeps the last silently."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config repeats key {key!r} in one object")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> RunConfig:
     """Parse the JSON run configuration at ``path``."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -504,22 +514,25 @@ def main(argv=None) -> int:
         "the wavelet approximation of a concentration signal.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("anonymize", "run the full pipeline and write the anonymized microfile"),
-        ("inspect", "print the decomposition view without writing anything"),
-        ("verify", "re-check an anonymized microfile against its original"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True, help="JSON run configuration")
-        cmd.add_argument("--seed", type=int, help="override the configured seed")
-        cmd.add_argument("--output", type=Path, help="override the configured output path")
-        cmd.add_argument("--report", type=Path, help="override the configured report path")
-    args = parser.parse_args(argv)
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", required=True, help="JSON run configuration")
+    path_flags = argparse.ArgumentParser(add_help=False, parents=[config_flag])
+    path_flags.add_argument("--output", type=Path, help="override the configured output path")
+    path_flags.add_argument("--report", type=Path, help="override the configured report path")
+    anonymize = sub.add_parser("anonymize", parents=[path_flags],
+                               help="run the full pipeline and write the anonymized microfile")
+    anonymize.add_argument("--seed", type=int, help="override the configured seed")
+    sub.add_parser("inspect", parents=[config_flag], help="print the decomposition view without writing anything")
+    sub.add_parser("verify", parents=[path_flags], help="re-check an anonymized microfile against its original")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 here means an invariant failed
+        return EXIT_ERROR if exc.code else EXIT_OK
 
     report_path = None
     try:
         config = load_config(args.config)
-        flags = {key: getattr(args, key) for key in ("seed", "output", "report")}
+        flags = {key: getattr(args, key, None) for key in ("seed", "output", "report")}
         config = replace(config, **{key: value for key, value in flags.items() if value is not None})
         report_path = config.report
         if args.command == "inspect":
@@ -540,7 +553,7 @@ def main(argv=None) -> int:
         # whose paths clash, since its report path may name its input, nor
         # one whose config did not load over a file that is not a report.
         clash = getattr(exc, "field", None) in _PATHS
-        if report_path is None and args.report is not None and _absent_or_report(args.report):
+        if report_path is None and getattr(args, "report", None) is not None and _absent_or_report(args.report):
             report_path = args.report
         if args.command == "anonymize" and report_path is not None and not clash:
             try:

@@ -76,7 +76,7 @@ from contextlib import ExitStack
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -249,7 +249,8 @@ class AttributeSpec:
     ``parameter_values`` order defines the signal index order.  The
     denominator of each ratio counts every record in the parameter group
     when ``denominator_filter`` is None, and otherwise only those it
-    passes (an (attribute, allowed-values) pair).
+    passes (an (attribute, allowed-values) pair; not on a vital attribute,
+    whose cells the rewrite changes).
     ``fallback_combination`` is what a vital record becomes when the rewrite
     must shrink a group; there is deliberately no default.
     """
@@ -295,6 +296,10 @@ class AttributeSpec:
             raise MicrofileError("parameter values must be distinct", field="parameter_values")
         if self.denominator_filter is not None:
             attr, values = self.denominator_filter
+            if attr in self.vital_attributes:
+                raise MicrofileError(
+                    f"denominator attribute {attr!r} cannot also be vital", field="denominator_filter"
+                )
             object.__setattr__(self, "denominator_filter", (attr, tuple(values)))
         if self.fallback_combination is not None:
             fallback = tuple(self.fallback_combination)
@@ -618,7 +623,6 @@ class _Lines:
             return self._fields(buf, starts, ends, rows)
         except UnicodeDecodeError:
             self._fail(buf, starts, ends, rows)
-            raise
 
     def _lines(self, buf, starts, ends, rows):
         # A record is keyed by its bytes before its last byte, the line break;
@@ -690,7 +694,7 @@ class _Lines:
             self.indexes[j] = dict(self.indexes[j])
         return _encode(values, self.indexes[j])
 
-    def _fail(self, buf, starts, ends, rows):
+    def _fail(self, buf, starts, ends, rows) -> NoReturn:
         """Raise the error a full parse of the records ``rows``, which are ``buf[starts[i]:ends[i]]``, raises first.
 
         That is the first record that is not UTF-8 text, else the first

@@ -84,9 +84,9 @@ class RedistributionPlan:
                 raise PlanError("floor must be positive (or None to disable the shift)", field="floor")
             object.__setattr__(self, "floor", floor)
         if self.strategy == "manual" and self.targets:
-            raise PlanError("manual plans take free_values, not targets")
+            raise PlanError("manual plans take free_values, not targets", field="targets")
         if self.strategy != "manual" and self.free_values:
-            raise PlanError(f"{self.strategy} plans take targets, not free_values")
+            raise PlanError(f"{self.strategy} plans take targets, not free_values", field="free_values")
 
     def fixed_set(self, f: WaveletFilterPair, k: int, meta: ExtensionMeta) -> frozenset[int]:
         """The coefficients a run keeps: ``fixed_indices``, or else the border set."""
@@ -137,10 +137,12 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
     :func:`fixed_border_indices`.  Manual plans copy ``free_values``
     verbatim.  Solver plans choose the free coefficients by least squares so
     the rebuilt approximation hits the target values at the target
-    positions; ``extremum_transition`` additionally flattens the original
-    extrema of the rebuilt approximation to its median (skipping positions
-    that only fixed coefficients can reach).  Both read the operator rows
-    at those positions from :func:`groupanon.wavelets.operator_band`.
+    positions; the solve is the minimum-norm one, so it sets every free
+    coefficient that no target row reaches to 0.  ``extremum_transition``
+    additionally flattens the original extrema of the rebuilt approximation
+    to its median (skipping positions that only fixed coefficients can
+    reach).  Both read the operator rows at those positions from
+    :func:`groupanon.wavelets.operator_band`.
     """
     a = dec.approx
     m = a.size
@@ -185,17 +187,16 @@ def make_coefficients(plan: RedistributionPlan, dec: DecompositionResult) -> np.
     wanted = np.array([val for _, val in targets])
     coef_matrix = rows[:, free]
     rhs = wanted - rows[:, ~free] @ a[~free]
-    rank = np.linalg.matrix_rank(coef_matrix, tol=RANK_TOL) if free.any() else 0
     rank_aug = np.linalg.matrix_rank(np.column_stack([coef_matrix, rhs]), tol=RANK_TOL)
+    solution, _, _, singular = np.linalg.lstsq(coef_matrix, rhs, rcond=None)
+    rank = int(np.count_nonzero(singular > RANK_TOL))
     if rank_aug > rank:
         raise InfeasibleTargetsError(
             f"{len(targets)} target(s) span rank {rank_aug} but the {int(free.sum())} "
             f"free coefficient(s) only provide rank {rank}"
         )
     ahat = a.copy()
-    if free.any():
-        solution, *_ = np.linalg.lstsq(coef_matrix, rhs, rcond=None)
-        ahat[free] = solution
+    ahat[free] = solution
     return ahat
 
 

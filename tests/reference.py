@@ -29,7 +29,9 @@ sums the synthesis of every channel of a decomposition from the products.
 for the strict interior extrema that ``redistribution.local_extrema`` finds
 with array comparisons.  ``csv_load`` is the oracle for the record layer's
 tokenizer: the :mod:`csv` module's reading of a microfile text, encoded the
-way ``load_microfile`` encodes it.
+way ``load_microfile`` encodes it.  ``solver_coefficients`` is the oracle for
+the rank rule of the target solver: it builds the same system and decides
+feasibility with two ``np.linalg.matrix_rank`` calls before it solves.
 """
 
 import csv
@@ -40,7 +42,9 @@ from functools import reduce
 
 import numpy as np
 
-from groupanon.errors import MicrofileError
+from groupanon.errors import InfeasibleTargetsError, MicrofileError
+from groupanon.redistribution import RANK_TOL
+from groupanon.wavelets import operator_band, synth_approx
 
 
 def _single_level(taps: np.ndarray, n: int) -> np.ndarray:
@@ -144,6 +148,44 @@ def local_extrema(values) -> tuple[list[int], list[int]]:
     maxima = [i + 1 for i in range(1, v.size - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
     minima = [i + 1 for i in range(1, v.size - 1) if v[i] < v[i - 1] and v[i] < v[i + 1]]
     return maxima, minima
+
+
+def solver_coefficients(plan, dec) -> np.ndarray:
+    """``make_coefficients`` for a valid solver plan, with feasibility decided by two ``matrix_rank`` calls.
+
+    The rank of the free columns is 0 when there are none; otherwise both
+    ranks come from ``np.linalg.matrix_rank``, and only a feasible system
+    reaches ``np.linalg.lstsq``.
+    """
+    a, f, k, n = dec.approx, dec.filters, dec.level, dec.extended_length
+    fixed = plan.fixed_set(f, k, dec.meta)
+    free = np.ones(a.size, dtype=bool)
+    free[[i - 1 for i in fixed]] = False
+    targets = list(plan.targets)
+    if plan.strategy == "extremum_transition":
+        rebuilt = synth_approx(a, f, k, n)
+        maxima, minima = local_extrema(rebuilt)
+        cols, taps = operator_band(f, k, n, np.array(maxima + minima, dtype=int) - 1)
+        median = float(np.median(rebuilt))
+        taken = {pos for pos, _ in targets}
+        targets += [(pos, median) for pos, row_cols, row_taps in zip(maxima + minima, cols, taps)
+                    if pos not in taken and (free[row_cols] & (np.abs(row_taps) > RANK_TOL)).any()]
+    cols, taps = operator_band(f, k, n, [pos - 1 for pos, _ in targets])
+    rows = np.zeros((len(targets), a.size))
+    np.put_along_axis(rows, cols, taps, axis=1)
+    coef_matrix = rows[:, free]
+    rhs = np.array([val for _, val in targets]) - rows[:, ~free] @ a[~free]
+    rank = np.linalg.matrix_rank(coef_matrix, tol=RANK_TOL) if free.any() else 0
+    rank_aug = np.linalg.matrix_rank(np.column_stack([coef_matrix, rhs]), tol=RANK_TOL)
+    if rank_aug > rank:
+        raise InfeasibleTargetsError(
+            f"{len(targets)} target(s) span rank {rank_aug} but the {int(free.sum())} "
+            f"free coefficient(s) only provide rank {rank}"
+        )
+    ahat = a.copy()
+    if free.any():
+        ahat[free] = np.linalg.lstsq(coef_matrix, rhs, rcond=None)[0]
+    return ahat
 
 
 DISPLAY_TOL = 5e-4

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import math
+import random
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -159,6 +161,11 @@ def test_config_errors(tmp_path):
     ("plan", "free_values", {"3": -2.0, "03": 7.0}, "plan.free_values"),
     ("plan", "free_values", {"3": -2.0, " 3": 7.0}, "plan.free_values"),
     ("plan", "free_values", {"3": -2.0, "+3": 7.0}, "plan.free_values"),
+    # A rewrite moves records into and out of a denominator filter on a vital attribute.
+    ("attributes", "denominator", {"attribute": "JOB", "values": ["X", "Y", "W"]}, "attributes.denominator"),
+    # A plan error that spans two keys names the one the strategy does not take.
+    ("plan", "targets", [[1, 0.5]], "plan.targets"),
+    ("plan", "strategy", "alleged_extrema", "plan.free_values"),
 ])
 def test_malformed_config_value_names_key(small_run, capsys, section, key, value, name):
     tmp_path, config_path = small_run
@@ -278,6 +285,48 @@ def test_misspelled_config_key_names_object_and_key(small_run, capsys, path):
     assert error["type"] == "ConfigError"
     assert f"unknown config keys: [{name!r}]" == error["message"]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"seed": 1,', '"seed": 99, "seed": 1,', "seed"),
+    ('"3": 0.1', '"3": 7.0, "3": 0.1', "3"),
+], ids=["top_level", "free_values"])
+def test_repeated_config_key_is_an_error(small_run, capsys, old, new, key):
+    # json keeps the last of two equal keys; the run would use one of two values unsaid.
+    tmp_path, config_path = small_run
+    text = config_path.read_text()
+    assert text.count(old) == 1
+    config_path.write_text(text.replace(old, new))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: config repeats key {key!r} in one object\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["anonymize"],
+    ["anonymize", "--config", "{config}", "--bogus"],
+    ["anonymize", "--config", "{config}", "--seed", "abc"],
+    ["inspect", "--config", "{config}", "--output", "x.csv"],
+    ["verify", "--config", "{config}", "--seed", "3"],
+], ids=["no_config", "unknown_flag", "seed_not_a_number", "inspect_output", "verify_seed"])
+def test_usage_error_exits_1(small_run, capsys, argv):
+    # Exit 2 means that a run's invariant failed; a command line argparse
+    # refuses is a hard error, with argparse's usage message on stderr.
+    tmp_path, config_path = small_run
+    assert main([arg.format(config=config_path) for arg in argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: groupanon ") and "error:" in captured.err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("anonymize", {"--config", "--seed", "--output", "--report"}),
+    ("inspect", {"--config"}),
+    ("verify", {"--config", "--output", "--report"}),
+])
+def test_each_command_takes_only_the_flags_it_reads(capsys, command, flags):
+    assert main([command, "--help"]) == EXIT_OK
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == flags | {"--help"}
 
 
 def test_readme_config_loads(tmp_path):
@@ -582,6 +631,38 @@ def test_distinct_lines_release_is_pinned(tmp_path, seed, digest):
     status, checked = run_verify(load_config(config_path))
     assert status == EXIT_OK
     assert 0 < checked["sizes"]["records_reparsed"] == checked["sizes"]["records_changed"]
+
+
+def test_long_domain_solver_release_is_pinned(tmp_path):
+    # Shaped like the long-domain benchmark input, smaller: 2,000 categories
+    # of 2 to 5 records, one spike, and five decoy targets solved at level 2.
+    # Census-13's manual plan never reaches the target solver; this pins its
+    # coefficients and the release they give, bit for bit.
+    rng = random.Random(2_000)
+    lines = []
+    for c in range(2_000):
+        size = rng.randint(2, 5)
+        share = 0.9 if c == 1_333 else 0.25 + 0.1 * math.sin(6 * math.pi * c / 2_000)
+        vital = max(1, round(share * size))
+        lines += [f"C{c + 1:04d},V,{rng.choice('12')}\n" for _ in range(vital)]
+        lines += [f"C{c + 1:04d},{'NMK'[j % 3]},{rng.choice('12')}\n" for j in range(size - vital)]
+    rng.shuffle(lines)
+    (tmp_path / "long.csv").write_text("CAT,JOB,SEX\n" + "".join(lines), encoding="utf-8")
+    config_path = write_census_config(
+        tmp_path, tmp_path / "long.csv", seed=1,
+        attributes={"vital": ["JOB"], "vital_combinations": [["V"]], "parameter": "CAT",
+                    "parameter_values": [f"C{c:04d}" for c in range(1, 2_001)], "fallback": "N"},
+        wavelet={"name": "db2", "level": 2, "extension": "left"},
+        plan={"strategy": "alleged_extrema", "targets": [[100 + 400 * j, 0.9] for j in range(5)], "floor": 2.0},
+    )
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == (
+        "18bb391aa997a0a4aa17a46bda794f33f774fd72ed0ca201a72b17de88ce11b2")
+    after = np.array(json.loads((tmp_path / "report.json").read_text())["redistribution"]["coefficients_after"])
+    assert hashlib.sha256(after.tobytes()).hexdigest() == (
+        "7b96e70cf9e9ee494fecbd9443682f925f7c1dd315590e773aac52a4ce00dfd9")
+    # The minimum-norm solve sets every free coefficient no target reaches to 0.
+    assert (after.size, np.count_nonzero(after == 0)) == (500, 490)
 
 
 def test_release_of_quoted_input_does_not_mark_its_edits(census_file, tmp_path):

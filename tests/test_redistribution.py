@@ -15,7 +15,7 @@ from groupanon import (
 )
 from groupanon.errors import InfeasibleTargetsError, PlanError, SignalError
 from groupanon.redistribution import CHECK_TOL, fixed_border_indices, local_extrema, make_coefficients
-from groupanon.wavelets import synth_approx
+from groupanon.wavelets import filter_by_name, synth_approx
 
 import reference as ref
 from reference import build_reconstruction_matrix
@@ -199,6 +199,72 @@ def test_infeasible_targets_report_rank(census_parts):
     plan = RedistributionPlan(strategy="alleged_extrema", targets=((1, 5.0),))
     with pytest.raises(InfeasibleTargetsError, match="rank"):
         make_coefficients(plan, dec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wavelet=st.sampled_from(["db2", "haar"]),
+    k=st.integers(1, 3),
+    blocks=st.integers(2, 12),
+    odd=st.booleans(),
+    strategy=st.sampled_from(["alleged_extrema", "extremum_transition"]),
+    fixed_mode=st.sampled_from(["border", "random"]),
+    extra=st.integers(-64, 2),
+    realizable=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_agrees_with_the_two_rank_oracle(wavelet, k, blocks, odd, strategy, fixed_mode, extra,
+                                                realizable, seed):
+    # The rank of the free columns is read off the solve's singular values;
+    # the oracle computes it with matrix_rank.  Both raise or neither does,
+    # with one message, and the coefficients are equal bit for bit.
+    f = filter_by_name(wavelet)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.05, 0.95, (blocks << k) - odd)
+    extended, meta = extend_to_even(c, "left" if rng.random() < 0.5 else "right")
+    dec = analyze(extended, f, k, meta=meta)
+    m, n = dec.approx.size, meta.extended_length
+    fixed = fixed_border_indices(f, k, meta)
+    if fixed_mode == "random":
+        fixed = frozenset(int(i) for i in rng.choice(np.arange(1, m + 1), int(rng.integers(0, m + 1)), replace=False))
+    count = min(n, max(1, m + extra))  # 1 to m + 2 targets
+    positions = rng.choice(n, size=count, replace=False) + 1
+    values = rng.uniform(-1.0, 1.0, count)
+    if realizable:  # consistent however many targets there are
+        free = np.setdiff1d(np.arange(m), [i - 1 for i in fixed])
+        coefficients = dec.approx.copy()
+        coefficients[free] = rng.uniform(-5.0, 5.0, free.size)
+        values = synth_approx(coefficients, f, k, n)[positions - 1]
+    plan = RedistributionPlan(strategy=strategy, fixed_indices=None if fixed_mode == "border" else fixed,
+                              targets=tuple(zip(positions.tolist(), values.tolist())))
+    try:
+        expected = ref.solver_coefficients(plan, dec)
+    except InfeasibleTargetsError as exc:
+        with pytest.raises(InfeasibleTargetsError) as raised:
+            make_coefficients(plan, dec)
+        assert str(raised.value) == str(exc)
+        return
+    assert np.array_equal(make_coefficients(plan, dec), expected)
+
+
+def test_a_solve_computes_one_rank_and_one_least_squares(census_parts, monkeypatch):
+    _, _, dec, _ = census_parts
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("matrix_rank", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    make_coefficients(RedistributionPlan(strategy="alleged_extrema", targets=((13, 1.0),)), dec)
+    assert calls == {"matrix_rank": 1, "lstsq": 1}
+    calls.clear()
+    with pytest.raises(InfeasibleTargetsError):
+        make_coefficients(RedistributionPlan(strategy="alleged_extrema", targets=((1, 5.0),)), dec)
+    assert calls == {"matrix_rank": 1, "lstsq": 1}
 
 
 def test_alleged_extrema_needs_a_target(census_parts):
