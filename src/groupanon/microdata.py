@@ -14,21 +14,24 @@ to its code (loading numbers values in order of first appearance; a rewrite
 appends the values it introduces).  Signals are vocabulary lookups and
 ``np.bincount``; the rewrite assigns codes.  The microfile does not keep its
 text.  It keeps where the text came from (a regular file is named by its
-path; other text is held in memory) and each record's span in it, so
-writing copies every record the rewrite did not touch verbatim (quotes and
-line terminators included), a block at a time from the source, and
-re-serialises only the edited ones, each field quoted as it was and each
-record ending as it did.  Every read after the first checks the text's
-size and CRC-32 against the first read's, so a file that changes while a
-microfile depends on it raises a :class:`MicrofileError` instead of mixing
-two texts.  No Python object per record outlives :func:`load_microfile`.
+path; other text is held in memory), the header's length and each record's
+length in bytes, so writing copies every record the rewrite did not touch
+verbatim (quotes and line terminators included), a block at a time from
+the source, and re-serialises only the edited ones, each field quoted as it
+was and each record ending as it did.  Every read after the first checks
+the text's size and CRC-32 against the first read's, so a file that changes
+while a microfile depends on it raises a :class:`MicrofileError` instead of
+mixing two texts.  No Python object per record outlives :func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
 its values, or is made a block at a time (the line-end scan, the counts,
-the rewrite's search for the rows it picks).  A code column starts as
-``uint8`` and is copied to a wider type only when its vocabulary outgrows
-the one it has, so at most three times.
+the rewrite's search for the rows it picks, a write's search for the
+records it edits).  A record's place in the text is its length, not its
+offset: an offset is found by summing lengths a chunk of rows at a time.
+A code column and the record lengths start as ``uint8`` and are copied to
+a wider type only when a value outgrows the one they have (a vocabulary,
+a longer record), so at most three times.
 
 A load's first read finds where every record ends, as :mod:`csv` reads a
 file opened with ``newline=""``: at a ``\n``, ``\r\n`` or lone ``\r`` outside
@@ -61,7 +64,8 @@ record whose bytes equal ``like``'s record at the same position takes its
 codes, and only the other records go through the tables, which start
 empty; the two texts are read chunk by chunk in step.  A record starts
 outside quotes, so identical bytes parse to identical cells, as a full
-parse would.
+parse would.  When every record has the length of ``like``'s at the same
+position, the result shares ``like``'s lengths.
 """
 
 from __future__ import annotations
@@ -92,9 +96,6 @@ _CHUNK_ROWS = 1 << 15
 # the largest block it has freed, so the chunks then reuse heap pages instead
 # of mapping (and faulting in) fresh ones every time.
 _BLOCK_BYTES = 1 << 20
-
-# Record offsets are int32 for a text of at most this many bytes, else int64.
-_INT32_BOUNDS_LIMIT = np.iinfo(np.int32).max
 
 # A byte order mark that may open UTF-8 text: not part of the header's first
 # field, so a quoted first name still parses, and kept in the text.
@@ -185,24 +186,27 @@ class Microfile:
     ``vocabularies[j]`` is an ordered dict from each value to its code, in
     code order: its i-th key has code i.  ``source`` is where the text is
     read from: a regular file's path, or the text itself when it came from
-    anywhere else.  Record ``r`` is bytes ``bounds[r]`` to ``bounds[r + 1]``
-    of the text, line terminator included, and the bytes before
-    ``bounds[0]`` are the header; ``bounds`` is ``int32`` for a text of at
-    most ``_INT32_BOUNDS_LIMIT`` bytes (2 GiB less one) and ``int64`` above.
+    anywhere else.  The text's first ``header`` bytes are the header (a
+    byte order mark and the line terminator included), and record ``r`` is
+    the ``lengths[r]`` bytes after record ``r - 1``, line terminator
+    included.  ``lengths`` is in the narrowest unsigned type that holds the
+    longest, so ``uint8`` while no record is longer than 255 bytes.
     ``edited`` lists in ascending order the records whose codes no longer
     match their bytes in the text.  ``parsed`` counts the records the load
     split into cells; the others took their codes from the microfile passed
-    as ``like``.  Code arrays and vocabularies are never changed in place; a
-    rewrite copies the ones it changes.  A load with ``like`` shares every
-    vocabulary and code array of ``like`` to which no parsed record added a
-    value or changed a code.
+    as ``like``.  Code arrays, vocabularies and lengths are never changed in
+    place; a rewrite copies the ones it changes.  A load with ``like``
+    shares every vocabulary and code array of ``like`` to which no parsed
+    record added a value or changed a code, and ``like``'s lengths when
+    every record has the length of ``like``'s.
     """
 
     attributes: list[str]
     codes: list[np.ndarray]
     vocabularies: list[dict[str, int]]
     source: _Source
-    bounds: np.ndarray
+    header: int
+    lengths: np.ndarray
     delimiter: str
     edited: np.ndarray
     parsed: int
@@ -215,7 +219,7 @@ class Microfile:
         return _parse(_Source(data="".join(lines).encode("utf-8")), delimiter)
 
     def __len__(self) -> int:
-        return len(self.bounds) - 1
+        return len(self.lengths)
 
     def column_index(self, attribute: str) -> int:
         try:
@@ -374,49 +378,74 @@ def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Mi
         raise MicrofileError(
             f"delimiter must be one ASCII character other than a quote or line break, got {delimiter!r}"
         )
-    ends, source = _line_ends(source, delimiter)
-    if len(ends) == 1:  # no record after the header, if any
+    header, lengths, source = _line_ends(source, delimiter)
+    if not lengths.size:  # no record after the header, if any
         raise MicrofileError("empty file")
     with ExitStack() as stack:
         readers = [stack.enter_context(_Reader(source))]
         try:
-            head = readers[0].read(ends[0])
+            head = readers[0].read(header)
             attributes = _header(head, delimiter)
-            if like is not None and (len(like) != len(ends) - 1 or like.delimiter != delimiter
+            if like is not None and (len(like) != len(lengths) or like.delimiter != delimiter
                                      or like.attributes != attributes or like.edited.size):
                 like = None
             if like is not None:
                 # like's header is read, whatever its bytes, so that its records are read in step.
                 readers.append(stack.enter_context(_Reader(like.source)))
-                readers[1].read(like.bounds[0])
-            codes, lines = _split_lines(readers, delimiter, len(attributes), ends, like)
+                readers[1].read(like.header)
+                if np.array_equal(lengths, like.lengths):
+                    lengths = like.lengths
+            codes, lines = _split_lines(readers, delimiter, len(attributes), lengths, like)
         finally:  # also when the parse fails: a changed text is reported instead
             for reader in readers:
                 reader.check()
-    return Microfile(attributes, codes, lines.indexes, source, ends, delimiter,
+    return Microfile(attributes, codes, lines.indexes, source, header, lengths, delimiter,
                      np.empty(0, dtype=np.intp), lines.parsed)
 
 
-def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
-    """The offset just past each record of the text, and ``source`` with its size and CRC-32.
+def _line_ends(source: _Source, delimiter: str) -> tuple[int, np.ndarray, _Source]:
+    """The header's length, each record's length, and ``source`` with its size and CRC-32.
 
     A record ends at "\n", "\r\n" or a lone "\r" outside quotes; the last
-    may lack its line break.  The text is read ``_BLOCK_BYTES`` at a time
-    (all at once, when shorter) into one buffer, whose two byte masks are
-    made once per scan, and each block's breaks are written straight into
-    the result, the only array as long as the text's records.  It is sized
-    from the records per byte seen so far and resized in place (``realloc``
-    remaps rather than copies), ``int32`` until the text passes
-    ``_INT32_BOUNDS_LIMIT`` bytes, then ``int64``.  Only a block that holds
-    a quote, or starts inside quotes, has its quotes found: a break is
-    dropped when an odd number of quotes come before it, counting the
-    parity carried from the blocks before.  A quote that neither opens nor
-    closes a field (it must follow or precede a delimiter, a line break or
-    the other quote of a ``""`` pair), or an unclosed one, raises a
+    may lack its line break.  A length counts the line break, and the
+    header's a byte order mark before it.  The text is read
+    ``_BLOCK_BYTES`` at a time (all at once, when shorter) into one buffer,
+    whose two byte masks are made once per scan, and the differences of
+    each block's breaks are written straight into the result, the only
+    array as long as the text's records.  It is sized from the records per
+    byte seen so far and resized in place (``realloc`` remaps rather than
+    copies), and it is ``uint8`` until a longer record comes (a block whose
+    breaks lie further apart than the type holds is checked for first),
+    then copied to the narrowest type that holds it.  Only a block that holds a quote,
+    or starts inside quotes, has its quotes found: a break is dropped when
+    an odd number of quotes come before it, counting the parity carried
+    from the blocks before.  A quote that neither opens nor closes a field
+    (it must follow or precede a delimiter, a line break or the other quote
+    of a ``""`` pair), or an unclosed one, raises a
     :class:`MicrofileError` that names the record's line.
     """
-    ends = np.empty(1, dtype=np.int32)
-    n = 0
+    lengths = np.empty(1, dtype=np.uint8)
+    header = 0
+    # The lines ended so far, the header's included, and the offset just past the last.
+    n = last = 0
+
+    def widen(top) -> None:
+        nonlocal lengths
+        wide = np.min_scalar_type(top)
+        if not np.can_cast(wide, lengths.dtype):
+            lengths = lengths.astype(wide)
+
+    def end(offset: int) -> None:
+        """End the next line, the header or a record, just before ``offset``."""
+        nonlocal header, n, last
+        if n:
+            widen(offset - last)
+            lengths[n - 1] = offset - last
+        else:
+            header = offset
+        n += 1
+        last = offset
+
     # Whether the text read so far ends inside quotes, in a CR outside them
     # (a line break unless the next block starts with "\n"), and in a
     # closing quote (checked against the next block's first byte).
@@ -437,8 +466,6 @@ def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
         masks = [np.empty(len(block), dtype=bool) for _ in range(2)]
         while count := stream.readinto(block):
             stop = size + count
-            if stop > _INT32_BOUNDS_LIMIT and ends.dtype == np.int32:
-                ends = ends.astype(np.int64)
             if closed and not fences[block[0]]:
                 raise MicrofileError(f"line {n + 1} has text after a closing quote")
             lone = cr and block[0] != _LF
@@ -462,17 +489,22 @@ def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
                     raise MicrofileError(f"line {line} has {what}")
                 inside ^= quotes.size % 2 == 1
                 del quotes
-            need = n + lone + at.size + 1  # and a last record without a break
-            if need > ends.size:
-                ends.resize(max(need, need * expected // stop), refcheck=False)
+            need = n + lone + at.size  # records, and a last one without a break
+            if need > lengths.size:
+                lengths.resize(max(need, need * expected // stop), refcheck=False)
             if lone:
-                ends[n] = size
-                n += 1
-            shifted = ends[n : n + at.size]
-            shifted[:] = at
-            shifted += size + 1
-            n += at.size
-            del at, shifted  # before the next block's are found
+                end(size)
+            if at.size:
+                end(size + 1 + int(at[0]))
+                if _gap_over(at, np.iinfo(lengths.dtype).max):
+                    widen(np.diff(at).max())
+                # The lengths of the block's other lines, found in the result's
+                # own type, so the offsets are cast a buffer at a time.
+                np.subtract(at[1:], at[:-1], out=lengths[n - 1 : n + at.size - 2],
+                            dtype=lengths.dtype, casting="unsafe")
+                n += at.size - 1
+                last = size + 1 + int(at[-1])
+            del at  # before the next block's are found
             before = block[count - 1]
             cr = before == _CR and not inside
             closed = before == _QUOTE and not inside
@@ -480,11 +512,28 @@ def _line_ends(source: _Source, delimiter: str) -> tuple[np.ndarray, _Source]:
             size = stop
     if inside:
         raise MicrofileError(f"line {n + 1} has an unterminated quote")
-    if n == 0 or ends[n - 1] != size:
-        ends[n] = size
-        n += 1
-    ends.resize(n, refcheck=False)
-    return ends, replace(source, size=size, crc=crc)
+    if n == 0 or last != size:
+        end(size)
+    lengths.resize(n - 1, refcheck=False)
+    return header, lengths, replace(source, size=size, crc=crc)
+
+
+def _gap_over(at: np.ndarray, limit: int) -> bool:
+    """Whether two neighbours of the ascending offsets ``at`` lie more than ``limit`` apart.
+
+    Comparing two views of ``at`` makes only a mask, where their difference
+    would be a copy, so the odd entries are moved in place by ``limit``,
+    compared with their even neighbours on each side, and moved back.
+    """
+    if not at.size or at[-1] - at[0] <= limit:
+        return False
+    odd = at[1::2]
+    odd -= limit
+    over = bool((odd > at[0::2][: odd.size]).any())  # at[2k + 1] - at[2k] > limit
+    odd += 2 * limit
+    over |= bool((at[2::2] > odd[: at[2::2].size]).any())  # at[2k + 2] - at[2k + 1] > limit
+    odd -= limit
+    return over
 
 
 def _breaks(block: bytearray, buf: np.ndarray, masks: list[np.ndarray]) -> np.ndarray:
@@ -542,9 +591,14 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndarray, like: Microfile | None):
-    """The code columns of the records ending at ``bounds[1:]``, read a chunk at a time, and the :class:`_Lines` that parsed them."""
-    n = len(bounds) - 1
+def _offset_type(lengths: np.ndarray) -> type:
+    """The type of offsets within a chunk of records of byte lengths ``lengths``: 2**15 records of under 2**16 bytes span under 2 GiB."""
+    return np.int32 if lengths.dtype.itemsize <= 2 else np.int64
+
+
+def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.ndarray, like: Microfile | None):
+    """The code columns of the records of byte lengths ``lengths``, read a chunk at a time, and the :class:`_Lines` that parsed them."""
+    n = len(lengths)
     if like is None:
         lines = _Lines(delimiter, [{} for _ in range(q)], [None] * q)
         codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
@@ -552,32 +606,35 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, bounds: np.ndar
         # like's own vocabularies and arrays, copied only when a parsed record changes one.
         lines = _Lines(delimiter, list(like.vocabularies), like.vocabularies)
         codes = list(like.codes)
+    offset_type = _offset_type(lengths)
     # One read buffer for every chunk, with room for the words of its last
     # line (see _pack).
     block = np.empty(0, dtype=np.uint8)
     for r0 in range(0, n, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, n)
-        size = int(bounds[r1] - bounds[r0])
+        chunk = lengths[r0:r1]
+        ends = np.cumsum(chunk, dtype=offset_type)
+        size = int(ends[-1])
         if block.size < size + 8:
             block = np.empty(size + 8, dtype=np.uint8)
         readers[0].readinto(block[:size])
         rows = range(r0, r1)
         if like is not None:
-            old = np.frombuffer(readers[1].read(like.bounds[r1] - like.bounds[r0]), dtype=np.uint8)
-            rows = r0 + np.flatnonzero(_changed(block[:size], bounds[r0 : r1 + 1], old, like.bounds[r0 : r1 + 1]))
+            old_chunk = like.lengths[r0:r1]
+            old = np.frombuffer(readers[1].read(old_chunk.sum()), dtype=np.uint8)
+            rows = r0 + np.flatnonzero(_changed(block[:size], chunk, old, old_chunk))
             if not rows.size:
                 continue
-        # Offsets from the chunk's start; the lines to parse, if not all the
-        # chunk's, are gathered into a buffer of their own.
+        # The lines to parse, if not all the chunk's, are gathered into a
+        # buffer of their own.
         if len(rows) == r1 - r0:
-            at, buf = slice(r0, r1), block
-            starts, ends = bounds[r0:r1] - bounds[r0], bounds[r0 + 1 : r1 + 1] - bounds[r0]
+            at, buf, starts = slice(r0, r1), block, ends - chunk
         else:
-            at = rows
-            starts, sizes = bounds[rows] - bounds[r0], bounds[rows + 1] - bounds[rows]
+            at, sizes = rows, lengths[rows]
+            starts = ends[rows - r0] - sizes
             buf = np.empty(int(sizes.sum()) + 8, dtype=np.uint8)
             buf[:-8] = _gather(block, starts, sizes)
-            ends = np.cumsum(sizes)
+            ends = np.cumsum(sizes, dtype=offset_type)
             starts = ends - sizes
         for j, column in enumerate(lines.parse(buf, starts, ends, rows)):
             wide = _code_type(len(lines.indexes[j]))
@@ -941,24 +998,23 @@ class _Table:
             self.others[new.bytes(c)] = ids[c]
 
 
-def _changed(new: np.ndarray, bounds: np.ndarray, old: np.ndarray, old_bounds: np.ndarray) -> np.ndarray:
+def _changed(new: np.ndarray, lengths: np.ndarray, old: np.ndarray, old_lengths: np.ndarray) -> np.ndarray:
     """Per record of ``new``, whether its bytes differ from ``old``'s record at the same position.
 
-    ``new`` holds the bytes from offset ``bounds[0]`` to ``bounds[-1]`` of a
-    text whose records start at ``bounds[:-1]``; ``old`` and ``old_bounds``
-    are the same for the other text.  Records of another length differ.  The
-    records of equal length are compacted out of both by a byte mask,
-    compared in one step, and each differing byte marks its record.
+    ``new`` holds records of byte lengths ``lengths``, one after another;
+    ``old`` and ``old_lengths`` are the same for the other text.  Records of
+    another length differ.  The records of equal length are compacted out of
+    both by a byte mask, compared in one step, and each differing byte marks
+    its record.
     """
-    lengths = np.diff(bounds)
-    old_lengths = np.diff(old_bounds)
     same = lengths == old_lengths
     if not same.all():
         new, old = new[np.repeat(same, lengths)], old[np.repeat(same, old_lengths)]
     differing = np.flatnonzero(new != old)
     if differing.size:
         kept = np.flatnonzero(same)
-        same[kept[np.searchsorted(np.cumsum(lengths[kept]), differing, side="right")]] = False
+        ends = np.cumsum(lengths[kept], dtype=_offset_type(lengths))
+        same[kept[np.searchsorted(ends, differing, side="right")]] = False
     return ~same
 
 
@@ -1002,14 +1058,14 @@ def write_microfile(mf: Microfile, sink) -> None:
         np.asarray(list(vocabulary), dtype=object)[codes[mf.edited]]
         for codes, vocabulary in zip(mf.codes, mf.vocabularies)
     ]
-    starts, ends = mf.bounds[mf.edited].tolist(), mf.bounds[mf.edited + 1].tolist()
+    starts, sizes = _starts(mf.header, mf.lengths, mf.edited), mf.lengths[mf.edited].tolist()
 
     def copy(write):
         with _Reader(mf.source) as reader:
             position = 0
-            for values, start, end in zip(zip(*columns), starts, ends):
+            for values, start, size in zip(zip(*columns), starts, sizes):
                 reader.copy(start - position, write)
-                line = reader.read(end - start)
+                line = reader.read(size)
                 quoted = ()
                 if b'"' in line:  # else no field is quoted, and the line needs no split
                     buf = np.frombuffer(line + b"\n", dtype=np.uint8)  # a byte after an empty last field
@@ -1018,7 +1074,7 @@ def write_microfile(mf: Microfile, sink) -> None:
                 record = _format_record(values, quoted, mf.delimiter)
                 # The line terminator: no field ends in a CR or LF outside quotes.
                 write(record.encode("utf-8") + line[len(line.rstrip(b"\r\n")) :])
-                position = end
+                position = start + size
             reader.copy(mf.source.size - position, write)
             reader.check()
 
@@ -1041,6 +1097,19 @@ def write_microfile(mf: Microfile, sink) -> None:
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
+
+
+def _starts(header: int, lengths: np.ndarray, rows: np.ndarray) -> list[int]:
+    """The offset in the text of each record ``rows`` (ascending), whose lengths are summed a block of ``_CHUNK_ROWS`` at a time."""
+    starts = []
+    position = header
+    for r0 in range(0, lengths.size, _CHUNK_ROWS):
+        block = lengths[r0 : r0 + _CHUNK_ROWS]
+        ends = np.cumsum(block, dtype=_offset_type(lengths))
+        picked = rows[np.searchsorted(rows, r0) : np.searchsorted(rows, r0 + block.size)] - r0
+        starts += (ends[picked] - block[picked] + np.int64(position)).tolist()
+        position += int(ends[-1])
+    return starts
 
 
 def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
@@ -1225,7 +1294,9 @@ def rewrite_microfile(
         for at, values in edits:
             column[at] = values
         codes[j], vocabularies[j] = column, index
-    edited = np.union1d(mf.edited, rows)
+    # Sorted, each row once; np.union1d would import numpy.ma for its check of a masked input.
+    edited = np.sort(np.concatenate([mf.edited, rows]))
+    edited = edited[np.diff(edited, prepend=-1) != 0]
     return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)
 
 

@@ -54,6 +54,13 @@ def records(mf):
     return list(zip(*column_values(mf)))
 
 
+def cut(mf, text):
+    """``text`` (bytes) cut by ``mf``'s lengths: its header and each record, line terminators included."""
+    ends = (mf.header + np.cumsum(mf.lengths, dtype=np.int64)).tolist()
+    assert ends[-1] == len(text)
+    return text[: mf.header], [text[start:end] for start, end in zip([mf.header] + ends[:-1], ends)]
+
+
 def microfile_text(mf):
     buffer = io.BytesIO()
     write_microfile(mf, buffer)

@@ -30,7 +30,7 @@ from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribu
 
 import reference as ref
 from reference import round_half_away_from_zero
-from conftest import flip_byte, make_microfile, microfile_text, records, write_distinct_lines_file
+from conftest import cut, flip_byte, make_microfile, microfile_text, records, write_distinct_lines_file
 
 
 def small_spec(**overrides):
@@ -531,27 +531,85 @@ def test_block_wise_rows_of_ranks_match_a_stable_sort(values, block, data):
     np.testing.assert_array_equal(rows, np.argsort(buckets, kind="stable")[edges[pools] + ranks])
 
 
-@pytest.mark.parametrize("text", ["A,B\nx,y\nx,z\r\nw,y", 'A,B\n"x",y\nx,z\r\nw,y'], ids=["plain", "csv"])
-def test_bounds_are_int64_above_the_int32_limit(monkeypatch, text):
-    # Offsets past the limit need int64; a small limit takes that path on a small text.
-    data = text.encode()
-    small = load_microfile(io.BytesIO(data))
-    assert small.bounds.dtype == np.int32
-    monkeypatch.setattr(microdata, "_INT32_BOUNDS_LIMIT", 8)
-    monkeypatch.setattr(microdata, "_BLOCK_BYTES", 4)
+# Per form, the line terminator and whether a long record is quoted (with a
+# line break and a quote inside quotes).
+_FORMS = {"plain": (b"\n", False), "crlf": (b"\r\n", False), "lone_cr": (b"\r", False), "quoted": (b"\r\n", True)}
+
+
+def _record_of_size(size, terminator, quoted):
+    """A record of two fields that is ``size`` bytes long, its terminator included."""
+    if quoted:
+        head = b'"a\nb""c","'
+        return head + b"z" * (size - len(head) - 1 - len(terminator)) + b'"' + terminator
+    return b"x," + b"z" * (size - 2 - len(terminator)) + terminator
+
+
+@pytest.mark.parametrize("block", [97, 1 << 18])
+@pytest.mark.parametrize("longest, dtype", [(255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+                                            (65_536, np.uint32)])
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_record_lengths_widen_for_a_longer_record(monkeypatch, form, longest, dtype, block):
+    # Lengths start as uint8 and are copied to the narrowest type that holds
+    # the longest record, whether it ends in the block it started in (a
+    # large block) or blocks after (a small one).
+    terminator, quoted = _FORMS[form]
+    short = b"x,abc" + terminator
+    records_ = [short, _record_of_size(longest - 1, terminator, quoted), short, short,
+                _record_of_size(longest, terminator, quoted), short]
+    data = b"A,B" + terminator + b"".join(records_)
+    monkeypatch.setattr(microdata, "_BLOCK_BYTES", block)
     mf = load_microfile(io.BytesIO(data))
-    assert mf.bounds.dtype == np.int64
-    np.testing.assert_array_equal(mf.bounds, small.bounds)
-    assert records(mf) == [("x", "y"), ("x", "z"), ("w", "y")]
-    released = load_microfile(io.BytesIO(data.replace(b"w,y", b"w,w")), like=mf)
-    assert released.bounds.dtype == np.int64
-    assert records(released) == [("x", "y"), ("x", "z"), ("w", "w")]
-    spec = AttributeSpec(vital_attributes=("B",), vital_combinations=(("y",),),
-                         parameter_attribute="A", parameter_values=("x", "w"))
-    rewritten = rewrite_microfile(mf, spec, [1, 1], [2, 1], seed=3)
+    read = list(ref.csv_records(data, ","))
+    assert records(mf) == [tuple(row) for row, _ in read[1:]]
+    ends = [end for _, end in read]
+    assert mf.header == ends[0] == 3 + len(terminator)
+    assert mf.lengths.tolist() == np.diff(ends).tolist() == [len(r) for r in records_]
+    assert mf.lengths.dtype == dtype
+    # A release whose records keep their lengths shares them; one whose
+    # last record grows has the lengths csv reads in it.
+    same = load_microfile(io.BytesIO(data.replace(short, b"y,abc" + terminator, 1)), like=mf)
+    assert same.lengths is mf.lengths and same.parsed == 1
+    grown = data[: -len(short)] + b"x,abcd" + terminator
+    delta = load_microfile(io.BytesIO(grown), like=mf)
+    ends = [end for _, end in ref.csv_records(grown, ",")]
+    assert delta.lengths is not mf.lengths and delta.header == ends[0]
+    assert delta.lengths.tolist() == np.diff(ends).tolist() and delta.lengths.dtype == dtype
+    assert records(delta) == [*records(mf)[:-1], ("x", "abcd")]
+    # The write finds the last record past the long ones.
+    vocabulary = dict(mf.vocabularies[0])
+    column = mf.codes[0].copy()
+    column[-1] = vocabulary.setdefault("w", len(vocabulary))
+    edited = replace(mf, codes=[column, mf.codes[1]], vocabularies=[vocabulary, mf.vocabularies[1]],
+                     edited=np.array([len(mf) - 1], dtype=np.intp))
     buffer = io.BytesIO()
-    write_microfile(rewritten, buffer)
-    assert buffer.getvalue() == data.replace(b"x,z", b"x,y")
+    write_microfile(edited, buffer)
+    assert buffer.getvalue() == data[: -len(short)] + b"w,abc" + terminator
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 1 << 15])
+def test_edits_at_chunk_edges_are_written_in_place(monkeypatch, chunk_rows):
+    # A write sums the record lengths a chunk of rows at a time to find each
+    # edited record; the release equals the one written from offsets that
+    # one sum over every record gives.  Records of up to 300 bytes make the
+    # lengths uint16.
+    rows = [(f"r{i}", "z" * (i * 37 % 301), str(i % 3)) for i in range(40)]
+    text = microfile_text(make_microfile(rows)).encode()
+    monkeypatch.setattr(microdata, "_CHUNK_ROWS", chunk_rows)
+    mf = load_microfile(io.BytesIO(text))
+    assert mf.lengths.dtype == np.uint16
+    picked = sorted({0, len(mf) - 1} | {r for k in range(chunk_rows, len(mf), chunk_rows) for r in (k - 1, k)})
+    vocabulary = dict(mf.vocabularies[2])
+    column = mf.codes[2].copy()
+    column[picked] = vocabulary.setdefault("new", len(vocabulary))
+    edited = replace(mf, codes=[*mf.codes[:2], column], vocabularies=[*mf.vocabularies[:2], vocabulary],
+                     edited=np.array(picked, dtype=np.intp))
+    buffer = io.BytesIO()
+    write_microfile(edited, buffer)
+    offsets = list(itertools.accumulate(mf.lengths.tolist(), initial=mf.header))
+    expected = text[: mf.header] + b"".join(
+        ",".join(values).encode() + b"\n" if r in picked else text[offsets[r] : offsets[r + 1]]
+        for r, values in enumerate(records(edited)))
+    assert buffer.getvalue() == expected
 
 
 ROADMAP_PROBE = 'A,B\r\n"x, y",1\r\nz,"2"\r\n'
@@ -593,7 +651,7 @@ def test_load_rejects_bad_text_and_delimiters():
         load_microfile(io.StringIO("REGéJOB\nAéX\n"), delimiter="é")
 
 
-@pytest.mark.parametrize("text, message", [
+_MALFORMED = pytest.mark.parametrize("text, message", [
     ('A,B\nx,y\nx,a"b"\n', "line 3 has a quote inside an unquoted field"),
     ('A,B\nx,y\n"a"b,y\n', "line 3 has text after a closing quote"),
     ('A,B\r\nx,"y\r\nz,w\r\n', "line 2 has an unterminated quote"),
@@ -602,13 +660,31 @@ def test_load_rejects_bad_text_and_delimiters():
     ("A,B,A\nx,y,z\n", "duplicate attribute names in header"),
     ('\ufeff"A",B,"A "\nx,y,z\n', "duplicate attribute names in header"),
     ("\n\nx\n", "line 1 names no attribute"),
+    ('A,B\rx"y,z\r', "line 2 has a quote inside an unquoted field"),
+    ('A,B\r\n"x"y,z\r\n', "line 2 has text after a closing quote"),
+    ('A,B\n"x\n', "line 2 has an unterminated quote"),
+    ('"A\r\nB",C\nx,"y"z\n', "line 2 has text after a closing quote"),
 ], ids=["quote_in_unquoted_field", "text_after_closing_quote", "unterminated_quote", "header_quote",
-        "after_quoted_break", "duplicate_names", "duplicate_quoted_names", "no_attribute"])
+        "after_quoted_break", "duplicate_names", "duplicate_quoted_names", "no_attribute",
+        "after_lone_cr_header", "after_crlf_header", "unterminated_first_record", "after_quoted_header_break"])
+
+
+@_MALFORMED
 def test_malformed_text_fails_naming_its_line(text, message):
     # Every form the csv module would read some other way than quote
     # parity fails before any record is parsed, at the record's line.
     with pytest.raises(MicrofileError, match=f"^{re.escape(message)}$"):
         load_microfile(io.BytesIO(text.encode()))
+
+
+@_MALFORMED
+def test_malformed_text_names_its_line_at_every_block_size(monkeypatch, text, message):
+    # The header is the first line the scan ends, so a record's line counts
+    # it, whichever block the header, the record or its fault lies in.
+    for block in range(1, len(text.encode()) + 1):
+        monkeypatch.setattr(microdata, "_BLOCK_BYTES", block)
+        with pytest.raises(MicrofileError, match=f"^{re.escape(message)}$"):
+            load_microfile(io.BytesIO(text.encode()))
 
 
 @pytest.mark.parametrize("data, line", [
@@ -706,7 +782,7 @@ def test_quoted_texts_load_like_csv(case, chunk_rows):
         buffer = io.BytesIO()
         write_microfile(mf, buffer)
         assert buffer.getvalue() == data
-        changed = data[: mf.bounds[-2]] + _field("new" + d, True).encode() + d.encode() * (len(mf.attributes) - 1)
+        changed = data[: len(data) - mf.lengths[-1]] + _field("new" + d, True).encode() + d.encode() * (len(mf.attributes) - 1)
         full = _assert_loads_like_csv(changed, d)
         delta = load_microfile(io.BytesIO(changed), delimiter=d, like=mf)
     assert delta.parsed == 1
@@ -720,7 +796,7 @@ def assert_codes_in_order(vocabularies):
 
 
 def _scanned(data, d=","):
-    """The record ends of ``data`` and its source, as a load's first read finds them."""
+    """The header's length, the record lengths of ``data`` and its source, as a load's first read finds them."""
     return microdata._line_ends(microdata._Source(data=data), d)
 
 
@@ -745,7 +821,9 @@ def _assert_loads_like_csv(data, d):
         np.testing.assert_array_equal(column, want)
     assert [list(v) for v in mf.vocabularies] == vocabularies
     assert_codes_in_order(mf.vocabularies)
-    np.testing.assert_array_equal(mf.bounds, bounds)
+    assert mf.header == bounds[0]
+    np.testing.assert_array_equal(mf.lengths, np.diff(bounds))
+    assert mf.lengths.dtype == np.min_scalar_type(np.diff(bounds).max())
     return mf
 
 
@@ -1013,10 +1091,9 @@ def test_edited_records_keep_the_bytes_of_kept_fields(case, data):
     release = buffer.getvalue()
     again = load_microfile(io.BytesIO(release), delimiter=d)
     assert records(again) == records(edited)
-    assert release[: again.bounds[0]] == text[: mf.bounds[0]]
-    for r, (before, after) in enumerate(zip(records(mf), records(edited))):
-        old = text[mf.bounds[r] : mf.bounds[r + 1]]
-        new = release[again.bounds[r] : again.bounds[r + 1]]
+    (old_header, old_lines), (new_header, new_lines) = cut(mf, text), cut(again, release)
+    assert new_header == old_header
+    for r, (before, after, old, new) in enumerate(zip(records(mf), records(edited), old_lines, new_lines)):
         if r not in picked:
             assert new == old
             continue
@@ -1142,16 +1219,18 @@ def test_block_scans_match_whole_text_scans(data, block):
             with pytest.raises(MicrofileError, match="^line [0-9]+ has .*quote"):
                 _scanned(data)
             return
-        ends, source = _scanned(data)
-    assert ends.tolist() == ([end for _, end in ref.csv_records(data, ",")] or [0])
+        header, lengths, source = _scanned(data)
+    ends = [end for _, end in ref.csv_records(data, ",")] or [0]
+    assert [header] + np.diff(ends).tolist() == [ends[0]] + lengths.tolist()
     assert (source.size, source.crc) == (len(data), zlib.crc32(data))
-    assert ends.dtype == np.int32
+    assert lengths.dtype == np.min_scalar_type(max(lengths, default=0))
 
 
 def test_line_end_scan_makes_no_array_per_byte():
     # 16 blocks of lines ended by "\n", "\r\n" and a lone "\r".  Besides its
-    # result, the scan holds the block it read, two masks of it and its
-    # line offsets (about 3.7 blocks here); a mask of every byte would be 16.
+    # result, the scan holds the block it read, two masks of it, its line
+    # offsets and the buffers that cast them for the subtraction of
+    # neighbours (about 3.9 blocks here); a mask of every byte would be 16.
     # Quoted text, 32 blocks of it with a line break inside quotes in every
     # third record, adds each quote's offset and checks: about 8 blocks.
     block = 1 << 16
@@ -1161,12 +1240,12 @@ def test_line_end_scan_makes_no_array_per_byte():
         with mock.patch.object(microdata, "_BLOCK_BYTES", block):
             tracemalloc.start()
             try:
-                ends, _ = microdata._line_ends(microdata._Source(data=data), ",")
+                _, lengths, _ = microdata._line_ends(microdata._Source(data=data), ",")
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert len(ends) == records
-        assert peak - ends.nbytes < bound * block, f"{(peak - ends.nbytes) / block:.2f} blocks besides the result"
+        assert 1 + len(lengths) == records
+        assert peak - lengths.nbytes < bound * block, f"{(peak - lengths.nbytes) / block:.2f} blocks besides the result"
 
 
 @pytest.mark.parametrize("data", [
@@ -1271,7 +1350,9 @@ def test_delta_read_equals_full_read(case, chunk_rows):
         write_microfile(mf, buffer)
         written.append(buffer.getvalue())
     assert written == [released, released]
-    np.testing.assert_array_equal(delta.bounds, full.bounds)
+    assert delta.header == full.header
+    np.testing.assert_array_equal(delta.lengths, full.lengths)
+    assert delta.lengths.dtype == full.lengths.dtype
     assert records(delta) == records(full)
     assert_codes_in_order(delta.vocabularies)
     assert_codes_in_order(full.vocabularies)
@@ -1283,11 +1364,9 @@ def test_delta_read_equals_full_read(case, chunk_rows):
     # and only the records whose bytes changed are parsed.
     for vocabulary, old in zip(delta.vocabularies, like.vocabularies):
         assert list(vocabulary)[: len(old)] == list(old)
-
-    def lines(mf, text):
-        return [text[start:end] for start, end in zip(mf.bounds[:-1].tolist(), mf.bounds[1:].tolist())]
-
-    assert delta.parsed == sum(new != old for new, old in zip(lines(delta, released), lines(like, original)))
+    changed = sum(new != old for new, old in zip(cut(delta, released)[1], cut(like, original)[1]))
+    assert delta.parsed == changed
+    assert (delta.lengths is like.lengths) == np.array_equal(delta.lengths, like.lengths)
 
 
 _DELTA_ORIGINAL = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
