@@ -288,12 +288,40 @@ def _stage(timings: dict, name: str):
     timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
+# List entries encoded by one call of json's C encoder when a report is written.
+_SLICE = 1024
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` and a newline to ``path``, a piece at a time.
+
+    The dicts of ``payload``, whose keys are all strings, are walked in
+    sorted key order, and a list longer than ``_SLICE`` is encoded a slice at
+    a time, so neither the whole text nor the encoder's chunks of a long
+    list are ever held.  Every piece comes from json's C encoder: json.dump,
+    which writes as it encodes, uses the pure-Python one and is slower.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Without indent, json serialises with its C encoder, not its Python one.
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as handle:
-        print(text, file=handle)  # the text, then the newline: no concatenated copy
+        _put_json(handle.write, payload)
+        handle.write("\n")
+
+
+def _put_json(write, value) -> None:
+    """Hand the JSON text of ``value`` to ``write`` piece by piece."""
+    if isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "") + _encode(key) + ":")
+            _put_json(write, value[key])
+        write("}")
+    elif isinstance(value, list) and len(value) > _SLICE:
+        for i in range(0, len(value), _SLICE):
+            write(("," if i else "[") + _encode(value[i:i + _SLICE])[1:-1])
+        write("]")
+    else:
+        write(_encode(value))
 
 
 def _finish(report: dict) -> tuple[int, dict]:
@@ -365,9 +393,8 @@ def run_anonymize(config: RunConfig) -> tuple[int, dict]:
             _write_json(config.report, report)
         if config.plot_data is not None:
             config.plot_data.parent.mkdir(parents=True, exist_ok=True)
-            config.plot_data.write_text(
-                format_plot_data(signal.ratios, final_ratios), encoding="utf-8"
-            )
+            with open(config.plot_data, "w", encoding="utf-8") as handle:
+                format_plot_data(signal.ratios, final_ratios, handle)
     return code, report
 
 

@@ -613,8 +613,7 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.nda
     for r0 in range(0, n, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, n)
         chunk = lengths[r0:r1]
-        ends = np.cumsum(chunk, dtype=offset_type)
-        size = int(ends[-1])
+        size = int(chunk.sum())
         if block.size < size + 8:
             block = np.empty(size + 8, dtype=np.uint8)
         readers[0].readinto(block[:size])
@@ -625,6 +624,7 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.nda
             rows = r0 + np.flatnonzero(_changed(block[:size], chunk, old, old_chunk))
             if not rows.size:
                 continue
+        ends = np.cumsum(chunk, dtype=offset_type)
         # The lines to parse, if not all the chunk's, are gathered into a
         # buffer of their own.
         if len(rows) == r1 - r0:

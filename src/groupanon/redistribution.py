@@ -338,13 +338,12 @@ def verify_outcome(
     return checks, diagnostics
 
 
-def format_plot_data(before, after) -> str:
-    """Tab-separated three-column dump (1-based position, original value, final value)."""
+def format_plot_data(before, after, out) -> None:
+    """Write a tab-separated three-column dump (1-based position, original value, final value) to the text stream ``out``, a line at a time."""
     b = as_signal(before)
     a = as_signal(after)
     if b.size != a.size:
         raise SignalError(f"signals differ in length: {b.size} vs {a.size}")
-    lines = ["index\tbefore\tafter"]
+    out.write("index\tbefore\tafter\n")
     for pos, (x, y) in enumerate(zip(b, a), start=1):
-        lines.append(f"{pos}\t{x:.10g}\t{y:.10g}")
-    return "\n".join(lines) + "\n"
+        out.write(f"{pos}\t{x:.10g}\t{y:.10g}\n")

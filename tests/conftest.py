@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -65,6 +66,18 @@ def microfile_text(mf):
     buffer = io.BytesIO()
     write_microfile(mf, buffer)
     return buffer.getvalue().decode("utf-8")
+
+
+class Digest:
+    """A text stream that keeps only the sha256 and the size of what is written to it."""
+
+    def __init__(self):
+        self.sha256, self.size = hashlib.sha256(), 0
+
+    def write(self, text: str) -> None:
+        data = text.encode()
+        self.sha256.update(data)
+        self.size += len(data)
 
 
 def flip_byte(path, offset, to=None):

@@ -9,10 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groupanon import cli, db2_filter, load_microfile, write_microfile
 from groupanon.cli import (
@@ -30,7 +33,7 @@ from groupanon.microdata import Microfile
 
 import adversary
 import reference as ref
-from conftest import flip_byte, write_distinct_lines_file
+from conftest import Digest, flip_byte, write_distinct_lines_file
 from reference import build_reconstruction_matrix
 
 
@@ -636,11 +639,8 @@ def test_distinct_lines_release_is_pinned(tmp_path, seed, digest):
     assert 0 < checked["sizes"]["records_reparsed"] == checked["sizes"]["records_changed"]
 
 
-def test_long_domain_solver_release_is_pinned(tmp_path):
-    # Shaped like the long-domain benchmark input, smaller: 2,000 categories
-    # of 2 to 5 records, one spike, and five decoy targets solved at level 2.
-    # Census-13's manual plan never reaches the target solver; this pins its
-    # coefficients and the release they give, bit for bit.
+def write_long_domain_config(tmp_path):
+    """Shaped like the long-domain benchmark input, smaller: 2,000 categories of 2 to 5 records, one spike, and five decoy targets solved at level 2."""
     rng = random.Random(2_000)
     lines = []
     for c in range(2_000):
@@ -651,13 +651,19 @@ def test_long_domain_solver_release_is_pinned(tmp_path):
         lines += [f"C{c + 1:04d},{'NMK'[j % 3]},{rng.choice('12')}\n" for j in range(size - vital)]
     rng.shuffle(lines)
     (tmp_path / "long.csv").write_text("CAT,JOB,SEX\n" + "".join(lines), encoding="utf-8")
-    config_path = write_census_config(
+    return write_census_config(
         tmp_path, tmp_path / "long.csv", seed=1,
         attributes={"vital": ["JOB"], "vital_combinations": [["V"]], "parameter": "CAT",
                     "parameter_values": [f"C{c:04d}" for c in range(1, 2_001)], "fallback": "N"},
         wavelet={"name": "db2", "level": 2, "extension": "left"},
         plan={"strategy": "alleged_extrema", "targets": [[100 + 400 * j, 0.9] for j in range(5)], "floor": 2.0},
     )
+
+
+def test_long_domain_solver_release_is_pinned(tmp_path):
+    # Census-13's manual plan never reaches the target solver; this pins its
+    # coefficients and the release they give, bit for bit.
+    config_path = write_long_domain_config(tmp_path)
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == (
         "18bb391aa997a0a4aa17a46bda794f33f774fd72ed0ca201a72b17de88ce11b2")
@@ -788,6 +794,91 @@ def test_fixture_generator_cli(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == "27c1f39a4312fe0015f52fc89df81bd241ef4f8a6cdfdda14fc12dc5fff9d9a5"
 
 
+# ---------------------------------------------------------------- report writer
+
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([-0.0, 1e300, math.nan]), st.text()
+)
+# Lists of the lengths around the writer's slice, cycling through a few drawn
+# values: flat, or of small objects, so a 3-slice list stays cheap to encode.
+_SLICED = st.builds(
+    lambda values, n: (values * n)[:n],
+    st.lists(_SCALARS | st.dictionaries(st.text(), _SCALARS, max_size=2), min_size=1, max_size=4),
+    st.sampled_from([0, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 3 * cli._SLICE]),
+)
+_VALUES = st.recursive(
+    _SLICED | _SCALARS,
+    lambda children: st.dictionaries(st.text(), children, max_size=4) | st.lists(children, max_size=3),
+    max_leaves=12,
+)
+
+
+def assert_holds_dumps(path, value):
+    """Assert that ``path`` holds ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` and a newline.
+
+    A difference is shown around its first character: pytest's own diff of
+    texts this long takes minutes.
+    """
+    text, expected = path.read_text(encoding="utf-8"), _dumps(value) + "\n"
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail(f"{path.name} differs from json.dumps at character {at} of {len(expected)}: "
+                    f"{text[at - 40:at + 40]!r} against {expected[at - 40:at + 40]!r}")
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.dictionaries(st.text(), _SLICED | _VALUES, min_size=1, max_size=5))
+def test_report_writer_writes_the_text_of_json_dumps(tmp_path, payload):
+    cli._write_json(tmp_path / "report.json", payload)
+    assert_holds_dumps(tmp_path / "report.json", payload)
+
+
+def test_long_domain_report_file_is_the_text_of_its_report(tmp_path):
+    # 2,000 categories: each list of the signal and the counts spans two slices.
+    status, report = run_anonymize(load_config(write_long_domain_config(tmp_path)))
+    assert status == EXIT_OK and len(report["counts"]["new"]) > cli._SLICE
+    del report["timings"]["report"]  # the report file cannot hold its own write time
+    assert_holds_dumps(tmp_path / "report.json", report)
+
+
+def test_error_report_file_is_the_text_of_its_error(small_run, capsys):
+    # The message names a path outside ASCII, which json.dumps escapes.
+    tmp_path, config_path = small_run
+    missing = tmp_path / "entrée ☃.csv"
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**config, "input": str(missing)}))
+    assert main(["anonymize", "--config", str(config_path)]) == EXIT_ERROR
+    message = capsys.readouterr().err[len("error: "):-1]
+    assert str(missing) in message
+    assert_holds_dumps(tmp_path / "report.json",
+                       {"status": "error", "error": {"type": "FileNotFoundError", "message": message}})
+
+
+def test_report_writer_holds_a_fraction_of_its_text(tmp_path):
+    # A report of five 8,191-entry lists, as domain-8191 writes.  json.dumps
+    # holds the encoder's chunks and then the whole text: 10.5 times this
+    # text at its peak.
+    rng = np.random.default_rng(8_191)
+    denominators = rng.integers(16, 33, 8_191)
+    old, new = (rng.binomial(denominators, 0.3) for _ in range(2))
+    payload = {
+        "counts": {"old": old.tolist(), "new": new.tolist()},
+        "signal": {"denominators": denominators.tolist(), "ratios": (old / denominators).tolist(),
+                   "final_ratios": (new / denominators).tolist()},
+    }
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(path, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert_holds_dumps(path, payload)
+    assert peak < size / 2, f"report writer peak {peak} bytes for {size} bytes of text"
+
+
 # ---------------------------------------------------------------- inspect
 
 def test_inspect_census(census_file, tmp_path, capsys):
@@ -847,18 +938,6 @@ def test_inspect_prints_the_plans_fixed_set(tmp_path):
     assert out.getvalue() == ""
 
 
-class _Digest:
-    """A text stream that keeps only the sha256 and the size of what is written to it."""
-
-    def __init__(self):
-        self.sha256, self.size = hashlib.sha256(), 0
-
-    def write(self, text: str) -> None:
-        data = text.encode()
-        self.sha256.update(data)
-        self.size += len(data)
-
-
 def test_inspect_of_many_categories_writes_line_by_line(tmp_path):
     # 2,049 categories at level 1: the operator alone prints 2,050 rows of
     # 1,025 cells.  inspect writes each line as it is made, so its peak stays
@@ -867,7 +946,7 @@ def test_inspect_of_many_categories_writes_line_by_line(tmp_path):
     regions = write_small_input(input_path, [c % 5 for c in range(2_049)], per_group=6)
     config_path = write_config(tmp_path / "config.json", input_path, regions, {"strategy": "manual", "floor": None})
     config = load_config(config_path)
-    out = _Digest()
+    out = Digest()
     tracemalloc.start()
     try:
         run_inspect(config, out)

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from groupanon.wavelets import filter_by_name, synth_approx
 
 import reference as ref
 from reference import build_reconstruction_matrix
-from conftest import random_redistribution_case
+from conftest import Digest, random_redistribution_case
 
 
 @pytest.fixture
@@ -447,10 +448,40 @@ def test_local_extrema():
 
 
 def test_format_plot_data(census_ratios):
-    text = format_plot_data(census_ratios, census_ratios * 2.0)
-    lines = text.splitlines()
-    assert lines[0] == "index\tbefore\tafter"
-    assert len(lines) == 14
-    first = lines[1].split("\t")
-    assert first[0] == "1"
-    assert float(first[2]) == pytest.approx(2 * float(first[1]))
+    out = io.StringIO()
+    format_plot_data(census_ratios, census_ratios * 2.0, out)
+    assert out.getvalue() == (
+        "index\tbefore\tafter\n"
+        "1\t0.01430306024\t0.02860612047\n"
+        "2\t0.01288056206\t0.02576112412\n"
+        "3\t0.01223063483\t0.02446126966\n"
+        "4\t0.01399771319\t0.02799542637\n"
+        "5\t0.01149267354\t0.02298534709\n"
+        "6\t0.0140954495\t0.028190899\n"
+        "7\t0.01421357539\t0.02842715078\n"
+        "8\t0.01280417626\t0.02560835252\n"
+        "9\t0.007692167478\t0.01538433496\n"
+        "10\t0.01004312432\t0.02008624865\n"
+        "11\t0.01590749825\t0.0318149965\n"
+        "12\t0.01676735521\t0.03353471041\n"
+        "13\t0.01104492801\t0.02208985603\n"
+    )
+    with pytest.raises(SignalError, match="signals differ in length: 13 vs 12"):
+        format_plot_data(census_ratios, census_ratios[1:], out)
+
+
+def test_plot_data_of_many_categories_is_written_line_by_line():
+    # 2,049 categories: the dump goes out a line at a time, so its peak
+    # stays far below the size of its text, which its sha256 pins.
+    before = np.random.default_rng(2_049).random(2_049)
+    after = np.sqrt(before) * 3.0
+    out = Digest()
+    tracemalloc.start()
+    try:
+        format_plot_data(before, after, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.size, out.sha256.hexdigest()) == (
+        60_392, "324bfdb77e93a3ddd8a33c64c31e3a54041145afcae734a5db46f7b7bf7b2572")
+    assert peak < out.size / 8, f"plot data peak {peak} bytes for {out.size} bytes of text"
