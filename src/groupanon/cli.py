@@ -44,6 +44,7 @@ from .errors import ConfigError, GroupAnonError
 from .microdata import (
     AttributeSpec,
     concentration_signal,
+    count_changes,
     load_microfile,
     new_quantities,
     rewrite_microfile,
@@ -445,7 +446,8 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     original's record at the same position are parsed (``records_reparsed``),
     or all of them when the record counts or the attribute names differ.
     A file of the original's shape is so read with the original's codes,
-    and its cells are compared code for code.  A configured report is read
+    and its cells are compared code for code, a block of records at a time
+    (:func:`groupanon.microdata.count_changes`).  A configured report is read
     first, and only its ``counts.new`` is kept.
     """
     if config.output is None:
@@ -467,17 +469,12 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             before, after, filters, config.level, meta, mean_tol=mean_tol, detail_tol=detail_tol
         )
 
-    same_shape = len(original) == len(final) and original.attributes == final.attributes
-    changed = np.zeros(len(original), dtype=bool)
-    # Files of another shape cannot be compared cell by cell; count the larger one's records.
-    altered = 0 if same_shape else max(len(original), len(final))
     with _stage(timings, "compare"):
-        for j, attribute in enumerate(original.attributes) if same_shape else ():
-            differs = original.codes[j] != final.codes[j]
-            if attribute in config.spec.vital_attributes:
-                changed |= differs
-            else:
-                altered += int(np.count_nonzero(differs))
+        if len(original) == len(final) and original.attributes == final.attributes:
+            changed, altered = count_changes(original, final, config.spec.vital_attributes)
+        else:
+            # Files of another shape cannot be compared cell by cell; count the larger one's records.
+            changed, altered = 0, max(len(original), len(final))
     checks["record_count_unchanged"] = _count_row(abs(len(original) - len(final)))
     checks["non_vital_cells_unchanged"] = _count_row(altered)
     checks["denominators_unchanged"] = _mismatch_row(sig_before.denominators, sig_after.denominators)
@@ -491,7 +488,7 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
             "categories": len(config.spec.parameter_values),
             "extended_length": meta.extended_length,
             "level": config.level,
-            "records_changed": int(changed.sum()),
+            "records_changed": changed,
             "records_reparsed": final.parsed,
         },
     })

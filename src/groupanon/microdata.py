@@ -25,10 +25,14 @@ mixing two texts.  No Python object per record outlives :func:`load_microfile`.
 
 Memory per record sets the largest file a run can take, so an array with
 an entry per record or per byte has the narrowest integer type that holds
-its values, or is made a block at a time (the line-end scan, the counts,
-the rewrite's search for the rows it picks, a write's search for the
-records it edits).  A record's place in the text is its length, not its
-offset: an offset is found by summing lengths a chunk of rows at a time.
+its values, or is made a block at a time.  The load reads the text a block
+of bytes or a chunk of rows at a time, and no step after it holds a
+temporary with an entry per record: the signal, the rewrite's counts and
+its search for the rows it picks, a compare of two files' codes and a
+write's search for the records it edits each take a block of rows at a
+time, gathering its codes through lookups made once per vocabulary entry.
+A record's place in the text is its length, not its offset: an offset is
+found by summing lengths a chunk of rows at a time.
 A code column and the record lengths start as ``uint8`` and are copied to
 a wider type only when a value outgrows the one they have (a vocabulary,
 a longer record), so at most three times.
@@ -45,15 +49,18 @@ One tokenizer then reads the text again a chunk of rows at a time into one
 buffer, and keeps tables of what it has seen: while records repeat, one
 table of the distinct records seen so far with their codes; from the first
 chunk with more new distinct records than half its rows on, one table per
-column of the fields seen so far (a chunk in which a column is mostly new
-values, such as an identifier, does not add them to its table).  Each span
-(a record or a field) is packed into ``uint64`` words and keyed, found by
-binary search among the table's sorted keys, and compared word for word
-with the bytes the table holds for that entry, so its codes are exact.
-Only the spans the table lacks are classed into equal spans, split at the
-delimiters outside quotes, unquoted and decoded, each class once, in one
-batch per chunk and table; their values are joined to the table, which
-stays sorted without a sort.  No chunk makes a Python string per cell.
+column of the fields seen so far.  A column's table takes a chunk's new
+fields only once the column has at most one value per two records parsed,
+whatever the chunk's size: a column of a few thousand values enters its
+table after its first chunks, and an identifier, all of whose values
+differ, never does.  Each span (a record or a field) is packed into
+``uint64`` words and keyed, found by binary search among the table's sorted
+keys, and compared word for word with the bytes the table holds for that
+entry, so its codes are exact.  Only the spans the table lacks are classed
+into equal spans, split at the delimiters outside quotes, unquoted and
+decoded, each class once, in one batch per chunk and table; their values
+are joined to the table, which stays sorted without a sort.  No chunk
+makes a Python string per cell.
 
 A load may name a microfile that the text is expected to repeat (``like``,
 for ``verify`` the original of a release).  When the text has as many
@@ -62,7 +69,8 @@ bytes, the result uses ``like``'s codes: each of its vocabularies starts
 with ``like``'s keys in order, so a value has one code in both files.  A
 record whose bytes equal ``like``'s record at the same position takes its
 codes, and only the other records go through the tables, which start
-empty; the two texts are read chunk by chunk in step.  A record starts
+empty; the two texts are compared chunk by chunk in step, and the records
+that differ are parsed a chunk of them at a time.  A record starts
 outside quotes, so identical bytes parse to identical cells, as a full
 parse would.  When every record has the length of ``like``'s at the same
 position, the result shares ``like``'s lengths.
@@ -77,6 +85,7 @@ import random
 import shutil
 import zlib
 from contextlib import ExitStack
+from functools import reduce
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -86,8 +95,12 @@ import numpy as np
 
 from .errors import MicrofileError, RewriteError
 
-# Rows split per step of the tokenizer; bounds its transient memory.
-_CHUNK_ROWS = 1 << 15
+# Rows handled per step of the tokenizer and of every pass over the records
+# after the load (the signal, the rewrite, a compare, a write's search for
+# the records it edits).  So no step holds an array with an entry per
+# record, and a step's temporaries stay small and the same from step to
+# step, whatever the file's size.
+_CHUNK_ROWS = 1 << 13
 
 # Bytes read per step of a pass over the text that does not split it: the
 # line-end scan, a write's copy, a check's read of what is left.  So a pass
@@ -95,7 +108,7 @@ _CHUNK_ROWS = 1 << 15
 # chunk's temporaries on purpose: glibc's malloc raises its mmap threshold to
 # the largest block it has freed, so the chunks then reuse heap pages instead
 # of mapping (and faulting in) fresh ones every time.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 # A byte order mark that may open UTF-8 text: not part of the header's first
 # field, so a quoted first name still parses, and kept in the text.
@@ -229,11 +242,12 @@ class Microfile:
                 f"unknown attribute {attribute!r} (file has {list(self.attributes)})"
             ) from None
 
-    def lookup(self, attribute: str, table: dict, default) -> np.ndarray:
-        """Per record, ``table`` applied to its value of ``attribute``.
+    def lookup(self, attribute: str, table: dict, default) -> tuple[np.ndarray, np.ndarray]:
+        """Per code of ``attribute``, ``table`` applied to its value; and the attribute's code column.
 
         Values missing from ``table`` map to ``default``.  The table is
-        applied once per vocabulary entry, then gathered by code.
+        applied once per vocabulary entry, so a block of records' mapped
+        values is the first array indexed by the block of the second.
         Non-negative integers come back in the narrowest unsigned type that
         holds the largest; other integers as ``int64``.
         """
@@ -241,7 +255,7 @@ class Microfile:
         mapped = np.array([table.get(value, default) for value in self.vocabularies[j]])
         if mapped.dtype.kind in "iu" and mapped.min() >= 0:
             mapped = mapped.astype(np.min_scalar_type(mapped.max()))
-        return mapped[self.codes[j]]
+        return mapped, self.codes[j]
 
 
 @dataclass(frozen=True)
@@ -393,7 +407,8 @@ def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Mi
                 # like's header is read, whatever its bytes, so that its records are read in step.
                 readers.append(stack.enter_context(_Reader(like.source)))
                 readers[1].read(like.header)
-                if np.array_equal(lengths, like.lengths):
+                if all(np.array_equal(lengths[r : r + _CHUNK_ROWS], like.lengths[r : r + _CHUNK_ROWS])
+                       for r in range(0, len(lengths), _CHUNK_ROWS)):
                     lengths = like.lengths
             codes, lines = _split_lines(readers, delimiter, len(attributes), lengths, like)
         finally:  # also when the parse fails: a changed text is reported instead
@@ -592,51 +607,24 @@ def _encode(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
 
 
 def _offset_type(lengths: np.ndarray) -> type:
-    """The type of offsets within a chunk of records of byte lengths ``lengths``: 2**15 records of under 2**16 bytes span under 2 GiB."""
+    """The type of offsets within a chunk of records of byte lengths ``lengths``: ``_CHUNK_ROWS`` (at most 2**15) records of under 2**16 bytes span under 2 GiB."""
     return np.int32 if lengths.dtype.itemsize <= 2 else np.int64
 
 
 def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.ndarray, like: Microfile | None):
-    """The code columns of the records of byte lengths ``lengths``, read a chunk at a time, and the :class:`_Lines` that parsed them."""
+    """The code columns of the records of byte lengths ``lengths``, parsed a chunk at a time, and the :class:`_Lines` that parsed them."""
     n = len(lengths)
     if like is None:
         lines = _Lines(delimiter, [{} for _ in range(q)], [None] * q)
         codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
+        chunks = _chunks(readers[0], lengths)
     else:
         # like's own vocabularies and arrays, copied only when a parsed record changes one.
         lines = _Lines(delimiter, list(like.vocabularies), like.vocabularies)
         codes = list(like.codes)
-    offset_type = _offset_type(lengths)
-    # One read buffer for every chunk, with room for the words of its last
-    # line (see _pack).
-    block = np.empty(0, dtype=np.uint8)
-    for r0 in range(0, n, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, n)
-        chunk = lengths[r0:r1]
-        size = int(chunk.sum())
-        if block.size < size + 8:
-            block = np.empty(size + 8, dtype=np.uint8)
-        readers[0].readinto(block[:size])
-        rows = range(r0, r1)
-        if like is not None:
-            old_chunk = like.lengths[r0:r1]
-            old = np.frombuffer(readers[1].read(old_chunk.sum()), dtype=np.uint8)
-            rows = r0 + np.flatnonzero(_changed(block[:size], chunk, old, old_chunk))
-            if not rows.size:
-                continue
-        ends = np.cumsum(chunk, dtype=offset_type)
-        # The lines to parse, if not all the chunk's, are gathered into a
-        # buffer of their own.
-        if len(rows) == r1 - r0:
-            at, buf, starts = slice(r0, r1), block, ends - chunk
-        else:
-            at, sizes = rows, lengths[rows]
-            starts = ends[rows - r0] - sizes
-            buf = np.empty(int(sizes.sum()) + 8, dtype=np.uint8)
-            buf[:-8] = _gather(block, starts, sizes)
-            ends = np.cumsum(sizes, dtype=offset_type)
-            starts = ends - sizes
-        for j, column in enumerate(lines.parse(buf, starts, ends, rows)):
+        chunks = _changed_chunks(readers, lengths, like.lengths)
+    for at, rows, buf, ends in chunks:
+        for j, column in enumerate(lines.parse(buf, ends - lengths[at], ends, rows)):
             wide = _code_type(len(lines.indexes[j]))
             if not np.can_cast(wide, codes[j].dtype):
                 # A copy, so a column shared with like is never widened in place.
@@ -649,11 +637,71 @@ def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.nda
     return codes, lines
 
 
+def _chunks(reader: _Reader, lengths: np.ndarray):
+    """The records of byte lengths ``lengths``, ``_CHUNK_ROWS`` at a time: their index into a column, their rows, a buffer that holds them and where each ends in it.
+
+    One buffer serves every chunk, with room after the last record for the
+    words of its last line (see :func:`_pack`).
+    """
+    offset_type = _offset_type(lengths)
+    buf = np.empty(0, dtype=np.uint8)
+    for r0 in range(0, len(lengths), _CHUNK_ROWS):
+        chunk = lengths[r0 : r0 + _CHUNK_ROWS]
+        size = int(chunk.sum())
+        if buf.size < size + 8:
+            buf = np.empty(size + 8, dtype=np.uint8)
+        reader.readinto(buf[:size])
+        yield slice(r0, r0 + chunk.size), range(r0, r0 + chunk.size), buf, np.cumsum(chunk, dtype=offset_type)
+
+
+def _changed_chunks(readers: list[_Reader], lengths: np.ndarray, old_lengths: np.ndarray):
+    """As :func:`_chunks`, for only the records whose bytes differ from the other text's at the same position.
+
+    ``readers`` reads the text and then the other text, whose records have
+    the byte lengths ``old_lengths``.  The two are compared a chunk of rows
+    at a time, and the records that differ are gathered until they fill a
+    chunk, so the parse steps are as few as the changed records allow.
+    """
+    offset_type = _offset_type(lengths)
+    new, old = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
+    rows, pieces, count = [], [], 0
+    for r0 in range(0, len(lengths), _CHUNK_ROWS):
+        chunk, old_chunk = lengths[r0 : r0 + _CHUNK_ROWS], old_lengths[r0 : r0 + _CHUNK_ROWS]
+        size, old_size = int(chunk.sum()), int(old_chunk.sum())
+        if new.size < size:
+            new = np.empty(size, dtype=np.uint8)
+        if old.size < old_size:
+            old = np.empty(old_size, dtype=np.uint8)
+        readers[0].readinto(new[:size])
+        readers[1].readinto(old[:old_size])
+        changed = np.flatnonzero(_changed(new[:size], chunk, old[:old_size], old_chunk))
+        if count + changed.size > _CHUNK_ROWS:
+            yield _joined(rows, pieces, lengths, offset_type)
+            rows, pieces, count = [], [], 0
+        if changed.size:
+            sizes = chunk[changed]
+            rows.append(r0 + changed)
+            pieces.append(_gather(new, np.cumsum(chunk, dtype=offset_type)[changed] - sizes, sizes))
+            count += changed.size
+    if count:
+        yield _joined(rows, pieces, lengths, offset_type)
+
+
+def _joined(rows: list[np.ndarray], pieces: list[np.ndarray], lengths: np.ndarray, offset_type) -> tuple:
+    """The records ``rows`` (ascending), whose bytes are ``pieces``, as one chunk of :func:`_chunks`."""
+    rows = np.concatenate(rows)
+    buf = np.concatenate(pieces + [np.zeros(8, dtype=np.uint8)])
+    return rows, rows, buf, np.cumsum(lengths[rows], dtype=offset_type)
+
+
 class _Lines:
     """What one load keeps from chunk to chunk: vocabularies, and key tables (:class:`_Table`) of records or of fields.
 
     The first chunk with more new distinct records than half its rows
-    switches the load from one table of records to a table per column.
+    switches the load from one table of records to a table per column.  A
+    column's table takes a chunk's new fields only while the column has at
+    most one value per two records parsed, a rule that does not depend on
+    the chunk's size.
     """
 
     def __init__(self, delimiter: str, indexes: list[dict[str, int]], shared: list[dict[str, int] | None]):
@@ -718,9 +766,10 @@ class _Lines:
                 firsts, classes = new.classes()
                 f = new.at[firsts]
                 values = self._encode(j, _decode_fields(buf, first[f], sizes[f], self.delimiter))
-                # A column of mostly new values (an identifier) would only
-                # grow its table; its codes are taken as they are.
-                if 2 * firsts.size <= len(rows):
+                # A column with more values than half the records parsed (an
+                # identifier) would only grow its table; its codes are taken
+                # as they are.
+                if 2 * len(self.indexes[j]) <= self.parsed:
                     table.add(new, firsts, values[None])
                 codes[new.at] = values[classes]
             columns.append(codes)
@@ -752,17 +801,22 @@ class _Lines:
         return _encode(values, self.indexes[j])
 
     def _fail(self, buf, starts, ends, rows) -> NoReturn:
-        """Raise the error a full parse of the records ``rows``, which are ``buf[starts[i]:ends[i]]``, raises first.
+        """Raise the error a full parse of the records ``rows`` (ascending), which are ``buf[starts[i]:ends[i]]``, raises first.
 
-        That is the first record that is not UTF-8 text, else the first
+        A full parse fails at its first chunk that holds a faulty record: at
+        that chunk's first record that is not UTF-8 text, else at its first
         record without one field per attribute.
         """
-        _decode(buf[: ends[-1]].tobytes(), _line_at(rows, ends - starts))
+        q = len(self.indexes)
         # A record has one field more than it has delimiters, unless it is empty.
         fields = np.diff(np.searchsorted(_separators(buf, ends[-1], self.delimiter), ends), prepend=0) + 1
         fields[_last(buf, starts, ends) == starts] = 0
-        r = np.flatnonzero(fields != len(self.indexes))[0]
-        raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {len(self.indexes)}")
+        ragged = np.flatnonzero(fields != q)
+        # The records up to the end of the first ragged record's chunk.
+        stop = np.searchsorted(rows, (rows[ragged[0]] // _CHUNK_ROWS + 1) * _CHUNK_ROWS) if ragged.size else len(rows)
+        _decode(buf[: ends[stop - 1]].tobytes(), _line_at(rows, ends - starts))
+        r = ragged[0]
+        raise MicrofileError(f"line {rows[r] + 2} has {fields[r]} fields, expected {q}")
 
 
 def _last(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -1112,52 +1166,54 @@ def _starts(header: int, lengths: np.ndarray, rows: np.ndarray) -> list[int]:
     return starts
 
 
-def _group_slots(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
-    """Per record, its parameter value's index in ``spec``; unlisted values get the count of values."""
-    order = {value: i for i, value in enumerate(spec.parameter_values)}
-    return mf.lookup(spec.parameter_attribute, order, len(order))
+class _Buckets:
+    """A microfile's records by (group, vital), a block of ``_CHUNK_ROWS`` records at a time.
 
-
-def _vital_mask(mf: Microfile, spec: AttributeSpec) -> np.ndarray:
-    # Each combination starts from its first lookup, and the mask from the
-    # first combination, so no per-record array is made only to be combined.
-    vital = None
-    for combo in spec.vital_combinations:
-        match = None
-        for attribute, value in zip(spec.vital_attributes, combo):
-            hit = mf.lookup(attribute, {value: True}, False)
-            if match is None:
-                match = hit
-            else:
-                match &= hit
-        if vital is None:
-            vital = match
-        else:
-            vital |= match
-    return vital
-
-
-def _count(values: np.ndarray, size: int) -> np.ndarray:
-    """``np.bincount(values, minlength=size)`` for values below ``size``.
-
-    ``np.bincount`` copies its input to ``intp``; counting a block of rows
-    at a time keeps that copy to one block.
+    Bucket 2g holds the vital records of group g (``spec.parameter_values[g]``)
+    and bucket 2g + 1 its other records; records of unlisted values land at
+    2m or 2m + 1, with m the count of values, so there are ``count`` = 2m + 2
+    buckets.  Iterating gives, per block in order, its slice and each
+    record's bucket, in the narrowest unsigned type that holds 2m + 1.  The
+    lookups are made once, per vocabulary entry; each pass gathers them by a
+    block's codes, so no array has an entry per record.
     """
-    counts = np.zeros(size, dtype=np.intp)
-    for start in range(0, values.size, _CHUNK_ROWS):
-        counts += np.bincount(values[start : start + _CHUNK_ROWS], minlength=size)
-    return counts
+
+    def __init__(self, mf: Microfile, spec: AttributeSpec):
+        m = len(spec.parameter_values)
+        self.count = 2 * m + 2
+        # 2g per value; its type, the narrowest that holds 2m, also holds 2m + 1.
+        groups = {value: 2 * g for g, value in enumerate(spec.parameter_values)}
+        self.groups = mf.lookup(spec.parameter_attribute, groups, 2 * m)
+        self.combos = [[mf.lookup(attribute, {value: True}, False)
+                        for attribute, value in zip(spec.vital_attributes, combo)]
+                       for combo in spec.vital_combinations]
+
+    def __iter__(self):
+        group_of, group_codes = self.groups
+        for start in range(0, len(group_codes), _CHUNK_ROWS):
+            block = slice(start, start + _CHUNK_ROWS)
+            # take gathers a small table by a block of codes faster than indexing does.
+            vital = reduce(np.logical_or, [reduce(np.logical_and, [hit.take(codes[block]) for hit, codes in combo])
+                                           for combo in self.combos])
+            buckets = group_of.take(group_codes[block])
+            buckets += ~vital
+            yield block, buckets
 
 
 def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSignal:
-    """Vital-record share per parameter value, ordered by ``spec.parameter_values``."""
+    """Vital-record share per parameter value, ordered by ``spec.parameter_values``; counted a block of records at a time."""
     m = len(spec.parameter_values)
-    slots = _group_slots(mf, spec)
-    numerators = _count(slots[_vital_mask(mf, spec)], m + 1)[:m]
+    buckets = _Buckets(mf, spec)
+    counts = np.zeros(buckets.count, dtype=np.intp)
+    counted = counts if spec.denominator_filter is None else np.zeros(buckets.count, dtype=np.intp)
     if spec.denominator_filter is not None:
         attribute, allowed = spec.denominator_filter
-        slots = slots[mf.lookup(attribute, dict.fromkeys(allowed, True), False)]
-    denominators = _count(slots, m + 1)[:m]
+        kept, codes = mf.lookup(attribute, dict.fromkeys(allowed, True), False)
+    for block, bucket in buckets:
+        counts += np.bincount(bucket, minlength=buckets.count)
+        if spec.denominator_filter is not None:
+            counted += np.bincount(bucket[kept.take(codes[block])], minlength=buckets.count)
+    numerators, denominators = counts[0 : 2 * m : 2], counted[0 : 2 * m : 2] + counted[1 : 2 * m : 2]
     bad = np.flatnonzero((denominators == 0) | (numerators > denominators))
     if bad.size:
         slot = bad[0]
@@ -1220,19 +1276,10 @@ def rewrite_microfile(
     m = len(values)
     if old.shape != (m,) or new.shape != (m,):
         raise RewriteError(f"counts must have one entry per parameter value ({m})")
-    donor = ~_vital_mask(mf, spec)
-
-    # The rows fall into buckets by (group, vital): bucket 2g holds the vital
-    # rows of group g and bucket 2g + 1 its donors; rows of unlisted groups
-    # land at 2m or 2m + 1.  The buckets are built in the narrowest type that
-    # holds 2m + 1, with its own scalar, so that no promotion rule can widen
-    # them or let them wrap.
-    bucket_type = np.min_scalar_type(2 * m + 1)
-    buckets = _group_slots(mf, spec).astype(bucket_type, copy=False)
-    buckets *= bucket_type.type(2)
-    buckets += donor
-    del donor
-    sizes = _count(buckets, 2 * m + 2)
+    buckets = _Buckets(mf, spec)
+    sizes = np.zeros(buckets.count, dtype=np.intp)
+    for _, bucket in buckets:
+        sizes += np.bincount(bucket, minlength=buckets.count)
     found, donors = sizes[0 : 2 * m : 2], sizes[1 : 2 * m : 2]
     capacity = found + donors
 
@@ -1273,8 +1320,7 @@ def rewrite_microfile(
         if delta > 0:
             cycle += range(delta)
     pools = np.array(pools, dtype=np.intp)
-    rows = _rows_of_ranks(buckets, sizes, pools, np.array(ranks, dtype=np.intp))
-    del buckets
+    rows = _rows_of_ranks((bucket for _, bucket in buckets), sizes, pools, np.array(ranks, dtype=np.intp))
     grown, shrunk = rows[pools % 2 == 1], rows[pools % 2 == 0]
 
     codes = list(mf.codes)
@@ -1300,29 +1346,32 @@ def rewrite_microfile(
     return replace(mf, codes=codes, vocabularies=vocabularies, edited=edited)
 
 
-def _rows_of_ranks(buckets: np.ndarray, sizes: np.ndarray, pools: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _rows_of_ranks(blocks: Iterable[np.ndarray], sizes: np.ndarray, pools: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Per pick ``i``, the row of rank ``ranks[i]`` (from 0) among the rows of bucket ``pools[i]``.
 
-    That is ``np.argsort(buckets, kind="stable")[edges[pools] + ranks]``, with
+    ``blocks`` gives every row's bucket, a block of consecutive rows at a
+    time; ``buckets`` below is their concatenation.  The result is
+    ``np.argsort(buckets, kind="stable")[edges[pools] + ranks]``, with
     ``edges[b]`` the rows in buckets below ``b`` (``sizes`` counts each
     bucket's rows), for picks in ascending (pool, rank) order.  It is found
-    without that order of every row: the rows are counted a block of
-    ``_CHUNK_ROWS`` at a time, and only a block that holds a pick is sorted,
-    on its own.
+    without that order of every row: each block is counted, and only a
+    block that holds a pick is sorted, on its own.  No block is made after
+    the last pick's.
     """
-    # Per bucket, the sorted position of its first row in the block.
+    # Per bucket, the sorted position of its first row in the block, and its
+    # first pick there or after.
     seen = np.cumsum(sizes) - sizes
     positions = seen[pools] + ranks
+    lo = np.searchsorted(positions, seen)
     rows = np.empty(positions.size, dtype=np.intp)
-    found = 0
-    for start in range(0, buckets.size, _CHUNK_ROWS):
+    found = start = 0
+    for block in blocks:
         if found == positions.size:
             break
-        block = buckets[start : start + _CHUNK_ROWS]
         counts = np.bincount(block, minlength=sizes.size)
-        # Bucket b's picks in the block are positions[lo[b] : lo[b] + take[b]].
-        lo = np.searchsorted(positions, seen)
-        take = np.searchsorted(positions, seen + counts) - lo
+        # Bucket b's picks in the block are positions[lo[b] : hi[b]].
+        hi = np.searchsorted(positions, seen + counts)
+        take = hi - lo
         if take.any():
             picks = np.arange(take.sum()) + np.repeat(lo - (np.cumsum(take) - take), take)
             order = np.argsort(block, kind="stable")
@@ -1330,4 +1379,30 @@ def _rows_of_ranks(buckets: np.ndarray, sizes: np.ndarray, pools: np.ndarray, ra
             rows[picks] = start + order[at]
             found += picks.size
         seen += counts
+        lo = hi
+        start += block.size
     return rows
+
+
+def count_changes(before: Microfile, after: Microfile, attributes: Container[str]) -> tuple[int, int]:
+    """The records whose cells of ``attributes`` differ between the two files, and the differing cells of the other attributes.
+
+    ``after`` has ``before``'s records and attributes, in ``before``'s codes
+    (a load with ``like=before`` reads a release so).  The code columns are
+    compared a block of ``_CHUNK_ROWS`` records at a time, and a column that
+    ``after`` shares with ``before`` is not compared.
+    """
+    columns = [(j, attribute in attributes) for j, attribute in enumerate(before.attributes)
+               if after.codes[j] is not before.codes[j]]
+    records = cells = 0
+    for start in range(0, len(before), _CHUNK_ROWS):
+        block = slice(start, start + _CHUNK_ROWS)
+        changed = False
+        for j, counted in columns:
+            differs = before.codes[j][block] != after.codes[j][block]
+            if counted:
+                changed = changed | differs
+            else:
+                cells += int(np.count_nonzero(differs))
+        records += int(np.count_nonzero(changed))
+    return records, cells

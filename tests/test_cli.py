@@ -11,13 +11,14 @@ import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupanon import cli, db2_filter, load_microfile, write_microfile
+from groupanon import cli, db2_filter, load_microfile, microdata, write_microfile
 from groupanon.cli import (
     EXIT_ERROR,
     EXIT_INVARIANT,
@@ -616,6 +617,18 @@ def test_census_release_is_pinned(census_file, tmp_path, seed, digest):
     assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == digest
 
 
+def write_distinct_lines_config(tmp_path, seed=42):
+    """The distinct-lines input (see ``write_distinct_lines_file``) with a long-domain task: 4,000 categories, two decoy targets at level 2."""
+    path = write_distinct_lines_file(tmp_path / "distinct.csv")
+    return write_census_config(
+        tmp_path, path, seed=seed,
+        attributes={"vital": ["JOB"], "vital_combinations": [["V"]], "parameter": "CAT",
+                    "parameter_values": [f"C{c:04d}" for c in range(1, 4_001)], "fallback": "N"},
+        wavelet={"name": "db2", "level": 2, "extension": "left"},
+        plan={"strategy": "alleged_extrema", "targets": [[1_000, 0.3], [3_000, 0.3]], "floor": 2.0},
+    )
+
+
 @pytest.mark.parametrize("seed, digest", [
     (1, "abca40d8292c98e9420d4a3f46a15096cc2374b3a69ee818d832eb21c6920d9c"),
     (42, "0e57c24ce3289e38ff500b904638985bcb361308b1c9c7fb023e5eceeae02e95"),
@@ -624,14 +637,7 @@ def test_distinct_lines_release_is_pinned(tmp_path, seed, digest):
     # Most lines of this input differ, so its load looks each column's fields
     # up in a table of their own, as domain-8191's does; the census release
     # pins the table of whole lines.
-    path = write_distinct_lines_file(tmp_path / "distinct.csv")
-    config_path = write_census_config(
-        tmp_path, path, seed=seed,
-        attributes={"vital": ["JOB"], "vital_combinations": [["V"]], "parameter": "CAT",
-                    "parameter_values": [f"C{c:04d}" for c in range(1, 4_001)], "fallback": "N"},
-        wavelet={"name": "db2", "level": 2, "extension": "left"},
-        plan={"strategy": "alleged_extrema", "targets": [[1_000, 0.3], [3_000, 0.3]], "floor": 2.0},
-    )
+    config_path = write_distinct_lines_config(tmp_path, seed)
     assert main(["anonymize", "--config", str(config_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / "anon.csv").read_bytes()).hexdigest() == digest
     status, checked = run_verify(load_config(config_path))
@@ -658,6 +664,66 @@ def write_long_domain_config(tmp_path):
         wavelet={"name": "db2", "level": 2, "extension": "left"},
         plan={"strategy": "alleged_extrema", "targets": [[100 + 400 * j, 0.9] for j in range(5)], "floor": 2.0},
     )
+
+
+def write_small_census_config(tmp_path):
+    """Shaped like the census fixture, smaller: its 13 regions with a two-hundredth of their records, runs of repeated lines, and its golden plan."""
+    from groupanon.fixture import (EMPLOYED, FILLER_OCCUPATIONS, REGION_CODES, SCIENCE_OCCUPATIONS, SCIENTISTS,
+                                   _periodic)
+
+    path = tmp_path / "census.csv"
+    path.write_text("REGNUK,OCC,SEX\n" + "".join(
+        _periodic(region, SCIENCE_OCCUPATIONS, scientists // 200)
+        + _periodic(region, FILLER_OCCUPATIONS, (employed - scientists) // 200)
+        for region, employed, scientists in zip(REGION_CODES, EMPLOYED, SCIENTISTS)), encoding="utf-8")
+    return write_census_config(tmp_path, path)
+
+
+def _edited_at_block_edges(data, block, vital, other):
+    """``data`` with, at each edge between blocks of ``block`` records, the vital cell of the record before it swapped (``vital`` for ``other`` and back) and the third cell of the record after it lengthened."""
+    lines = data.split(b"\n")  # the header, the records and what follows the last terminator
+    for edge in range(block, len(lines) - 2, block):
+        before = lines[edge].split(b",")
+        before[1] = other if before[1] == vital else vital
+        lines[edge] = b",".join(before)
+        after = lines[edge + 1].split(b",")  # with a block of 1, also the next edge's record before
+        after[2] += b"0"
+        lines[edge + 1] = b",".join(after)
+    return b"\n".join(lines)
+
+
+def _without_timings(report):
+    return {key: value for key, value in report.items() if key != "timings"}
+
+
+@pytest.mark.parametrize("shape", ["census", "long_domain"])
+def test_block_edges_change_no_result(tmp_path, shape):
+    # The record layer reads, counts, rewrites and compares a block of rows
+    # or bytes at a time.  At other block sizes, down to one row and a few
+    # bytes, a run gives the signal, the rewrite's picks, the release and the
+    # report of one run at the default sizes, and so does verify of a
+    # release edited on both sides of every block edge (a vital cell swapped
+    # before the edge, a non-vital cell lengthened after it).
+    write = write_small_census_config if shape == "census" else write_long_domain_config
+    config = load_config(write(tmp_path))
+    vital, other = (b"211", b"999") if shape == "census" else (b"V", b"N")
+    original = config.input.read_bytes()
+    edited = tmp_path / "edited.csv"
+    edited_config = replace(config, output=edited, report=None)
+
+    def run(block):
+        status, report = run_anonymize(config)
+        assert status == EXIT_OK
+        release = config.output.read_bytes()
+        edited.write_bytes(_edited_at_block_edges(release, block, vital, other))
+        return _without_timings(report), release, _without_timings(run_verify(config)[1]), \
+            _without_timings(run_verify(edited_config)[1])
+
+    for block, block_bytes in [(1, 7), (7, 64), (1 << 13, 1000), (1 << 15, 1 << 16)]:
+        expected = run(block)
+        with patch.object(microdata, "_CHUNK_ROWS", block), patch.object(microdata, "_BLOCK_BYTES", block_bytes):
+            assert run(block) == expected
+    assert config.input.read_bytes() == original
 
 
 def test_long_domain_solver_release_is_pinned(tmp_path):
@@ -701,14 +767,15 @@ def test_release_of_quoted_input_does_not_mark_its_edits(census_file, tmp_path):
     assert checked["sizes"]["records_reparsed"] == changed
 
 
-@pytest.mark.parametrize("command, limit", [("anonymize", 1.0), ("verify", 1.15)])
+@pytest.mark.parametrize("command, limit", [("anonymize", 0.7), ("verify", 0.8)])
 def test_census_runs_hold_few_bytes_per_input_byte(census_file, tmp_path, command, limit):
     # The record layer holds a uint8 length and uint8 codes per record and
     # reads the text a block or a chunk at a time, and verify's release
-    # shares its original's lengths; holding a whole text (verify would hold
-    # two), an offset per record, or a whole-file temporary on top of that
-    # (an int32 or intp array of every record, a bool per byte) would push
-    # the peaks past these multiples.
+    # shares its original's lengths; the signal, the rewrite and the compare
+    # work a block of rows at a time.  Holding a whole text (verify would
+    # hold two), an offset per record, or a temporary with an entry per
+    # record or per byte on top of that (a slot, a bucket or a mask of every
+    # record) would push the peaks past these multiples.
     config = load_config(write_census_config(tmp_path, census_file))
     if command == "verify":
         assert run_anonymize(config)[0] == EXIT_OK
@@ -722,6 +789,25 @@ def test_census_runs_hold_few_bytes_per_input_byte(census_file, tmp_path, comman
     assert status == EXIT_OK
     size = census_file.stat().st_size
     assert peak <= limit * size, f"{command} peak {peak / size:.2f}x the input's {size} bytes"
+
+
+def test_distinct_lines_verify_holds_few_bytes_per_input_byte(tmp_path):
+    # Verify of a long-domain release whose lines mostly differ: past its
+    # loads, which parse a chunk of rows at a time, it counts and compares a
+    # block of rows at a time.  A slot, a mask or a comparison of every
+    # record, with chunks of 32,768 rows, takes it to 5.6 times the input;
+    # it holds under 2.3.
+    config = load_config(write_distinct_lines_config(tmp_path))
+    assert run_anonymize(config)[0] == EXIT_OK
+    tracemalloc.start()
+    try:
+        status, _ = run_verify(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK
+    size = config.input.stat().st_size
+    assert peak <= 3 * size, f"verify peak {peak / size:.2f}x the input's {size} bytes"
 
 
 def test_census_records_cost_four_bytes_and_a_release_shares_their_lengths(census_file, census_microfile, tmp_path):

@@ -197,7 +197,7 @@ def test_signal_ignores_unlisted_parameter_values():
 def _int64_lookup(self, attribute, table, default):
     """``Microfile.lookup`` as it was before it narrowed integers: int64 throughout."""
     j = self.column_index(attribute)
-    return np.array([table.get(value, default) for value in self.vocabularies[j]])[self.codes[j]]
+    return np.array([table.get(value, default) for value in self.vocabularies[j]]), self.codes[j]
 
 
 def test_narrow_lookups_match_int64_reference():
@@ -214,9 +214,10 @@ def test_narrow_lookups_match_int64_reference():
     for table, default, dtype in [({v: i for i, v in enumerate(listed)}, 200, np.uint8),
                                   ({v: i for i, v in enumerate(regions[:280])}, 280, np.uint16),
                                   ({v: i for i, v in enumerate(regions[:280])}, -1, np.int64)]:
-        narrow = mf.lookup("REG", table, default)
-        assert narrow.dtype == dtype
-        np.testing.assert_array_equal(narrow, _int64_lookup(mf, "REG", table, default))
+        narrow, codes = mf.lookup("REG", table, default)
+        assert narrow.dtype == dtype and codes is mf.codes[0]
+        wide, _ = _int64_lookup(mf, "REG", table, default)
+        np.testing.assert_array_equal(narrow[codes], wide[codes])
     signal = concentration_signal(mf, spec)
     for slot, region in enumerate(listed):
         group = [job for reg, job, _ in rows if reg == region]
@@ -226,7 +227,7 @@ def test_narrow_lookups_match_int64_reference():
     new = np.clip(old + rng.integers(-1, 2, size=old.size), 1, signal.denominators)
     rewritten = rewrite_microfile(mf, spec, old, new, seed=9)
     with mock.patch.object(Microfile, "lookup", _int64_lookup):
-        assert _int64_lookup(mf, "REG", mf.vocabularies[0], -1).dtype == np.int64
+        assert _int64_lookup(mf, "REG", mf.vocabularies[0], -1)[0].dtype == np.int64
         reference_signal = concentration_signal(mf, spec)
         reference = rewrite_microfile(mf, spec, old, new, seed=9)
     np.testing.assert_array_equal(signal.numerators, reference_signal.numerators)
@@ -525,8 +526,8 @@ def test_block_wise_rows_of_ranks_match_a_stable_sort(values, block, data):
         pools += [pool] * len(picked)
         ranks += picked
     pools, ranks = np.array(pools, dtype=np.intp), np.array(ranks, dtype=np.intp)
-    with mock.patch.object(microdata, "_CHUNK_ROWS", block):
-        rows = microdata._rows_of_ranks(buckets, sizes, pools, ranks)
+    blocks = (buckets[start : start + block] for start in range(0, buckets.size, block))
+    rows = microdata._rows_of_ranks(blocks, sizes, pools, ranks)
     edges = np.cumsum(sizes) - sizes
     np.testing.assert_array_equal(rows, np.argsort(buckets, kind="stable")[edges[pools] + ranks])
 
@@ -940,29 +941,33 @@ def _decoding_chunks(text, d, chunk_rows):
     A model of the plain parser's tables.  While lines repeat, one table
     holds the lines seen so far (a line is its bytes before the "\n").  The
     first chunk with more new distinct lines than half its rows, and every
-    chunk after it, is split into fields, and each column's table holds
-    the fields seen so far, except those of a chunk in which more than half
-    the rows hold a new distinct value.
+    chunk after it, is split into fields.  Each column's table takes the
+    fields new to it of a chunk after which the column has at most one
+    distinct value per two lines read, whatever the chunk's size.
     """
     lines = text.split(b"\n")[1:]
     if not lines[-1]:
         lines.pop()  # after the last terminator
+    q = text.count(d.encode(), 0, text.index(b"\n")) + 1
     seen, tables, decoding = set(), None, []
+    values = [set() for _ in range(q)]  # each column's distinct values so far
     for c, r0 in enumerate(range(0, len(lines), chunk_rows)):
         chunk = lines[r0 : r0 + chunk_rows]
+        rows = [line.removesuffix(b"\r").split(d.encode()) for line in chunk]
+        for j, column in enumerate(values):
+            column.update(row[j] for row in rows)
         if tables is None:
             new = set(chunk) - seen
             if 2 * len(new) <= len(chunk):
                 seen |= new
                 decoding += [c] * bool(new)
                 continue
-            tables = [set() for _ in text.split(b"\n", 1)[0].split(d.encode())]
-        rows = [line.removesuffix(b"\r").split(d.encode()) for line in chunk]
+            tables = [set() for _ in range(q)]
         for j, table in enumerate(tables):
             new = {row[j] for row in rows} - table
             if new and not decoding[-1:] == [c]:
                 decoding.append(c)
-            if 2 * len(new) <= len(chunk):
+            if 2 * len(values[j]) <= r0 + len(chunk):
                 table |= new
     return decoding
 
@@ -983,7 +988,8 @@ def _decoding_chunks(text, d, chunk_rows):
 def test_plain_parser_modes_agree_with_csv(case):
     # The plain parser looks lines up while they repeat; from the first
     # chunk with more new distinct lines than half its rows, it looks each
-    # column's fields up.
+    # column's fields up, and a column's table grows only while the column
+    # has at most one value per two lines read.
     _check_modes_agree_with_csv(case)
 
 
@@ -1137,6 +1143,40 @@ def test_repeated_wide_lines_load_in_little_memory(tmp_path):
     assert sum(len(v) for v in mf.vocabularies) <= 36
 
 
+# A chunk of one row costs about 0.3 ms to parse, so that case has fewer values.
+@pytest.mark.parametrize("chunk_rows, values", [(1, 1023), (7, 8191), (1 << 13, 8191), (1 << 15, 8191)])
+def test_field_tables_admit_a_column_by_its_values_per_record(chunk_rows, values):
+    # Distinct lines: an identifier, one of 8,191 categories (each once per
+    # 8,191 rows, for four cycles) and one of two codes.  Whatever the chunk
+    # size, the category's table takes its values once the column has one
+    # value per two records read, so it is decoded only in its first three
+    # cycles and the chunk that ends the third; the identifier never enters
+    # its table.
+    rng = np.random.default_rng(values)
+    categories = np.concatenate([rng.permutation(values) for _ in range(4)])
+    rows = [(str(i), f"C{c:04d}", "12"[c % 2]) for i, c in enumerate(categories.tolist())]
+    text = "ID,CAT,SEX\n" + "".join(",".join(row) + "\n" for row in rows)
+    decoded, tables = [], []
+    encode, split = microdata._Lines._encode, microdata._split_lines
+
+    def encode_spy(lines, j, values):
+        decoded.append((j, lines.parsed))
+        return encode(lines, j, values)
+
+    def split_spy(*args):
+        codes, lines = split(*args)
+        tables[:] = [table.keys.size - 1 for table in lines.fields]  # less the entry that matches nothing
+        return codes, lines
+
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(microdata._Lines, "_encode", encode_spy), \
+            mock.patch.object(microdata, "_split_lines", split_spy):
+        mf = load_microfile(io.StringIO(text))
+    assert records(mf) == rows
+    assert tables == [0, values, 2]
+    assert max(parsed for j, parsed in decoded if j == 1) <= 3 * values + chunk_rows
+
+
 def test_distinct_lines_load_without_an_object_per_cell(tmp_path):
     # About 95,600 records over 4,000 categories, most lines distinct, like
     # the long-domain benchmark input.  The parser finds each field in the
@@ -1157,11 +1197,12 @@ def test_distinct_lines_load_without_an_object_per_cell(tmp_path):
 
 
 def test_one_long_line_costs_only_its_own_words():
-    # A repeating chunk of short lines and one 64 KB line: a word is mixed
-    # into the keys only of the lines that have it, so about bytes / 8 + rows
-    # words in all, not rows times the long line's 8,192 words.
+    # One chunk of 32,768 repeating short lines and one 64 KB line: a word is
+    # mixed into the keys only of the lines that have it, so about bytes / 8
+    # + rows words in all, not rows times the long line's 8,192 words.
     text = b"A\n" + b"a\n" * 16383 + b"b\n" * 16383 + b"x" * 65536 + b"\n"
-    with mock.patch.object(microdata, "_mix", wraps=microdata._mix) as spy:
+    with mock.patch.object(microdata, "_CHUNK_ROWS", 1 << 15), \
+            mock.patch.object(microdata, "_mix", wraps=microdata._mix) as spy:
         mf = load_microfile(io.BytesIO(text))
     assert spy.call_count == 8192
     mixed = sum(call.args[0].size for call in spy.call_args_list)

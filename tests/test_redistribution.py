@@ -11,12 +11,19 @@ from groupanon import (
     analyze,
     extend_to_even,
     format_plot_data,
+    new_quantities,
     redistribute,
     verify_outcome,
 )
 from groupanon.errors import InfeasibleTargetsError, PlanError, SignalError
-from groupanon.redistribution import CHECK_TOL, fixed_border_indices, local_extrema, make_coefficients
-from groupanon.wavelets import filter_by_name, synth_approx
+from groupanon.redistribution import (
+    CHECK_TOL,
+    fixed_border_indices,
+    local_extrema,
+    make_coefficients,
+    rounding_tolerances,
+)
+from groupanon.wavelets import filter_by_name, max_level, synth_approx
 
 import reference as ref
 from reference import build_reconstruction_matrix
@@ -387,6 +394,35 @@ def test_redistribute_long_domain_memory(db2):
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert final.shape == c.shape
     assert report["checks"]["border_equality"]["passed"] and report["checks"]["positivity"]["passed"]
+
+
+# Per category, a denominator and a ratio: anywhere in (0, 1], or at half a
+# record, where rounding moves the ratio farthest.
+_ROUNDED = st.integers(1, 5_000).flatmap(lambda d: st.tuples(
+    st.just(d), st.one_of(st.floats(1e-6, 1.0), st.integers(0, d - 1).map(lambda c: (c + 0.5) / d))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROUNDED, min_size=2, max_size=40), st.sampled_from(["db2", "haar"]),
+       st.sampled_from(["left", "right"]), st.data())
+@example([(1, 0.5), (1, 0.5), (3, 0.5)], "db2", "left", None)
+def test_rounding_moves_the_signal_within_rounding_tolerances(categories, wavelet, direction, data):
+    # Counts rounded half away from zero move each ratio by at most half a
+    # record over its denominator, so the recounted signal's mean and every
+    # detail coefficient at every level stay within the bounds verify uses.
+    denominators = np.array([d for d, _ in categories])
+    ratios = np.array([r for _, r in categories])
+    counts, _ = new_quantities(ratios, denominators)
+    before, meta = extend_to_even(ratios, direction)
+    after, _ = extend_to_even(counts / denominators, direction)
+    f = filter_by_name(wavelet)
+    top = max_level(meta.extended_length)
+    k = top if data is None else data.draw(st.integers(1, top))
+    mean_tol, detail_tol = rounding_tolerances(denominators, f, k)
+    info = meta.informative_slice
+    assert abs(after[info].mean() - before[info].mean()) < mean_tol
+    for old, new in zip(analyze(before, f, k, meta=meta).details, analyze(after, f, k, meta=meta).details):
+        assert np.abs(new - old).max() < detail_tol
 
 
 def test_random_redistribution_properties(db2):
