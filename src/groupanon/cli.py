@@ -43,8 +43,8 @@ import numpy as np
 from .errors import ConfigError, GroupAnonError
 from .microdata import (
     AttributeSpec,
+    check_release,
     concentration_signal,
-    count_changes,
     load_microfile,
     new_quantities,
     rewrite_microfile,
@@ -441,55 +441,44 @@ def run_verify(config: RunConfig) -> tuple[int, dict]:
     Counts in the rewritten file are integers, so the recomputed ratios
     carry rounding noise; the mean and detail checks therefore use the
     bounds of :func:`groupanon.redistribution.rounding_tolerances` instead
-    of the exact in-pipeline tolerance.  The anonymized file is read as a
-    delta of the original: only its records that differ from the
-    original's record at the same position are parsed (``records_reparsed``),
-    or all of them when the record counts or the attribute names differ.
-    A file of the original's shape is so read with the original's codes,
-    and its cells are compared code for code, a block of records at a time
-    (:func:`groupanon.microdata.count_changes`).  A configured report is read
-    first, and only its ``counts.new`` is kept.
+    of the exact in-pipeline tolerance.  Both files are read in one pass
+    (:func:`groupanon.microdata.check_release`, the ``read`` stage): the
+    original a chunk of records at a time, and the anonymized file in step
+    with it, of which only the records that differ from the original's
+    record at the same position are split into cells (``records_reparsed``),
+    or all of them when the attribute names differ.  An error names the
+    file at fault.  A configured report is read first, and only its
+    ``counts.new`` is kept.
     """
     if config.output is None:
         raise ConfigError("verify needs an output path (the anonymized file)")
     wanted = None if config.report is None else _released_counts(config.report)
     timings: dict[str, float] = {}
-    with _stage(timings, "load"):
-        original = load_microfile(config.input, delimiter=config.delimiter)
-        final = load_microfile(config.output, delimiter=config.delimiter, like=original)
-    with _stage(timings, "signal"):
-        sig_before = concentration_signal(original, config.spec)
-        sig_after = concentration_signal(final, config.spec)
+    with _stage(timings, "read"):
+        found = check_release(config.input, config.output, config.spec, config.delimiter)
     filters = filter_by_name(config.wavelet)
-    before, meta = extend_to_even(sig_before.ratios, config.extension)
-    after, _ = extend_to_even(sig_after.ratios, config.extension)  # border pair equal by construction
-    mean_tol, detail_tol = rounding_tolerances(sig_before.denominators, filters, config.level)
+    before, meta = extend_to_even(found.before.ratios, config.extension)
+    after, _ = extend_to_even(found.after.ratios, config.extension)  # border pair equal by construction
+    mean_tol, detail_tol = rounding_tolerances(found.before.denominators, filters, config.level)
     with _stage(timings, "outcome"):
         checks, _ = verify_outcome(
             before, after, filters, config.level, meta, mean_tol=mean_tol, detail_tol=detail_tol
         )
-
-    with _stage(timings, "compare"):
-        if len(original) == len(final) and original.attributes == final.attributes:
-            changed, altered = count_changes(original, final, config.spec.vital_attributes)
-        else:
-            # Files of another shape cannot be compared cell by cell; count the larger one's records.
-            changed, altered = 0, max(len(original), len(final))
-    checks["record_count_unchanged"] = _count_row(abs(len(original) - len(final)))
-    checks["non_vital_cells_unchanged"] = _count_row(altered)
-    checks["denominators_unchanged"] = _mismatch_row(sig_before.denominators, sig_after.denominators)
+    checks["record_count_unchanged"] = _count_row(abs(found.records - found.released))
+    checks["non_vital_cells_unchanged"] = _count_row(found.altered)
+    checks["denominators_unchanged"] = _mismatch_row(found.before.denominators, found.after.denominators)
     if wanted is not None:
-        checks["released_counts_match"] = _mismatch_row(sig_after.numerators, wanted)
+        checks["released_counts_match"] = _mismatch_row(found.after.numerators, wanted)
     return _finish({
         "checks": checks,
         "timings": timings,
         "sizes": {
-            "records": len(original),
+            "records": found.records,
             "categories": len(config.spec.parameter_values),
             "extended_length": meta.extended_length,
             "level": config.level,
-            "records_changed": changed,
-            "records_reparsed": final.parsed,
+            "records_changed": found.changed,
+            "records_reparsed": found.tokenized,
         },
     })
 

@@ -28,14 +28,13 @@ an entry per record or per byte has the narrowest integer type that holds
 its values, or is made a block at a time.  The load reads the text a block
 of bytes or a chunk of rows at a time, and no step after it holds a
 temporary with an entry per record: the signal, the rewrite's counts and
-its search for the rows it picks, a compare of two files' codes and a
-write's search for the records it edits each take a block of rows at a
-time, gathering its codes through lookups made once per vocabulary entry.
-A record's place in the text is its length, not its offset: an offset is
-found by summing lengths a chunk of rows at a time.
-A code column and the record lengths start as ``uint8`` and are copied to
-a wider type only when a value outgrows the one they have (a vocabulary,
-a longer record), so at most three times.
+its search for the rows it picks and a write's search for the records it
+edits each take a block of rows at a time, gathering its buckets through
+lookups made once per vocabulary entry.  A record's place in the text is
+its length, not its offset: an offset is found by summing lengths a chunk
+of rows at a time.  A code column and the record lengths start as
+``uint8`` and are copied to a wider type only when a value outgrows the
+one they have (a vocabulary, a longer record), so at most three times.
 
 A load's first read finds where every record ends, as :mod:`csv` reads a
 file opened with ``newline=""``: at a ``\n``, ``\r\n`` or lone ``\r`` outside
@@ -62,18 +61,14 @@ decoded, each class once, in one batch per chunk and table; their values
 are joined to the table, which stays sorted without a sort.  No chunk
 makes a Python string per cell.
 
-A load may name a microfile that the text is expected to repeat (``like``,
-for ``verify`` the original of a release).  When the text has as many
-records as ``like`` and its header names the same attributes, in whatever
-bytes, the result uses ``like``'s codes: each of its vocabularies starts
-with ``like``'s keys in order, so a value has one code in both files.  A
-record whose bytes equal ``like``'s record at the same position takes its
-codes, and only the other records go through the tables, which start
-empty; the two texts are compared chunk by chunk in step, and the records
-that differ are parsed a chunk of them at a time.  A record starts
-outside quotes, so identical bytes parse to identical cells, as a full
-parse would.  When every record has the length of ``like``'s at the same
-position, the result shares ``like``'s lengths.
+:func:`check_release` reads an original text and its release once each,
+in step, and builds no microfile: one scan of each finds its record ends a
+block at a time and keeps its records in its buffer until they are taken.
+Each chunk of original records is tokenized and counted into its buckets,
+the release's records at the same positions are compared with them byte
+for byte, and only those that differ are tokenized, in the original's
+vocabularies.  A record starts outside quotes, so identical bytes hold
+identical cells.  It holds nothing per record.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ import os
 import random
 import shutil
 import zlib
-from contextlib import ExitStack
+from contextlib import contextmanager
 from functools import reduce
 from itertools import count, filterfalse
 from dataclasses import dataclass, replace
@@ -174,15 +169,9 @@ class _Reader:
         if count != buffer.size:
             raise self._changed()
 
-    def copy(self, count, write) -> None:
-        """Pass the next ``count`` bytes to ``write``, ``_BLOCK_BYTES`` at a time."""
-        while count > 0:
-            piece = self.read(min(count, _BLOCK_BYTES))
-            write(piece)
-            count -= len(piece)
-
     def check(self) -> None:
-        self.copy(self.source.size - self.size, lambda piece: None)
+        while self.size < self.source.size:
+            self.read(min(self.source.size - self.size, _BLOCK_BYTES))
         if self.stream.read(1) or self.crc != self.source.crc:
             raise self._changed()
 
@@ -205,13 +194,8 @@ class Microfile:
     included.  ``lengths`` is in the narrowest unsigned type that holds the
     longest, so ``uint8`` while no record is longer than 255 bytes.
     ``edited`` lists in ascending order the records whose codes no longer
-    match their bytes in the text.  ``parsed`` counts the records the load
-    split into cells; the others took their codes from the microfile passed
-    as ``like``.  Code arrays, vocabularies and lengths are never changed in
-    place; a rewrite copies the ones it changes.  A load with ``like``
-    shares every vocabulary and code array of ``like`` to which no parsed
-    record added a value or changed a code, and ``like``'s lengths when
-    every record has the length of ``like``'s.
+    match their bytes in the text.  Code arrays, vocabularies and lengths
+    are never changed in place; a rewrite copies the ones it changes.
     """
 
     attributes: list[str]
@@ -222,7 +206,6 @@ class Microfile:
     lengths: np.ndarray
     delimiter: str
     edited: np.ndarray
-    parsed: int
 
     @classmethod
     def from_rows(cls, attributes: Iterable[str], rows: Iterable[Iterable[str]],
@@ -235,27 +218,14 @@ class Microfile:
         return len(self.lengths)
 
     def column_index(self, attribute: str) -> int:
-        try:
-            return self.attributes.index(attribute)
-        except ValueError:
-            raise MicrofileError(
-                f"unknown attribute {attribute!r} (file has {list(self.attributes)})"
-            ) from None
+        return _column_index(self.attributes, attribute)
 
-    def lookup(self, attribute: str, table: dict, default) -> tuple[np.ndarray, np.ndarray]:
-        """Per code of ``attribute``, ``table`` applied to its value; and the attribute's code column.
 
-        Values missing from ``table`` map to ``default``.  The table is
-        applied once per vocabulary entry, so a block of records' mapped
-        values is the first array indexed by the block of the second.
-        Non-negative integers come back in the narrowest unsigned type that
-        holds the largest; other integers as ``int64``.
-        """
-        j = self.column_index(attribute)
-        mapped = np.array([table.get(value, default) for value in self.vocabularies[j]])
-        if mapped.dtype.kind in "iu" and mapped.min() >= 0:
-            mapped = mapped.astype(np.min_scalar_type(mapped.max()))
-        return mapped, self.codes[j]
+def _column_index(attributes: list[str], attribute: str) -> int:
+    try:
+        return attributes.index(attribute)
+    except ValueError:
+        raise MicrofileError(f"unknown attribute {attribute!r} (file has {list(attributes)})") from None
 
 
 @dataclass(frozen=True)
@@ -345,7 +315,7 @@ class ConcentrationSignal:
         return self.numerators / self.denominators
 
 
-def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = None) -> Microfile:
+def load_microfile(source, delimiter: str = ",") -> Microfile:
     """Read a delimited UTF-8 text microfile with a header row.
 
     ``source`` is a path or an object whose ``read()`` returns text or
@@ -359,90 +329,198 @@ def load_microfile(source, delimiter: str = ",", *, like: Microfile | None = Non
     since the load's first read of it, which is then reported instead.
 
     A path to a regular file is resolved now and read a block or a chunk at
-    a time by this load and by every later pass that needs the text (a delta
-    load against the microfile, a write), which checks its size and CRC-32.
-    A file object's text, and any other path's (a pipe, a device), are kept.
-
-    ``like`` is a microfile the text mostly repeats, such as the original
-    of a release.  When the text has ``like``'s record count, delimiter and
-    attribute names (however its header spells them) and no rewrite has
-    edited ``like``, the result keeps ``like``'s codes: a value new to
-    ``like`` joins the end of a copy of its vocabulary, so equal values
-    have equal codes in both.  Each record whose bytes equal ``like``'s
-    record at the same position takes ``like``'s codes; only the other
-    records are re-parsed, with every check of a full parse.  Otherwise the
-    text is parsed in full.  The decoded values never depend on ``like``;
-    the codes and vocabularies may.
+    a time by this load and by every later pass that needs the text (a
+    write), which checks its size and CRC-32.  A file object's text, and any
+    other path's (a pipe, a device), are kept.
     """
+    return _parse(_source_of(source), delimiter)
+
+
+def _source_of(source) -> _Source:
+    """Where the text of ``source``, a path or an object whose ``read()`` returns text or bytes, is read from."""
     if hasattr(source, "read"):
         data = source.read()
-        text = _Source(data=data.encode("utf-8") if isinstance(data, str) else data)
-    elif Path(source).is_file():
-        text = _Source(path=Path(source).resolve())
-    else:
-        # A pipe or a device cannot be read again, so its text is kept.
-        with open(source, "rb") as handle:
-            text = _Source(data=handle.read())
-    return _parse(text, delimiter, like)
+        return _Source(data=data.encode("utf-8") if isinstance(data, str) else data)
+    if Path(source).is_file():
+        return _Source(path=Path(source).resolve())
+    # A pipe or a device cannot be read again, so its text is kept.
+    with open(source, "rb") as handle:
+        return _Source(data=handle.read())
 
 
-def _parse(source: _Source, delimiter: str, like: Microfile | None = None) -> Microfile:
-    """The microfile of ``source``'s text; see :func:`load_microfile` for ``like``, whose text is read in step."""
+def _check_delimiter(delimiter: str) -> None:
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n':
         raise MicrofileError(
             f"delimiter must be one ASCII character other than a quote or line break, got {delimiter!r}"
         )
+
+
+def _parse(source: _Source, delimiter: str) -> Microfile:
+    """The microfile of ``source``'s text: its line ends found by one read, its records tokenized by a second."""
+    _check_delimiter(delimiter)
     header, lengths, source = _line_ends(source, delimiter)
     if not lengths.size:  # no record after the header, if any
         raise MicrofileError("empty file")
-    with ExitStack() as stack:
-        readers = [stack.enter_context(_Reader(source))]
+    with _Reader(source) as reader:
         try:
-            head = readers[0].read(header)
-            attributes = _header(head, delimiter)
-            if like is not None and (len(like) != len(lengths) or like.delimiter != delimiter
-                                     or like.attributes != attributes or like.edited.size):
-                like = None
-            if like is not None:
-                # like's header is read, whatever its bytes, so that its records are read in step.
-                readers.append(stack.enter_context(_Reader(like.source)))
-                readers[1].read(like.header)
-                if all(np.array_equal(lengths[r : r + _CHUNK_ROWS], like.lengths[r : r + _CHUNK_ROWS])
-                       for r in range(0, len(lengths), _CHUNK_ROWS)):
-                    lengths = like.lengths
-            codes, lines = _split_lines(readers, delimiter, len(attributes), lengths, like)
+            attributes = _header(reader.read(header), delimiter)
+            codes, lines = _split_lines(reader, delimiter, len(attributes), lengths)
         finally:  # also when the parse fails: a changed text is reported instead
-            for reader in readers:
-                reader.check()
+            reader.check()
     return Microfile(attributes, codes, lines.indexes, source, header, lengths, delimiter,
-                     np.empty(0, dtype=np.intp), lines.parsed)
+                     np.empty(0, dtype=np.intp))
+
+
+class _Scan:
+    """One read of a text from its start, a block at a time, that finds where its lines end.
+
+    Iterating yields, per block in which a line ends, ``(start, buf, ends)``:
+    ``buf`` is a ``uint8`` view of the scan's buffer, whose byte 0 lies at
+    offset ``start`` of the text, and ``ends`` (ascending) the offsets in
+    ``buf`` just past each line that ends in the block.  The last line may
+    lack its line break: it ends at the end of the text, and a last yield
+    gives it.  The first line is the header, a byte order mark before it
+    included.  ``size`` and ``crc`` are those of the text read so far, and
+    ``expected`` the size of the text when the read began.
+
+    A read that does not ``keep`` its lines reads ``_BLOCK_BYTES`` at a time,
+    and ``buf`` holds the block alone.  One that does reads an eighth of
+    that, and keeps the bytes from offset ``kept`` of ``buf`` on, which the
+    reader of the lines sets before the iteration resumes (by default, past
+    the block's last line): they are moved to the buffer's front, and the
+    next block is read after them.  So ``buf`` holds the kept lines and every
+    line yielded whole, and 8 bytes more, until the iteration resumes, and
+    the read ends with a yield of the buffer the kept bytes are in.  Only
+    kept bytes are copied.  No text is read twice in such a read, so it
+    takes no CRC.
+
+    A line ends at "\n", "\r\n" or a lone "\r" outside quotes.  One buffer
+    serves every block, and the block's two byte masks are made once per
+    read.  Only a block that holds a quote, or starts inside quotes, has its
+    quotes found: a break is dropped when an odd number of quotes come
+    before it, counting the parity carried from the blocks before.  A quote
+    that neither opens nor closes a field (it must follow or precede a
+    delimiter, a line break or the other quote of a ``""`` pair), or an
+    unclosed one, raises a :class:`MicrofileError` that names the line.
+    """
+
+    def __init__(self, source: _Source, delimiter: str, keep: bool = False, masks: list | None = None):
+        self.source, self.delimiter, self.keep = source, delimiter, keep
+        self.size = self.crc = self.expected = self.kept = 0
+        # A block's two scratch byte masks, which scans that take turns may share.
+        self.masks = [] if masks is None else masks
+
+    def __iter__(self):
+        # Whether the text read so far ends inside quotes, in a CR outside them
+        # (a line break unless the next block starts with "\n"), and in a
+        # closing quote (checked against the next block's first byte).
+        inside = cr = closed = False
+        # The bytes that may stand before an opening quote or after a closing one.
+        fences = np.zeros(256, dtype=bool)
+        fences[[ord(self.delimiter), _LF, _CR, _QUOTE]] = True
+        before = _LF  # the byte before the block; the first line starts as if after a line break
+        # The lines ended so far, and the offset in the text just past the last.
+        n = last = 0
+        with self.source.open() as stream:
+            self.expected = stream.seek(0, io.SEEK_END)
+            stream.seek(0)
+            # A byte order mark is not scanned, so the header's first field starts after it.
+            bom = stream.read(len(_BOM))
+            bom = bom if bom == _BOM else b""
+            stream.seek(len(bom))
+            self.size, self.crc = len(bom), zlib.crc32(bom)
+            # Two reads that keep their lines run side by side, and each holds
+            # a chunk of rows besides its block, so their blocks are smaller.
+            step = max(1, min(_BLOCK_BYTES >> 3 if self.keep else _BLOCK_BYTES, self.expected))
+            pad = 8 if self.keep else 0
+            # The bytes before the block in the buffer: the unfinished line's, kept.
+            carry = len(bom) if self.keep else 0
+            window = bytearray(step + pad)
+            window[:carry] = bom[:carry]
+            if not self.masks or self.masks[0].size < step:
+                self.masks[:] = [np.empty(step, dtype=bool) for _ in range(2)]
+            while True:
+                room = len(window) - pad - carry
+                if room < (step + 1) // 2:  # so that a read takes half a block at least
+                    grown = bytearray(carry + step + pad)
+                    grown[:carry] = memoryview(window)[:carry]
+                    window, room = grown, step
+                start = self.size - carry
+                count = stream.readinto(memoryview(window)[carry : carry + min(room, step)])
+                if not count:
+                    break
+                masks = [mask[:count] for mask in self.masks]
+                buf = np.frombuffer(window, dtype=np.uint8)
+                block = buf[carry : carry + count]
+                if closed and not fences[block[0]]:
+                    raise MicrofileError(f"line {n + 1} has text after a closing quote")
+                lone = cr and block[0] != _LF
+                at = _breaks(block, masks, window.find(b"\r", carry, carry + count) != -1)
+                if inside or window.find(b'"', carry, carry + count) != -1:
+                    quotes = np.flatnonzero(np.equal(block, _QUOTE, out=masks[0]))
+                    at = at[(np.searchsorted(quotes, at) + inside) % 2 == 0]
+                    # Quote k opens quotes when k + inside is even.  The byte before
+                    # an opening quote, and the one after a closing quote, must be
+                    # a fence.  Past the block's edges, the byte before it and a
+                    # line break stand in (the real byte after is checked with the
+                    # next block).
+                    opens = np.zeros(quotes.size, dtype=bool)
+                    opens[int(inside) :: 2] = True
+                    padded = np.pad(block, 1, constant_values=(before, _LF))
+                    bad = ~fences[padded[np.where(opens, quotes, quotes + 2)]]
+                    if bad.any():
+                        fault = int(np.argmax(bad))
+                        line = n + lone + np.searchsorted(at, quotes[fault]) + 1
+                        what = "a quote inside an unquoted field" if opens[fault] else "text after a closing quote"
+                        raise MicrofileError(f"line {line} has {what}")
+                    inside ^= quotes.size % 2 == 1
+                    del quotes
+                before = int(block[-1])
+                cr = before == _CR and not inside
+                closed = before == _QUOTE and not inside
+                if not self.keep:
+                    self.crc = zlib.crc32(memoryview(window)[carry : carry + count], self.crc)
+                self.size += count
+                self.kept = 0  # where in the buffer the bytes to keep start
+                if lone or at.size:
+                    at += carry + 1
+                    if lone:  # the line ended with the block before
+                        at = np.insert(at, 0, carry)
+                    n += at.size
+                    self.kept = int(at[-1])
+                    last = start + self.kept
+                    yield start, buf, at
+                    del at
+                if self.keep:
+                    carry += count - self.kept
+                    if self.kept:
+                        window[:carry] = window[self.kept : self.kept + carry]
+        if inside:
+            raise MicrofileError(f"line {n + 1} has an unterminated quote")
+        if n == 0 or last != self.size:  # the last line, without its line break
+            ends = [carry]
+        elif self.keep:  # no line, but the buffer the kept bytes were moved to
+            ends = []
+        else:
+            return
+        yield self.size - carry, np.frombuffer(window, dtype=np.uint8), np.array(ends, dtype=np.intp)
 
 
 def _line_ends(source: _Source, delimiter: str) -> tuple[int, np.ndarray, _Source]:
-    """The header's length, each record's length, and ``source`` with its size and CRC-32.
+    """The header's length, each record's length, and ``source`` with its size and CRC-32, from one :class:`_Scan`.
 
-    A record ends at "\n", "\r\n" or a lone "\r" outside quotes; the last
-    may lack its line break.  A length counts the line break, and the
-    header's a byte order mark before it.  The text is read
-    ``_BLOCK_BYTES`` at a time (all at once, when shorter) into one buffer,
-    whose two byte masks are made once per scan, and the differences of
-    each block's breaks are written straight into the result, the only
-    array as long as the text's records.  It is sized from the records per
-    byte seen so far and resized in place (``realloc`` remaps rather than
-    copies), and it is ``uint8`` until a longer record comes (a block whose
-    breaks lie further apart than the type holds is checked for first),
-    then copied to the narrowest type that holds it.  Only a block that holds a quote,
-    or starts inside quotes, has its quotes found: a break is dropped when
-    an odd number of quotes come before it, counting the parity carried
-    from the blocks before.  A quote that neither opens nor closes a field
-    (it must follow or precede a delimiter, a line break or the other quote
-    of a ``""`` pair), or an unclosed one, raises a
-    :class:`MicrofileError` that names the record's line.
+    A length counts the line break, and the header's a byte order mark
+    before it.  The differences of each block's line ends are written
+    straight into the result, the only array as long as the text's
+    records.  It is sized from the records per byte seen so far and resized
+    in place (``realloc`` remaps rather than copies), and it is ``uint8``
+    until a longer record comes (a block whose ends lie further apart than
+    the type holds is checked for first), then copied to the narrowest type
+    that holds it.
     """
     lengths = np.empty(1, dtype=np.uint8)
-    header = 0
-    # The lines ended so far, the header's included, and the offset just past the last.
-    n = last = 0
+    n = 0  # the records ended so far
+    last = None  # the offset just past the last line ended, once the header has
 
     def widen(top) -> None:
         nonlocal lengths
@@ -450,87 +528,28 @@ def _line_ends(source: _Source, delimiter: str) -> tuple[int, np.ndarray, _Sourc
         if not np.can_cast(wide, lengths.dtype):
             lengths = lengths.astype(wide)
 
-    def end(offset: int) -> None:
-        """End the next line, the header or a record, just before ``offset``."""
-        nonlocal header, n, last
-        if n:
-            widen(offset - last)
-            lengths[n - 1] = offset - last
-        else:
-            header = offset
-        n += 1
-        last = offset
-
-    # Whether the text read so far ends inside quotes, in a CR outside them
-    # (a line break unless the next block starts with "\n"), and in a
-    # closing quote (checked against the next block's first byte).
-    inside = cr = closed = False
-    # The bytes that may stand before an opening quote or after a closing one.
-    fences = np.zeros(256, dtype=bool)
-    fences[[ord(delimiter), _LF, _CR, _QUOTE]] = True
-    before = _LF  # the byte before the block; the first record starts as if after a line break
-    with source.open() as stream:
-        expected = stream.seek(0, io.SEEK_END)
-        stream.seek(0)
-        # A byte order mark is not scanned, so the header's first field starts after it.
-        size = len(_BOM) if stream.read(len(_BOM)) == _BOM else 0
-        stream.seek(size)
-        crc = zlib.crc32(_BOM[:size])
-        block = bytearray(min(_BLOCK_BYTES, max(expected, 1)))
-        buf = np.frombuffer(block, dtype=np.uint8)
-        masks = [np.empty(len(block), dtype=bool) for _ in range(2)]
-        while count := stream.readinto(block):
-            stop = size + count
-            if closed and not fences[block[0]]:
-                raise MicrofileError(f"line {n + 1} has text after a closing quote")
-            lone = cr and block[0] != _LF
-            at = _breaks(block, buf[:count], [mask[:count] for mask in masks])
-            if inside or block.find(b'"', 0, count) != -1:
-                quotes = np.flatnonzero(np.equal(buf[:count], _QUOTE, out=masks[0][:count]))
-                at = at[(np.searchsorted(quotes, at) + inside) % 2 == 0]
-                # Quote k opens quotes when k + inside is even.  The byte before
-                # an opening quote, and the one after a closing quote, must be
-                # a fence.  Past the block's edges, the byte before it and a
-                # line break stand in (the real byte after is checked with the
-                # next block).
-                opens = np.zeros(quotes.size, dtype=bool)
-                opens[int(inside) :: 2] = True
-                padded = np.pad(buf[:count], 1, constant_values=(before, _LF))
-                bad = ~fences[padded[np.where(opens, quotes, quotes + 2)]]
-                if bad.any():
-                    fault = int(np.argmax(bad))
-                    line = n + lone + np.searchsorted(at, quotes[fault]) + 1
-                    what = "a quote inside an unquoted field" if opens[fault] else "text after a closing quote"
-                    raise MicrofileError(f"line {line} has {what}")
-                inside ^= quotes.size % 2 == 1
-                del quotes
-            need = n + lone + at.size  # records, and a last one without a break
+    scan = _Scan(source, delimiter)
+    for start, _, ends in scan:
+        if last is None:
+            header = last = start + int(ends[0])
+            ends = ends[1:]
+        if ends.size:
+            need = n + ends.size
             if need > lengths.size:
-                lengths.resize(max(need, need * expected // stop), refcheck=False)
-            if lone:
-                end(size)
-            if at.size:
-                end(size + 1 + int(at[0]))
-                if _gap_over(at, np.iinfo(lengths.dtype).max):
-                    widen(np.diff(at).max())
-                # The lengths of the block's other lines, found in the result's
-                # own type, so the offsets are cast a buffer at a time.
-                np.subtract(at[1:], at[:-1], out=lengths[n - 1 : n + at.size - 2],
-                            dtype=lengths.dtype, casting="unsafe")
-                n += at.size - 1
-                last = size + 1 + int(at[-1])
-            del at  # before the next block's are found
-            before = block[count - 1]
-            cr = before == _CR and not inside
-            closed = before == _QUOTE and not inside
-            crc = zlib.crc32(memoryview(block)[:count], crc)
-            size = stop
-    if inside:
-        raise MicrofileError(f"line {n + 1} has an unterminated quote")
-    if n == 0 or last != size:
-        end(size)
-    lengths.resize(n - 1, refcheck=False)
-    return header, lengths, replace(source, size=size, crc=crc)
+                lengths.resize(max(need, need * scan.expected // scan.size), refcheck=False)
+            first = start + int(ends[0]) - last
+            widen(first)
+            lengths[n] = first
+            if _gap_over(ends, np.iinfo(lengths.dtype).max):
+                widen(np.diff(ends).max())
+            # The lengths of the block's other records, found in the result's
+            # own type, so the offsets are cast a buffer at a time.
+            np.subtract(ends[1:], ends[:-1], out=lengths[n + 1 : n + ends.size], dtype=lengths.dtype, casting="unsafe")
+            n += ends.size
+            last = start + int(ends[-1])
+        del ends  # before the next block's are found
+    lengths.resize(n, refcheck=False)
+    return header, lengths, replace(source, size=scan.size, crc=scan.crc)
 
 
 def _gap_over(at: np.ndarray, limit: int) -> bool:
@@ -551,20 +570,21 @@ def _gap_over(at: np.ndarray, limit: int) -> bool:
     return over
 
 
-def _breaks(block: bytearray, buf: np.ndarray, masks: list[np.ndarray]) -> np.ndarray:
-    """The offsets of the bytes of ``buf`` (a view of ``block``) that end a line, quotes aside.
+def _breaks(buf: np.ndarray, masks: list[np.ndarray], crs: bool) -> np.ndarray:
+    """The offsets of the bytes of ``buf`` that end a line, quotes aside.
 
-    ``masks`` is two scratch arrays as long as ``buf``.  A CR that is the
-    last byte is left to the caller, which knows the byte after it.
+    ``masks`` is two scratch arrays as long as ``buf``, and ``crs`` whether
+    ``buf`` holds a CR.  A CR that is the last byte is left to the caller,
+    which knows the byte after it.
     """
-    breaks, crs = masks
+    breaks, cr = masks
     np.equal(buf, _LF, out=breaks)
-    if block.find(b"\r", 0, buf.size) != -1:
+    if crs:
         # A CR ends a line unless a "\n" follows it.
-        np.equal(buf, _CR, out=crs)
-        np.greater(crs[:-1], breaks[1:], out=crs[:-1])
-        crs[-1] = False
-        breaks |= crs
+        np.equal(buf, _CR, out=cr)
+        np.greater(cr[:-1], breaks[1:], out=cr[:-1])
+        cr[-1] = False
+        breaks |= cr
     return np.flatnonzero(breaks)
 
 
@@ -611,28 +631,15 @@ def _offset_type(lengths: np.ndarray) -> type:
     return np.int32 if lengths.dtype.itemsize <= 2 else np.int64
 
 
-def _split_lines(readers: list[_Reader], delimiter: str, q: int, lengths: np.ndarray, like: Microfile | None):
+def _split_lines(reader: _Reader, delimiter: str, q: int, lengths: np.ndarray):
     """The code columns of the records of byte lengths ``lengths``, parsed a chunk at a time, and the :class:`_Lines` that parsed them."""
-    n = len(lengths)
-    if like is None:
-        lines = _Lines(delimiter, [{} for _ in range(q)], [None] * q)
-        codes = [np.empty(n, dtype=np.uint8) for _ in range(q)]
-        chunks = _chunks(readers[0], lengths)
-    else:
-        # like's own vocabularies and arrays, copied only when a parsed record changes one.
-        lines = _Lines(delimiter, list(like.vocabularies), like.vocabularies)
-        codes = list(like.codes)
-        chunks = _changed_chunks(readers, lengths, like.lengths)
-    for at, rows, buf, ends in chunks:
+    lines = _Lines(delimiter, q)
+    codes = [np.empty(len(lengths), dtype=np.uint8) for _ in range(q)]
+    for at, rows, buf, ends in _chunks(reader, lengths):
         for j, column in enumerate(lines.parse(buf, ends - lengths[at], ends, rows)):
             wide = _code_type(len(lines.indexes[j]))
             if not np.can_cast(wide, codes[j].dtype):
-                # A copy, so a column shared with like is never widened in place.
                 codes[j] = codes[j].astype(wide)
-            elif like is not None and codes[j] is like.codes[j]:
-                if np.array_equal(codes[j][at], column):
-                    continue
-                codes[j] = codes[j].copy()
             codes[j][at] = column
     return codes, lines
 
@@ -654,48 +661,8 @@ def _chunks(reader: _Reader, lengths: np.ndarray):
         yield slice(r0, r0 + chunk.size), range(r0, r0 + chunk.size), buf, np.cumsum(chunk, dtype=offset_type)
 
 
-def _changed_chunks(readers: list[_Reader], lengths: np.ndarray, old_lengths: np.ndarray):
-    """As :func:`_chunks`, for only the records whose bytes differ from the other text's at the same position.
-
-    ``readers`` reads the text and then the other text, whose records have
-    the byte lengths ``old_lengths``.  The two are compared a chunk of rows
-    at a time, and the records that differ are gathered until they fill a
-    chunk, so the parse steps are as few as the changed records allow.
-    """
-    offset_type = _offset_type(lengths)
-    new, old = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
-    rows, pieces, count = [], [], 0
-    for r0 in range(0, len(lengths), _CHUNK_ROWS):
-        chunk, old_chunk = lengths[r0 : r0 + _CHUNK_ROWS], old_lengths[r0 : r0 + _CHUNK_ROWS]
-        size, old_size = int(chunk.sum()), int(old_chunk.sum())
-        if new.size < size:
-            new = np.empty(size, dtype=np.uint8)
-        if old.size < old_size:
-            old = np.empty(old_size, dtype=np.uint8)
-        readers[0].readinto(new[:size])
-        readers[1].readinto(old[:old_size])
-        changed = np.flatnonzero(_changed(new[:size], chunk, old[:old_size], old_chunk))
-        if count + changed.size > _CHUNK_ROWS:
-            yield _joined(rows, pieces, lengths, offset_type)
-            rows, pieces, count = [], [], 0
-        if changed.size:
-            sizes = chunk[changed]
-            rows.append(r0 + changed)
-            pieces.append(_gather(new, np.cumsum(chunk, dtype=offset_type)[changed] - sizes, sizes))
-            count += changed.size
-    if count:
-        yield _joined(rows, pieces, lengths, offset_type)
-
-
-def _joined(rows: list[np.ndarray], pieces: list[np.ndarray], lengths: np.ndarray, offset_type) -> tuple:
-    """The records ``rows`` (ascending), whose bytes are ``pieces``, as one chunk of :func:`_chunks`."""
-    rows = np.concatenate(rows)
-    buf = np.concatenate(pieces + [np.zeros(8, dtype=np.uint8)])
-    return rows, rows, buf, np.cumsum(lengths[rows], dtype=offset_type)
-
-
 class _Lines:
-    """What one load keeps from chunk to chunk: vocabularies, and key tables (:class:`_Table`) of records or of fields.
+    """What one tokenizer keeps from chunk to chunk: vocabularies, which another may share, and key tables (:class:`_Table`) of records or of fields.
 
     The first chunk with more new distinct records than half its rows
     switches the load from one table of records to a table per column.  A
@@ -704,11 +671,10 @@ class _Lines:
     the chunk's size.
     """
 
-    def __init__(self, delimiter: str, indexes: list[dict[str, int]], shared: list[dict[str, int] | None]):
-        self.delimiter, self.indexes = delimiter, indexes
-        # The vocabularies of like, each copied before the first value it lacks joins it.
-        self.shared = shared
-        self.lines: _Table | None = _Table(len(indexes))
+    def __init__(self, delimiter: str, q: int, indexes: list[dict[str, int]] | None = None):
+        self.delimiter = delimiter
+        self.indexes = [{} for _ in range(q)] if indexes is None else indexes
+        self.lines: _Table | None = _Table(q)
         self.fields: list[_Table] = []
         self.parsed = 0
 
@@ -796,8 +762,6 @@ class _Lines:
         return edges
 
     def _encode(self, j: int, values: list[str]) -> np.ndarray:
-        if self.indexes[j] is self.shared[j] and not all(map(self.indexes[j].__contains__, values)):
-            self.indexes[j] = dict(self.indexes[j])
         return _encode(values, self.indexes[j])
 
     def _fail(self, buf, starts, ends, rows) -> NoReturn:
@@ -1114,22 +1078,42 @@ def write_microfile(mf: Microfile, sink) -> None:
     ]
     starts, sizes = _starts(mf.header, mf.lengths, mf.edited), mf.lengths[mf.edited].tolist()
 
+    def edited(values, line: bytes) -> bytes:
+        quoted = ()
+        if b'"' in line:  # else no field is quoted, and the line needs no split
+            buf = np.frombuffer(line + b"\n", dtype=np.uint8)  # a byte after an empty last field
+            first = np.append(0, _separators(buf, len(line), mf.delimiter) + 1)
+            quoted = set(np.flatnonzero(buf[first] == _QUOTE).tolist())
+        # The line terminator: no field ends in a CR or LF outside quotes.
+        return _format_record(values, quoted, mf.delimiter).encode("utf-8") + line[len(line.rstrip(b"\r\n")) :]
+
     def copy(write):
+        # One buffer serves every block; the bytes between edited records
+        # are written as views of it, and an edited record that straddles
+        # blocks is gathered as it is read.
+        edits = zip(zip(*columns), starts, sizes)
+        values, start, size = next(edits, (None, mf.source.size, 0))
+        block = np.empty(min(_BLOCK_BYTES, mf.source.size), dtype=np.uint8)
+        view = memoryview(block)
+        line = []  # the pieces of an edited record that straddles blocks, read so far
         with _Reader(mf.source) as reader:
-            position = 0
-            for values, start, size in zip(zip(*columns), starts, sizes):
-                reader.copy(start - position, write)
-                line = reader.read(size)
-                quoted = ()
-                if b'"' in line:  # else no field is quoted, and the line needs no split
-                    buf = np.frombuffer(line + b"\n", dtype=np.uint8)  # a byte after an empty last field
-                    first = np.append(0, _separators(buf, len(line), mf.delimiter) + 1)
-                    quoted = set(np.flatnonzero(buf[first] == _QUOTE).tolist())
-                record = _format_record(values, quoted, mf.delimiter)
-                # The line terminator: no field ends in a CR or LF outside quotes.
-                write(record.encode("utf-8") + line[len(line.rstrip(b"\r\n")) :])
-                position = start + size
-            reader.copy(mf.source.size - position, write)
+            for at in range(0, mf.source.size, block.size):
+                count = min(block.size, mf.source.size - at)
+                reader.readinto(block[:count])
+                done = at  # the bytes of the text written or gathered so far
+                while start < at + count:
+                    if done < start:
+                        write(view[done - at : start - at])
+                    done = min(start + size, at + count)
+                    piece = block[max(start, at) - at : done - at].tobytes()
+                    if done < start + size:
+                        line.append(piece)
+                        break
+                    write(edited(values, b"".join([*line, piece]) if line else piece))
+                    line = []
+                    values, start, size = next(edits, (None, mf.source.size, 0))
+                if done < at + count:
+                    write(view[done - at : count])
             reader.check()
 
     if hasattr(sink, "write"):
@@ -1166,65 +1150,288 @@ def _starts(header: int, lengths: np.ndarray, rows: np.ndarray) -> list[int]:
     return starts
 
 
+class _Lookup:
+    """``results[i]`` for the code of ``keys[i]`` in the vocabulary of column ``column``, and ``default`` for every other code.
+
+    The codes are looked up as the vocabulary grows, only for the keys it
+    did not hold yet, so no table of the keys is built.
+    """
+
+    def __init__(self, column: int, vocabulary: dict[str, int], keys: Sequence[str], results: np.ndarray, default):
+        self.column, self.vocabulary, self.keys, self.results, self.default = column, vocabulary, keys, results, default
+        self.mapped = np.empty(0, dtype=results.dtype)
+        self.missing = np.arange(len(keys))  # the keys the vocabulary does not hold yet
+
+    def __call__(self, codes: Sequence[np.ndarray]) -> np.ndarray:
+        """The mapped value of each code in ``codes[column]``, a chunk's codes of the column."""
+        if self.mapped.size < len(self.vocabulary):
+            mapped = np.full(len(self.vocabulary), self.default, dtype=self.mapped.dtype)
+            mapped[: self.mapped.size] = self.mapped
+            at = np.array([self.vocabulary.get(self.keys[i], -1) for i in self.missing.tolist()], dtype=np.intp)
+            mapped[at[at >= 0]] = self.results[self.missing[at >= 0]]
+            self.mapped, self.missing = mapped, self.missing[at < 0]
+        # take gathers a small table by a chunk of codes faster than indexing does.
+        return self.mapped.take(codes[self.column])
+
+
 class _Buckets:
-    """A microfile's records by (group, vital), a block of ``_CHUNK_ROWS`` records at a time.
+    """Records by (group, vital), found from a chunk's codes through lookups made once per vocabulary entry.
 
     Bucket 2g holds the vital records of group g (``spec.parameter_values[g]``)
     and bucket 2g + 1 its other records; records of unlisted values land at
     2m or 2m + 1, with m the count of values, so there are ``count`` = 2m + 2
-    buckets.  Iterating gives, per block in order, its slice and each
-    record's bucket, in the narrowest unsigned type that holds 2m + 1.  The
-    lookups are made once, per vocabulary entry; each pass gathers them by a
-    block's codes, so no array has an entry per record.
+    buckets.  ``attributes`` and ``vocabularies`` are a text's columns.  A
+    vocabulary may grow while its text is read, and each lookup grows with
+    it, so a microfile's records and a text's read a chunk at a time are
+    bucketed by one rule, and no array has an entry per record.
     """
 
-    def __init__(self, mf: Microfile, spec: AttributeSpec):
+    def __init__(self, attributes: list[str], vocabularies: list[dict[str, int]], spec: AttributeSpec):
+        def lookup(attribute, keys, results, default):
+            j = _column_index(attributes, attribute)
+            return _Lookup(j, vocabularies[j], keys, results, default)
+
+        self.spec = spec
         m = len(spec.parameter_values)
         self.count = 2 * m + 2
-        # 2g per value; its type, the narrowest that holds 2m, also holds 2m + 1.
-        groups = {value: 2 * g for g, value in enumerate(spec.parameter_values)}
-        self.groups = mf.lookup(spec.parameter_attribute, groups, 2 * m)
-        self.combos = [[mf.lookup(attribute, {value: True}, False)
+        # 2g per value; the narrowest type that holds 2m also holds 2m + 1.
+        self.group = lookup(spec.parameter_attribute, spec.parameter_values,
+                            np.arange(0, 2 * m, 2, dtype=np.min_scalar_type(2 * m)), 2 * m)
+        self.combos = [[lookup(attribute, (value,), np.ones(1, dtype=bool), False)
                         for attribute, value in zip(spec.vital_attributes, combo)]
                        for combo in spec.vital_combinations]
+        self.kept = None
+        if spec.denominator_filter is not None:
+            attribute, allowed = spec.denominator_filter
+            self.kept = lookup(attribute, allowed, np.ones(len(allowed), dtype=bool), False)
 
-    def __iter__(self):
-        group_of, group_codes = self.groups
-        for start in range(0, len(group_codes), _CHUNK_ROWS):
-            block = slice(start, start + _CHUNK_ROWS)
-            # take gathers a small table by a block of codes faster than indexing does.
-            vital = reduce(np.logical_or, [reduce(np.logical_and, [hit.take(codes[block]) for hit, codes in combo])
-                                           for combo in self.combos])
-            buckets = group_of.take(group_codes[block])
-            buckets += ~vital
-            yield block, buckets
+    def __call__(self, codes: Sequence[np.ndarray]) -> np.ndarray:
+        """Each record's bucket, for a chunk whose column j has the codes ``codes[j]``."""
+        vital = reduce(np.logical_or, [reduce(np.logical_and, [hit(codes) for hit in combo]) for combo in self.combos])
+        buckets = self.group(codes)
+        buckets += ~vital
+        return buckets
+
+    def zeros(self) -> np.ndarray:
+        """Counts for :meth:`add`: per bucket, its records, and in a second row when the denominator counts only some, the ones it counts."""
+        return np.zeros((1 + (self.kept is not None), self.count), dtype=np.intp)
+
+    def add(self, counts: np.ndarray, codes: Sequence[np.ndarray], op=np.add) -> None:
+        """Add the records of a chunk (see :meth:`__call__`) to ``counts``, or with ``op`` ``np.subtract`` take them away."""
+        buckets = self(codes)
+        op(counts[0], np.bincount(buckets, minlength=self.count), out=counts[0])
+        if self.kept is not None:
+            op(counts[1], np.bincount(buckets[self.kept(codes)], minlength=self.count), out=counts[1])
+
+    def signal(self, counts: np.ndarray) -> ConcentrationSignal:
+        """The concentration signal of the records counted into ``counts`` (see :meth:`add`)."""
+        spec = self.spec
+        m = len(spec.parameter_values)
+        numerators, denominators = counts[0, 0 : 2 * m : 2], counts[-1, 0 : 2 * m : 2] + counts[-1, 1 : 2 * m : 2]
+        bad = np.flatnonzero((denominators == 0) | (numerators > denominators))
+        if bad.size:
+            slot = bad[0]
+            value = spec.parameter_values[slot]
+            if denominators[slot] == 0:
+                raise MicrofileError(f"parameter value {value!r} has a zero denominator")
+            raise MicrofileError(
+                f"parameter value {value!r} has {numerators[slot]} vital records but a "
+                f"denominator of {denominators[slot]}; its ratio would exceed 1"
+            )
+        return ConcentrationSignal(numerators, denominators)
+
+
+def _blocks(mf: Microfile):
+    """The code columns of ``mf``, a block of ``_CHUNK_ROWS`` records at a time."""
+    for start in range(0, len(mf), _CHUNK_ROWS):
+        yield [column[start : start + _CHUNK_ROWS] for column in mf.codes]
 
 
 def concentration_signal(mf: Microfile, spec: AttributeSpec) -> ConcentrationSignal:
     """Vital-record share per parameter value, ordered by ``spec.parameter_values``; counted a block of records at a time."""
-    m = len(spec.parameter_values)
-    buckets = _Buckets(mf, spec)
-    counts = np.zeros(buckets.count, dtype=np.intp)
-    counted = counts if spec.denominator_filter is None else np.zeros(buckets.count, dtype=np.intp)
-    if spec.denominator_filter is not None:
-        attribute, allowed = spec.denominator_filter
-        kept, codes = mf.lookup(attribute, dict.fromkeys(allowed, True), False)
-    for block, bucket in buckets:
-        counts += np.bincount(bucket, minlength=buckets.count)
-        if spec.denominator_filter is not None:
-            counted += np.bincount(bucket[kept.take(codes[block])], minlength=buckets.count)
-    numerators, denominators = counts[0 : 2 * m : 2], counted[0 : 2 * m : 2] + counted[1 : 2 * m : 2]
-    bad = np.flatnonzero((denominators == 0) | (numerators > denominators))
-    if bad.size:
-        slot = bad[0]
-        value = spec.parameter_values[slot]
-        if denominators[slot] == 0:
-            raise MicrofileError(f"parameter value {value!r} has a zero denominator")
-        raise MicrofileError(
-            f"parameter value {value!r} has {numerators[slot]} vital records but a "
-            f"denominator of {denominators[slot]}; its ratio would exceed 1"
-        )
-    return ConcentrationSignal(numerators, denominators)
+    buckets = _Buckets(mf.attributes, mf.vocabularies, spec)
+    counts = buckets.zeros()
+    for codes in _blocks(mf):
+        buckets.add(counts, codes)
+    return buckets.signal(counts)
+
+
+@dataclass(frozen=True)
+class ReleaseCheck:
+    """What :func:`check_release` finds in an original text and its release.
+
+    ``before`` and ``after`` are their concentration signals, ``records``
+    and ``released`` their record counts.  ``changed`` counts the records
+    whose vital cells differ and ``altered`` the other cells that differ;
+    when the record counts or the attribute names differ, they are 0 and
+    the larger record count.  ``tokenized`` counts the release records
+    split into cells.
+    """
+
+    before: ConcentrationSignal
+    after: ConcentrationSignal
+    records: int
+    released: int
+    changed: int
+    altered: int
+    tokenized: int
+
+
+def check_release(original, release, spec: AttributeSpec, delimiter: str = ",") -> ReleaseCheck:
+    """Read an original microfile text and its release once each, in step, holding nothing per record.
+
+    ``original`` and ``release`` are what :func:`load_microfile` takes.
+    Records are paired by position.  Each chunk of ``_CHUNK_ROWS`` original
+    records is tokenized, as a load would, and counted into its (group,
+    vital) buckets.  The release's records at the same positions are
+    compared with them byte for byte, and only those that differ are
+    tokenized, in the original's vocabularies, so their codes compare with
+    the original's directly; the release's signal is the original's with
+    those records moved.  That is exact because every record starts outside
+    quotes, so identical bytes hold identical cells.  The records of the
+    longer text past the other's last count in its own signal alone.  When
+    the release's header names other attributes (not the same names in
+    other bytes), every release record is tokenized by its own columns.
+
+    A :class:`MicrofileError` is raised as a load of the text at fault
+    would raise it, after the text's path and ": ".  The pass raises the
+    first fault it reaches, reading both texts forward: the original's
+    header before the release's, then a chunk at a time the original's
+    records before the release's (a quote fault when the block holding it
+    is scanned, which may be ahead of the chunk).
+    """
+    _check_delimiter(delimiter)
+    masks = []  # the two scans take turns, so they share their scratch
+    texts = [_Records(source, delimiter, masks) for source in (original, release)]
+    attributes = [text.header() for text in texts]
+    same = attributes[0] == attributes[1]
+    lines = [_Lines(delimiter, len(attributes[0]))]
+    # The release's own tables, so that its few records do not steer the
+    # original's, in the original's vocabularies when the columns are the same.
+    lines.append(_Lines(delimiter, len(attributes[1]), lines[0].indexes if same else None))
+    buckets = []
+    for text, names, tokenizer in zip(texts, attributes, lines):
+        with text.blamed():
+            buckets.append(buckets[0] if same and buckets else _Buckets(names, tokenizer.indexes, spec))
+    # The original's counts, and the release's: less the original's while the columns are the same.
+    counts = [buckets[0].zeros(), buckets[1].zeros()]
+    vital = [name in spec.vital_attributes for name in attributes[0]]
+    changed = altered = tokenized = 0
+    old, new = texts
+    while size := min(old.available(_CHUNK_ROWS), new.available(_CHUNK_ROWS)):
+        rows = range(old.count, old.count + size)
+        old_buf, old_starts, old_ends = old.take(size)
+        new_buf, new_starts, new_ends = new.take(size)
+        codes = old.parse(lines[0], old_buf, old_starts, old_ends, rows)
+        buckets[0].add(counts[0], codes)
+        if not same:
+            buckets[1].add(counts[1], new.parse(lines[1], new_buf, new_starts, new_ends, rows))
+            tokenized += size
+            continue
+        lengths = new_ends - new_starts
+        differ = np.flatnonzero(_changed(new_buf[: new_ends[-1]], lengths, old_buf[: old_ends[-1]], old_ends - old_starts))
+        if not differ.size:
+            continue
+        # The records that differ, gathered into a buffer of their own.
+        sizes = lengths[differ]
+        ends = np.cumsum(sizes)
+        buf = np.concatenate([_gather(new_buf, new_starts[differ], sizes), np.zeros(8, dtype=np.uint8)])
+        found = new.parse(lines[1], buf, ends - sizes, ends, rows.start + differ)
+        codes = [column[differ] for column in codes]
+        buckets[0].add(counts[1], found)
+        buckets[0].add(counts[1], codes, np.subtract)
+        cells = [a != b for a, b in zip(codes, found)]
+        changed += int(np.count_nonzero(reduce(np.logical_or, [c for c, v in zip(cells, vital) if v])))
+        altered += sum(int(np.count_nonzero(c)) for c, v in zip(cells, vital) if not v)
+        tokenized += differ.size
+    for i, text in enumerate(texts):  # the records of the longer text past the other's last
+        while size := text.available(_CHUNK_ROWS):
+            codes = text.parse(lines[i], *text.take(size), range(text.count - size, text.count))
+            buckets[i].add(counts[i], codes)
+            if same and i == 0:
+                buckets[0].add(counts[1], codes, np.subtract)
+            tokenized += i * size
+    if same:
+        counts[1] += counts[0]
+    if not same or old.count != new.count:
+        changed, altered = 0, max(old.count, new.count)
+    signals = []
+    for text, rule, total in zip(texts, buckets, counts):
+        with text.blamed():
+            signals.append(rule.signal(total))
+    return ReleaseCheck(*signals, old.count, new.count, changed, altered, tokenized)
+
+
+class _Records:
+    """One text's records, read forward once by a :class:`_Scan` that keeps them: its header, then runs of whole records that lie in the scan's buffer."""
+
+    def __init__(self, source, delimiter: str, masks: list):
+        self.name = os.fspath(source) if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "text")
+        self.delimiter = delimiter
+        self.scan = _Scan(_source_of(source), delimiter, keep=True, masks=masks)
+        self.blocks = iter(self.scan)
+        self.buf, self.ends = None, np.empty(0, dtype=np.int32)
+        # The next record of the run: its index in ends, and its offset in buf.
+        self.next = self.start = 0
+        self.count = 0  # the records taken, the header not counted
+
+    @contextmanager
+    def blamed(self):
+        """Name this text in a :class:`MicrofileError` raised within."""
+        try:
+            yield
+        except MicrofileError as exc:
+            raise MicrofileError(f"{self.name}: {exc}", field=exc.field) from None
+
+    def header(self) -> list[str]:
+        """The attribute names of the header; a text with no record after it fails, as its load would."""
+        self.available(1)  # the scan yields a header at least
+        buf, _, ends = self.take(1)
+        head = buf[: ends[0]].tobytes()
+        self.count = 0
+        with self.blamed():
+            if not self.available(1):
+                raise MicrofileError("empty file")
+            return _header(head, self.delimiter)
+
+    def available(self, count: int) -> int:
+        """How many of the next ``count`` records the text holds, after reading blocks until the buffer holds them.
+
+        The scan keeps the bytes from the next record on when it reads a
+        block, so the records not yet taken stay in the buffer, before the
+        block's.
+        """
+        while self.ends.size - self.next < count and self.blocks is not None:
+            self.scan.kept = self.start
+            # The ends of the records not yet taken, from where the scan moves them.
+            self.ends, self.next = self.ends[self.next :] - self.start, 0
+            with self.blamed():
+                found = next(self.blocks, None)
+            if found is None:  # the scan has ended, and moved nothing
+                self.buf, self.start, self.blocks = self.buf[self.start :], 0, None
+                break
+            _, self.buf, ends = found
+            self.start = 0
+            # Offsets in a buffer under 2 GiB, the buffer of any text whose records are shorter.
+            self.ends = np.concatenate([self.ends, ends], dtype=np.int32 if self.buf.size < 1 << 31 else np.intp)
+        return min(count, self.ends.size - self.next)
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` records: a buffer that holds them from its byte 0 on, with 8 bytes after, and where each starts and ends in it."""
+        ends = self.ends[self.next : self.next + count] - self.start
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1]
+        buf = self.buf[self.start :]
+        self.start += int(ends[-1])
+        self.next += count
+        self.count += count
+        return buf, starts, ends
+
+    def parse(self, lines: _Lines, *chunk):
+        """``lines.parse(*chunk)``, this text named in its error."""
+        with self.blamed():
+            return lines.parse(*chunk)
 
 
 def new_quantities(final_ratios, denominators) -> tuple[np.ndarray, float]:
@@ -1276,10 +1483,10 @@ def rewrite_microfile(
     m = len(values)
     if old.shape != (m,) or new.shape != (m,):
         raise RewriteError(f"counts must have one entry per parameter value ({m})")
-    buckets = _Buckets(mf, spec)
+    buckets = _Buckets(mf.attributes, mf.vocabularies, spec)
     sizes = np.zeros(buckets.count, dtype=np.intp)
-    for _, bucket in buckets:
-        sizes += np.bincount(bucket, minlength=buckets.count)
+    for codes in _blocks(mf):
+        sizes += np.bincount(buckets(codes), minlength=buckets.count)
     found, donors = sizes[0 : 2 * m : 2], sizes[1 : 2 * m : 2]
     capacity = found + donors
 
@@ -1320,7 +1527,7 @@ def rewrite_microfile(
         if delta > 0:
             cycle += range(delta)
     pools = np.array(pools, dtype=np.intp)
-    rows = _rows_of_ranks((bucket for _, bucket in buckets), sizes, pools, np.array(ranks, dtype=np.intp))
+    rows = _rows_of_ranks(map(buckets, _blocks(mf)), sizes, pools, np.array(ranks, dtype=np.intp))
     grown, shrunk = rows[pools % 2 == 1], rows[pools % 2 == 0]
 
     codes = list(mf.codes)
@@ -1382,27 +1589,3 @@ def _rows_of_ranks(blocks: Iterable[np.ndarray], sizes: np.ndarray, pools: np.nd
         lo = hi
         start += block.size
     return rows
-
-
-def count_changes(before: Microfile, after: Microfile, attributes: Container[str]) -> tuple[int, int]:
-    """The records whose cells of ``attributes`` differ between the two files, and the differing cells of the other attributes.
-
-    ``after`` has ``before``'s records and attributes, in ``before``'s codes
-    (a load with ``like=before`` reads a release so).  The code columns are
-    compared a block of ``_CHUNK_ROWS`` records at a time, and a column that
-    ``after`` shares with ``before`` is not compared.
-    """
-    columns = [(j, attribute in attributes) for j, attribute in enumerate(before.attributes)
-               if after.codes[j] is not before.codes[j]]
-    records = cells = 0
-    for start in range(0, len(before), _CHUNK_ROWS):
-        block = slice(start, start + _CHUNK_ROWS)
-        changed = False
-        for j, counted in columns:
-            differs = before.codes[j][block] != after.codes[j][block]
-            if counted:
-                changed = changed | differs
-            else:
-                cells += int(np.count_nonzero(differs))
-        records += int(np.count_nonzero(changed))
-    return records, cells

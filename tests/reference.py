@@ -29,7 +29,9 @@ sums the synthesis of every channel of a decomposition from the products.
 for the strict interior extrema that ``redistribution.local_extrema`` finds
 with array comparisons.  ``csv_load`` is the oracle for the record layer's
 tokenizer: the :mod:`csv` module's reading of a microfile text, encoded the
-way ``load_microfile`` encodes it.  ``solver_coefficients`` is the oracle for
+way ``load_microfile`` encodes it, and ``reference_verify`` the oracle for
+``verify``'s one read of an original and its release: each text read by
+:mod:`csv` on its own, whole.  ``solver_coefficients`` is the oracle for
 the rank rule of the target solver: it builds the same system and decides
 feasibility with two ``np.linalg.matrix_rank`` calls before it solves.
 """
@@ -141,6 +143,86 @@ def csv_load(data: bytes, delimiter: str):
         raise MicrofileError(ragged)
     codes = [np.array(column, dtype=np.int64) for column in columns]
     return attributes, codes, [list(v) for v in vocabularies], np.array(ends, dtype=np.int64)
+
+
+def reference_verify(original_text: bytes, release_text: bytes, spec, delimiter: str = ",",
+                     names=("original", "release")) -> dict:
+    """What ``verify`` finds in ``release_text``, a release of ``original_text``, each read by :mod:`csv` (see :func:`csv_load`).
+
+    Returns, per text, its signal's ``numerators`` and ``denominators``
+    (lists in the order of ``spec.parameter_values``) and its record count
+    (``records``, two entries); ``changed``, the records whose vital cells
+    differ, and ``altered``, the other cells that differ (0 and the larger
+    record count when the record counts or the attribute names differ); and
+    ``reparsed``, the release records whose bytes differ from the original's
+    record at the same position, or all of them when the attribute names
+    differ.  A text at fault raises the ``MicrofileError`` a load of it
+    raises, after its entry of ``names`` and ": ": first a text with no
+    record or with a repeated attribute name (the original before the
+    release), then a header without an attribute the spec names, then a
+    fault in the records (the original's before the release's), then a
+    signal with a zero denominator or a ratio above 1.
+    """
+    texts = (original_text, release_text)
+    read = []
+    for name, data in zip(names, texts):
+        records = list(csv_records(data, delimiter))
+        if len(records) < 2:
+            raise MicrofileError(f"{name}: empty file")
+        attributes = [cell.strip() for cell in records[0][0]]
+        if len(set(attributes)) != len(attributes):
+            raise MicrofileError(f"{name}: duplicate attribute names in header")
+        read.append((attributes, [row for row, _ in records[1:]], [end for _, end in records]))
+    wanted = [spec.parameter_attribute, *(a for combo in spec.vital_combinations for a in spec.vital_attributes)]
+    if spec.denominator_filter is not None:
+        wanted.append(spec.denominator_filter[0])
+    for name, (attributes, _, _) in zip(names, read):
+        for attribute in wanted:
+            if attribute not in attributes:
+                raise MicrofileError(f"{name}: unknown attribute {attribute!r} (file has {attributes})")
+    for name, data in zip(names, texts):
+        try:
+            csv_load(data, delimiter)
+        except MicrofileError as exc:
+            raise MicrofileError(f"{name}: {exc}") from None
+    found = {"numerators": [], "denominators": [], "records": []}
+    for name, (attributes, rows, _) in zip(names, read):
+        column = {attribute: j for j, attribute in enumerate(attributes)}
+        m = len(spec.parameter_values)
+        numerators, denominators = [0] * m, [0] * m
+        for row in rows:
+            value = row[column[spec.parameter_attribute]]
+            if value not in spec.parameter_values:
+                continue
+            g = spec.parameter_values.index(value)
+            if spec.denominator_filter is None or row[column[spec.denominator_filter[0]]] in spec.denominator_filter[1]:
+                denominators[g] += 1
+            numerators[g] += tuple(row[column[a]] for a in spec.vital_attributes) in spec.vital_combinations
+        for value, numerator, denominator in zip(spec.parameter_values, numerators, denominators):
+            if denominator == 0:
+                raise MicrofileError(f"{name}: parameter value {value!r} has a zero denominator")
+            if numerator > denominator:
+                raise MicrofileError(
+                    f"{name}: parameter value {value!r} has {numerator} vital records but a "
+                    f"denominator of {denominator}; its ratio would exceed 1"
+                )
+        found["numerators"].append(numerators)
+        found["denominators"].append(denominators)
+        found["records"].append(len(rows))
+    (attributes, rows, ends), (released_attributes, released_rows, released_ends) = read
+    if attributes != released_attributes:
+        found.update(changed=0, altered=max(len(rows), len(released_rows)), reparsed=len(released_rows))
+        return found
+    pieces = [[data[a:b] for a, b in zip(bounds[:-1], bounds[1:])] for data, bounds in zip(texts, (ends, released_ends))]
+    found["reparsed"] = sum(a != b for a, b in zip(*pieces)) + max(0, len(released_rows) - len(rows))
+    if len(rows) != len(released_rows):
+        found.update(changed=0, altered=max(len(rows), len(released_rows)))
+        return found
+    vital = [attribute in spec.vital_attributes for attribute in attributes]
+    pairs = list(zip(rows, released_rows))
+    found["changed"] = sum(any(x != y for x, y, v in zip(a, b, vital) if v) for a, b in pairs)
+    found["altered"] = sum(x != y for a, b in pairs for x, y, v in zip(a, b, vital) if not v)
+    return found
 
 
 def local_extrema(values) -> tuple[list[int], list[int]]:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from groupanon import (
@@ -25,6 +25,9 @@ from groupanon import (
     write_microfile,
 )
 from groupanon import Microfile, microdata
+from groupanon.cli import RunConfig, run_verify
+from groupanon.redistribution import check_row, rounding_tolerances, verify_outcome
+from groupanon.wavelets import filter_by_name
 from groupanon.errors import MicrofileError, RewriteError
 from groupanon.fixture import EMPLOYED, REGION_CODES, SCIENTISTS, census_attribute_spec
 
@@ -194,10 +197,11 @@ def test_signal_ignores_unlisted_parameter_values():
     np.testing.assert_array_equal(signal.numerators, [2, 1])
 
 
-def _int64_lookup(self, attribute, table, default):
-    """``Microfile.lookup`` as it was before it narrowed integers: int64 throughout."""
-    j = self.column_index(attribute)
-    return np.array([table.get(value, default) for value in self.vocabularies[j]]), self.codes[j]
+class _Int64Lookup(microdata._Lookup):
+    """A bucket lookup as it was before it narrowed integers: int64 throughout (a hit stays a bool)."""
+
+    def __init__(self, column, vocabulary, keys, results, default):
+        super().__init__(column, vocabulary, keys, results if results.dtype == bool else results.astype(np.int64), default)
 
 
 def test_narrow_lookups_match_int64_reference():
@@ -210,14 +214,8 @@ def test_narrow_lookups_match_int64_reference():
     mf = make_microfile(rows)
     listed = tuple(regions[::-1][:200])
     spec = small_spec(parameter_values=listed)
-    # Non-negative values narrow to the smallest unsigned type; a negative one keeps int64.
-    for table, default, dtype in [({v: i for i, v in enumerate(listed)}, 200, np.uint8),
-                                  ({v: i for i, v in enumerate(regions[:280])}, 280, np.uint16),
-                                  ({v: i for i, v in enumerate(regions[:280])}, -1, np.int64)]:
-        narrow, codes = mf.lookup("REG", table, default)
-        assert narrow.dtype == dtype and codes is mf.codes[0]
-        wide, _ = _int64_lookup(mf, "REG", table, default)
-        np.testing.assert_array_equal(narrow[codes], wide[codes])
+    # A record's bucket takes the smallest unsigned type that holds 2 * 200 + 1.
+    assert microdata._Buckets(mf.attributes, mf.vocabularies, spec)(mf.codes).dtype == np.uint16
     signal = concentration_signal(mf, spec)
     for slot, region in enumerate(listed):
         group = [job for reg, job, _ in rows if reg == region]
@@ -226,8 +224,8 @@ def test_narrow_lookups_match_int64_reference():
     old = signal.numerators
     new = np.clip(old + rng.integers(-1, 2, size=old.size), 1, signal.denominators)
     rewritten = rewrite_microfile(mf, spec, old, new, seed=9)
-    with mock.patch.object(Microfile, "lookup", _int64_lookup):
-        assert _int64_lookup(mf, "REG", mf.vocabularies[0], -1)[0].dtype == np.int64
+    with mock.patch.object(microdata, "_Lookup", _Int64Lookup):
+        assert microdata._Buckets(mf.attributes, mf.vocabularies, spec)(mf.codes).dtype == np.int64
         reference_signal = concentration_signal(mf, spec)
         reference = rewrite_microfile(mf, spec, old, new, seed=9)
     np.testing.assert_array_equal(signal.numerators, reference_signal.numerators)
@@ -474,16 +472,19 @@ def test_code_columns_widen_to_the_narrowest_type(monkeypatch, route):
     if route == "csv":
         text = text.replace("A,B,C", '"A",B,C', 1)
     if route == "delta":
-        like = load_microfile(io.StringIO(text))
-        snapshot = [column.copy() for column in like.codes]
+        # A release of the text with one vital cell changed to B's 257th
+        # value: the check against the text tokenizes that record alone,
+        # and the release's own load widens B.
+        original = text
         old = ",".join(rows[40_000])
         rows[40_000] = (rows[40_000][0], "new", rows[40_000][2])
         text = text.replace(f"\n{old}\n", "\n{}\n".format(",".join(rows[40_000])))
-        mf = load_microfile(io.StringIO(text), like=like)
-        assert mf.parsed == 1 and mf.codes[0] is like.codes[0]
-        for before, column in zip(snapshot, like.codes):
-            assert column.dtype == before.dtype
-            np.testing.assert_array_equal(column, before)
+        spec = AttributeSpec(vital_attributes=("B",), vital_combinations=(("new",),), parameter_attribute="C",
+                             parameter_values=("0", "1"))
+        found = microdata.check_release(io.StringIO(original), io.StringIO(text), spec)
+        assert (found.tokenized, found.changed, found.altered) == (1, 1, 0)
+        assert found.after.numerators.tolist() == [0, 0] and found.before.numerators.tolist() == [0, 0]
+        mf = load_microfile(io.StringIO(text))
         types = (np.uint32, np.uint16, np.uint16)
     else:
         mf = load_microfile(io.StringIO(text))
@@ -566,16 +567,13 @@ def test_record_lengths_widen_for_a_longer_record(monkeypatch, form, longest, dt
     assert mf.header == ends[0] == 3 + len(terminator)
     assert mf.lengths.tolist() == np.diff(ends).tolist() == [len(r) for r in records_]
     assert mf.lengths.dtype == dtype
-    # A release whose records keep their lengths shares them; one whose
-    # last record grows has the lengths csv reads in it.
-    same = load_microfile(io.BytesIO(data.replace(short, b"y,abc" + terminator, 1)), like=mf)
-    assert same.lengths is mf.lengths and same.parsed == 1
+    # A text whose last record grows has the lengths csv reads in it.
     grown = data[: -len(short)] + b"x,abcd" + terminator
-    delta = load_microfile(io.BytesIO(grown), like=mf)
+    longer = load_microfile(io.BytesIO(grown))
     ends = [end for _, end in ref.csv_records(grown, ",")]
-    assert delta.lengths is not mf.lengths and delta.header == ends[0]
-    assert delta.lengths.tolist() == np.diff(ends).tolist() and delta.lengths.dtype == dtype
-    assert records(delta) == [*records(mf)[:-1], ("x", "abcd")]
+    assert longer.header == ends[0]
+    assert longer.lengths.tolist() == np.diff(ends).tolist() and longer.lengths.dtype == dtype
+    assert records(longer) == [*records(mf)[:-1], ("x", "abcd")]
     # The write finds the last record past the long ones.
     vocabulary = dict(mf.vocabularies[0])
     column = mf.codes[0].copy()
@@ -773,9 +771,8 @@ def test_write_of_load_is_byte_identical(case):
 @example(('\ufeff"A,0";"A""1"\r"x\ry";"l\nm"\r"";"q""q"\r', ";"), 2)
 @example(('A0,"A\r\n1"\n"a,b","\n,"""""\r\n', ","), 3)
 def test_quoted_texts_load_like_csv(case, chunk_rows):
-    # Every record, quoted or not, goes through the one tokenizer: in
-    # either table mode, and in a delta load against the text with its last
-    # record changed, which parses that record alone.
+    # Every record, quoted or not, goes through the one tokenizer, in
+    # either table mode.
     text, d = case
     data = text.encode()
     with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
@@ -783,11 +780,6 @@ def test_quoted_texts_load_like_csv(case, chunk_rows):
         buffer = io.BytesIO()
         write_microfile(mf, buffer)
         assert buffer.getvalue() == data
-        changed = data[: len(data) - mf.lengths[-1]] + _field("new" + d, True).encode() + d.encode() * (len(mf.attributes) - 1)
-        full = _assert_loads_like_csv(changed, d)
-        delta = load_microfile(io.BytesIO(changed), delimiter=d, like=mf)
-    assert delta.parsed == 1
-    assert records(delta) == records(full)
 
 
 def assert_codes_in_order(vocabularies):
@@ -868,9 +860,8 @@ def chunked_texts(draw):
     17 bytes, and cells hold 0, 7, 8, 9, 16 or 17 bytes, around the 8-byte
     words the parser packs lines and fields into; the last line may repeat
     the one before it, with or without a final terminator.  Returns the
-    delimiter, the chunk size, the text, a fault-free text that differs
-    from it in some lines, and the number of lines that differ.  The text
-    has at most one fault.
+    delimiter, the chunk size, the text, which has at most one fault, and a
+    fault-free text that differs from it in some lines.
     """
     d = draw(st.sampled_from(_DELIMITERS))
     q = draw(st.integers(1, 3))
@@ -931,8 +922,8 @@ def chunked_texts(draw):
     # An empty last line is a record only when a terminator follows it.
     final = terminator if draw(st.booleans()) or not lines[-1] else b""
     header = d.join(f"A{j}" for j in range(q)).encode()
-    text, like = (terminator.join([header] + body) + final for body in (lines, edited))
-    return d, chunk_rows, text, like, sum(edits)
+    text, clean = (terminator.join([header] + body) + final for body in (lines, edited))
+    return d, chunk_rows, text, clean
 
 
 def _decoding_chunks(text, d, chunk_rows):
@@ -975,16 +966,16 @@ def _decoding_chunks(text, d, chunk_rows):
 @settings(max_examples=300, deadline=None)
 @given(chunked_texts())
 # An empty line in a chunk that skips the dictionary, after LF and CRLF.
-@example((",", 2, b"A0\nu0\nu1\nx\n\n", b"A0\nu0\nu1\nx\nx\n", 0))
-@example((",", 2, b"A0\r\nu0\r\nu1\r\nx\r\n\r\n", b"A0\r\nu0\r\nu1\r\nx\r\nx\r\n", 0))
+@example((",", 2, b"A0\nu0\nu1\nx\n\n", b"A0\nu0\nu1\nx\nx\n"))
+@example((",", 2, b"A0\r\nu0\r\nu1\r\nx\r\n\r\n", b"A0\r\nu0\r\nu1\r\nx\r\nx\r\n"))
 # "a" and "a\0" pad to the same 8-byte word.
-@example((",", 4, b"A0\na\0\na\na\na\0\n", b"A0\na\0\na\na\na\0\n", 0))
+@example((",", 4, b"A0\na\0\na\na\na\0\n", b"A0\na\0\na\na\na\0\n"))
 # Tables kept across four chunks: a value first seen in the third (z), and
 # lines and fields of earlier chunks met again.
 @example((",", 2, b"A0,A1\nx,y\nx,y\nx,w\nx,y\nx,z\nx,w\nx,y\nx,z\n",
-          b"A0,A1\nx,y\nx,y\nx,w\nx,y\nx,z\nx,w\nx,y\nx,z\n", 0))
+          b"A0,A1\nx,y\nx,y\nx,w\nx,y\nx,z\nx,w\nx,y\nx,z\n"))
 @example((",", 2, b"A0,A1\nu0,y\nu1,y\nu2,w\nu0,y\nv,z\nv,z\nu2,y\nv,w\r\n",
-          b"A0,A1\nu0,y\nu1,y\nu2,w\nu0,y\nv,z\nv,z\nu2,y\nv,w\r\n", 0))
+          b"A0,A1\nu0,y\nu1,y\nu2,w\nu0,y\nv,z\nv,z\nu2,y\nv,w\r\n"))
 def test_plain_parser_modes_agree_with_csv(case):
     # The plain parser looks lines up while they repeat; from the first
     # chunk with more new distinct lines than half its rows, it looks each
@@ -997,7 +988,7 @@ def test_plain_parser_modes_agree_with_csv(case):
 @given(chunked_texts())
 # CRLF lines of 9 bytes take two words.
 @example((",", 4, b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh",
-          b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh", 0))
+          b"A0\r\nabcdefgh\r\nabcdefgi\r\nabcdefgh\r\nabcdefgh"))
 def test_colliding_line_keys_keep_lines_apart(case):
     # Every line and field gets the same key, so only comparing them by
     # length and word for word keeps unequal ones apart, in a chunk and
@@ -1007,7 +998,7 @@ def test_colliding_line_keys_keep_lines_apart(case):
 
 
 def _check_modes_agree_with_csv(case):
-    d, chunk_rows, text, like_text, edited = case
+    d, chunk_rows, text, _ = case
     decoding, chunk = set(), []
     parse, decode = microdata._Lines.parse, microdata._decode_fields
 
@@ -1019,23 +1010,16 @@ def _check_modes_agree_with_csv(case):
         decoding.update(chunk)  # empty while the header is decoded
         return decode(*args)
 
-    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
-        like = load_microfile(io.BytesIO(like_text), delimiter=d)
-        delta = _load_or_error(text, d, like)
-        with mock.patch.object(microdata, "_decode_fields", decode_spy), \
-                mock.patch.object(microdata._Lines, "parse", parse_spy):
-            # The one fault, if any, is reported at the same line by every read.
-            full = _assert_loads_like_csv(text, d)
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(microdata, "_decode_fields", decode_spy), \
+            mock.patch.object(microdata._Lines, "parse", parse_spy):
+        # The one fault, if any, is reported at the line csv reads it at.
+        full = _assert_loads_like_csv(text, d)
     if full is None:
-        assert delta == _csv_or_error(text, d)
         return
     # A chunk decodes bytes exactly when it holds a line or field that no
     # table holds yet; every other span is found in a table.
     assert sorted(decoding) == _decoding_chunks(text, d, chunk_rows)
-    assert not isinstance(delta, str), delta
-    assert delta.parsed == edited
-    assert_codes_in_order(delta.vocabularies)
-    assert records(delta) == records(full)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1220,12 +1204,6 @@ def test_utf8_bom_is_not_part_of_the_first_name(body):
     buffer = io.BytesIO()
     write_microfile(mf, buffer)
     assert buffer.getvalue() == data
-    # A release of the same file, read against it as verify does.
-    released = load_microfile(io.BytesIO(data.replace(b"z", b"w")), like=mf)
-    assert released.attributes == ["A", "B"]
-    assert records(released) == [("x", "y"), ("x", "w")]
-    # Only the changed record is parsed again, quoted text or not.
-    assert released.parsed == 1
 
 
 # A text whose every quote opens or closes a field, and that ends outside quotes.
@@ -1307,184 +1285,172 @@ def test_bare_cr_and_quotes_load_like_csv(data):
 
 # --------------------------------------------------------------- delta read
 
-def _load_or_error(data, delimiter, like=None):
+def _load_or_error(data, delimiter):
     try:
-        return load_microfile(io.BytesIO(data), delimiter=delimiter, like=like)
+        return load_microfile(io.BytesIO(data), delimiter=delimiter)
     except MicrofileError as exc:
         return str(exc)
 
 
-_EDITS = ("keep", "keep", "keep", "same_length", "other_length", "ragged", "drop",
-          "quote", "bare_cr", "not_utf8")
+_RELEASE_EDITS = ("keep", "keep", "keep", "keep", "vital", "other", "requote", "drop", "insert")
 
 
 @st.composite
-def delta_cases(draw):
-    """An original microfile text and a release made from it by random edits.
+def release_pairs(draw):
+    """An original text, a release made from it by random edits, a spec to check them by, and the text a fault was put in.
 
-    The release's header may rename an attribute, or spell the original's
-    names in other bytes: quoted, padded with spaces the load strips, with
-    a byte order mark added or dropped, or ended by another line break.
+    A0 is the parameter attribute (its first two records hold its two
+    values "x" and "y"), A1 the vital one and A2, when there is one, a
+    column whose cells may hold the delimiter, quotes and line breaks.
+    Cells may be quoted, records end at "\n", "\r\n" or a lone "\r", and
+    either text may open with a byte order mark or lack its last line
+    break.  The release's header may spell the original's names in other
+    bytes (quoted, padded with spaces the load strips, ended by another
+    line break), rename one or reorder them, the cells of every record
+    reordered with them.  Its records may change a vital or another cell,
+    change only their quoting, be removed, or have a record inserted before
+    them, and records may be appended.  At most one record of one text
+    (None: no text) has a fault: a field too many, or a byte that is not
+    UTF-8.
     """
     d = draw(st.sampled_from(_DELIMITERS))
-    q = draw(st.integers(1, 3))
-    pool = ["x", "y", "xy", "é", "a b"] + ([""] if q > 1 else [])
-    values = st.lists(st.sampled_from(pool), min_size=q, max_size=q)
+    q = draw(st.integers(2, 3))
+    others = st.sampled_from(["x", "", "a b", "é", "x{d}y".format(d=d), 'q"q', "l\nm", "c\rr"])
+    cells = [st.sampled_from(["x", "y", "z"]), st.sampled_from(["v", "w", "é"]), others][:q]
+
+    def record():
+        return [draw(cell) for cell in cells]
+
+    def render(values, order=range(q)):
+        return d.join(_field(values[j], draw(st.booleans()) or d in values[j]) for j in order).encode()
+
+    rows = [["x", *record()[1:]], ["y", *record()[1:]]] + [record() for _ in range(draw(st.integers(0, 8)))]
+    lines = [render(row) for row in rows]
     names = [f"A{j}" for j in range(q)]
-    header = d.join(names).encode()
-    rows = [d.join(draw(values)).encode() for _ in range(draw(st.integers(1, 8)))]
-
-    def text(lines, terminator, final):
-        return terminator.join(lines) + (terminator if final else b"")
-
+    terminator = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
     bom = draw(st.booleans())
-    original = microdata._BOM * bom + text([header] + rows, draw(st.sampled_from([b"\n", b"\r\n"])),
-                                           draw(st.booleans()))
-    released = []
-    for line in rows:
-        edit = draw(st.sampled_from(_EDITS))
-        if edit == "same_length":
-            line = line.replace(b"x", b"y") if b"x" in line else line.replace(b"y", b"x")
-        elif edit == "other_length":
-            line += b"z"
-        elif edit == "ragged":
-            line += d.encode()
-        elif edit == "drop":
-            continue
-        elif edit == "quote":
-            line = b'"' + line.replace(b'"', b'""') + b'"' if q == 1 else b'"q"' + line[line.index(d.encode()):]
-        elif edit == "bare_cr":
-            line = line[:1] + b"\r" + line[1:]
-        elif edit == "not_utf8":
-            line += b"\xff"
-        released.append(line)
-    released += [d.join(draw(values)).encode() for _ in range(draw(st.integers(0, 3)))]
-    spelling = draw(st.sampled_from(["same", "renamed", "quoted", "spaced"]))
+    original = [microdata._BOM * bom + d.join(names).encode()] + lines
+    spelling = draw(st.sampled_from(["same", "same", "quoted", "spaced", "renamed", "reordered"]))
+    order = list(range(q))
+    if spelling == "reordered":
+        order = order[::-1]
+    header = [names[j] for j in order]
     if spelling == "renamed":
-        header = header.replace(b"A0", b"B0")
-    elif spelling == "quoted":
-        header = d.join(f'"{name}"' for name in names).encode()
+        header[draw(st.integers(0, q - 1))] = "B"
+    head = d.join(header).encode()
+    if spelling == "quoted":
+        head = d.join(f'"{name}"' for name in header).encode()
     elif spelling == "spaced":
-        header = d.join(f" {name} " for name in names).encode()
-    bom ^= draw(st.booleans())
-    terminator = draw(st.sampled_from([b"\n", b"\r\n"]))
-    head_end = draw(st.sampled_from([terminator, b"\n", b"\r\n", b"\r"]))
-    return d, original, microdata._BOM * bom + header + head_end + text(released, terminator, draw(st.booleans()))
+        head = d.join(f" {name} " for name in header).encode()
+    released = [microdata._BOM * (bom ^ draw(st.booleans())) + head]
+    for row, line in zip(rows, lines):
+        edit = draw(st.sampled_from(_RELEASE_EDITS))
+        if edit == "drop":
+            continue
+        if edit == "insert":
+            released.append(render(record(), order))
+        if edit in ("vital", "other"):
+            row = list(row)
+            j = 1 if edit == "vital" else draw(st.sampled_from([0] + [2] * (q > 2)))
+            row[j] = draw(cells[j])
+        released.append(line if edit == "keep" and order == list(range(q)) else render(row, order))
+    released += [render(record(), order) for _ in range(draw(st.integers(0, 2)))]
+    texts = [original, released]
+    faulty = draw(st.sampled_from([None, None, 0, 1]))
+    if faulty is not None:
+        body = texts[faulty]
+        at = draw(st.integers(1, len(body) - 1))
+        if draw(st.booleans()):
+            body[at] += d.encode() + b"z"
+        elif b'"' not in body[at]:
+            body[at] += b"\xff"
+    spec = AttributeSpec(
+        vital_attributes=("A1",), vital_combinations=(("v",),) + (("é",),) * draw(st.booleans()),
+        parameter_attribute="A0", parameter_values=("x", "y"),
+        denominator_filter=("A2", ("x", "", "é")) if q > 2 and draw(st.booleans()) else None,
+    )
+    joined = []
+    for body in texts:
+        head_end = draw(st.sampled_from([terminator, b"\n", b"\r\n", b"\r"]))
+        joined.append(body[0] + head_end + terminator.join(body[1:]) + terminator * draw(st.booleans()))
+    return d, spec, joined[0], joined[1], faulty
 
 
-@settings(max_examples=300, deadline=None)
-@given(delta_cases(), st.sampled_from([2, 3, 1 << 15]))
-def test_delta_read_equals_full_read(case, chunk_rows):
-    d, original, released = case
-    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows):
-        like = load_microfile(io.BytesIO(original), delimiter=d)
-        delta = _load_or_error(released, d, like)
-        full = _load_or_error(released, d)
-    if isinstance(full, str):
-        assert delta == full
-        return
-    assert not isinstance(delta, str), delta
-    assert delta.attributes == full.attributes
-    written = []
-    for mf in (delta, full):
-        buffer = io.BytesIO()
-        write_microfile(mf, buffer)
-        written.append(buffer.getvalue())
-    assert written == [released, released]
-    assert delta.header == full.header
-    np.testing.assert_array_equal(delta.lengths, full.lengths)
-    assert delta.lengths.dtype == full.lengths.dtype
-    assert records(delta) == records(full)
-    assert_codes_in_order(delta.vocabularies)
-    assert_codes_in_order(full.vocabularies)
-    assert delta.parsed <= full.parsed == len(full)
-    if len(delta) != len(like) or delta.attributes != like.attributes:
-        assert delta.parsed == full.parsed
-        return
-    # However the header spells the names, the release keeps like's codes,
-    # and only the records whose bytes changed are parsed.
-    for vocabulary, old in zip(delta.vocabularies, like.vocabularies):
-        assert list(vocabulary)[: len(old)] == list(old)
-    changed = sum(new != old for new, old in zip(cut(delta, released)[1], cut(like, original)[1]))
-    assert delta.parsed == changed
-    assert (delta.lengths is like.lengths) == np.array_equal(delta.lengths, like.lengths)
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(release_pairs(), st.sampled_from([1, 2, 3, 1 << 13]), st.sampled_from([1, 3, 8, 13, 64, 1 << 18]))
+def test_delta_read_equals_full_read(tmp_path, case, chunk_rows, block_bytes):
+    # verify reads the original and the release once each, in step, and
+    # tokenizes only the release records that differ from the original's;
+    # at every chunk and block size its rows and sizes are what csv finds
+    # reading each text whole, and a fault names its text.
+    d, spec, original, released, faulty = case
+    paths = [tmp_path / "input.csv", tmp_path / "output.csv"]
+    for path, data in zip(paths, (original, released)):
+        path.write_bytes(data)
+    config = RunConfig(input=paths[0], output=paths[1], spec=spec, delimiter=d)
+    names = tuple(map(str, paths))
+    try:
+        expected = ref.reference_verify(original, released, spec, d, names)
+    except MicrofileError as exc:
+        expected = str(exc)
+    with mock.patch.object(microdata, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(microdata, "_BLOCK_BYTES", block_bytes):
+        try:
+            status, report = run_verify(config)
+        except MicrofileError as exc:
+            # With a fault in the original, the release may hold its faulty
+            # record too, at another position, which the pass may reach first.
+            faults = [f"{name}: {_csv_or_error(data, d)}" for name, data in zip(names, (original, released))]
+            assert str(exc) == expected or faulty == 0 and str(exc) in faults, str(exc)
+            return
+    assert not isinstance(expected, str), expected
+    filters = filter_by_name("db2")
+    before, after = (np.divide(n, m) for n, m in zip(expected["numerators"], expected["denominators"]))
+    extended, meta = extend_to_even(before, "left")
+    mean_tol, detail_tol = rounding_tolerances(np.array(expected["denominators"][0]), filters, 1)
+    rows, _ = verify_outcome(extended, extend_to_even(after, "left")[0], filters, 1, meta,
+                             mean_tol=mean_tol, detail_tol=detail_tol)
+    n, m = expected["records"]
+    moved = sum(a != b for a, b in zip(*expected["denominators"]))
+    for name, count in [("record_count_unchanged", abs(n - m)), ("non_vital_cells_unchanged", expected["altered"]),
+                        ("denominators_unchanged", moved)]:
+        rows[name] = check_row(count, 0, count == 0)
+    assert report["checks"] == rows
+    assert status == (0 if all(row["passed"] for row in rows.values()) else 2)
+    assert report["sizes"] == {"records": n, "categories": 2, "extended_length": 2, "level": 1,
+                               "records_changed": expected["changed"], "records_reparsed": expected["reparsed"]}
 
 
 _DELTA_ORIGINAL = "REG,JOB,SEX\nA,X,1\nA,Z,2\nB,Z,1\nB,X,2\n"
+_DELTA_SPEC = AttributeSpec(vital_attributes=("JOB",), vital_combinations=(("X",),), parameter_attribute="REG",
+                            parameter_values=("A", "B"))
 
 
-def test_delta_read_parses_only_changed_records():
-    like = load_microfile(io.StringIO(_DELTA_ORIGINAL))
-    released = load_microfile(io.StringIO("REG,JOB,SEX\nA,X,1\nA,Y,2\nB,ZZ,1\nB,X,2\n"), like=like)
-    assert released.parsed == 2
-    assert records(released) == [("A", "X", "1"), ("A", "Y", "2"), ("B", "ZZ", "1"), ("B", "X", "2")]
-    # Unchanged records keep the original's codes; new values join the end.
-    assert list(released.vocabularies[1])[: len(like.vocabularies[1])] == list(like.vocabularies[1])
-    np.testing.assert_array_equal(released.codes[1][[0, 3]], like.codes[1][[0, 3]])
+def _delta_check(tmp_path, original, released, spec=_DELTA_SPEC):
+    """:func:`microdata.check_release` of the texts ``original`` and ``released``, written to files."""
+    paths = [tmp_path / "original.csv", tmp_path / "release.csv"]
+    for path, text in zip(paths, (original, released)):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return microdata.check_release(*paths, spec)
 
 
-def test_delta_read_of_another_record_count_parses_every_record():
-    # A release with a record appended is parsed in full (verify then fails
-    # on record_count_unchanged), and equals a full load.
-    like = load_microfile(io.StringIO(_DELTA_ORIGINAL))
-    text = _DELTA_ORIGINAL + "C,W,1\n"
-    released = load_microfile(io.StringIO(text), like=like)
-    full = load_microfile(io.StringIO(text))
-    assert released.parsed == full.parsed == 5
-    assert records(released) == records(full) == [("A", "X", "1"), ("A", "Z", "2"), ("B", "Z", "1"),
-                                                   ("B", "X", "2"), ("C", "W", "1")]
+def test_delta_read_parses_only_changed_records(tmp_path):
+    found = _delta_check(tmp_path, _DELTA_ORIGINAL, "REG,JOB,SEX\nA,X,1\nA,Y,2\nB,ZZ,1\nB,X,2\n")
+    assert (found.tokenized, found.changed, found.altered) == (2, 2, 0)
+    assert found.before.numerators.tolist() == found.after.numerators.tolist() == [1, 1]
+    # A record that differs only in its bytes is tokenized, and changes no cell.
+    found = _delta_check(tmp_path, _DELTA_ORIGINAL, _DELTA_ORIGINAL.replace("B,Z,1\n", '"B",Z,1\n'))
+    assert (found.tokenized, found.changed, found.altered) == (1, 0, 0)
 
 
-def test_delta_read_error_names_line_in_released_file():
+def test_delta_read_error_names_line_in_released_file(tmp_path):
     original = "".join(["REG,JOB,SEX\n"] + [f"A,X,{i}\n" for i in range(6)])
-    like = load_microfile(io.StringIO(original))
-    released = original.replace("A,X,4\n", "A,X\n")
-    with pytest.raises(MicrofileError, match="^line 6 has 2 fields, expected 3$"):
-        load_microfile(io.StringIO(released), like=like)
-    broken = original.encode().replace(b"A,X,3\n", b"A,\xff,3\n")
-    with pytest.raises(MicrofileError, match="^line 5 is not UTF-8 text"):
-        load_microfile(io.BytesIO(broken), like=like)
-
-
-# The columns whose code array and whose vocabulary the delta read copies.
-@pytest.mark.parametrize("edit, copied", [
-    ({b"R1,X,1": b"R1,Y,1"}, {"codes": {1}, "vocabularies": {1}}),  # a vital cell only
-    ({b"R1,X,1": b"R1,Y,1", b"R2,Z,2": b"R2,Z,1"},  # and a non-vital one, to a known value
-     {"codes": {1, 2}, "vocabularies": {1}}),
-    ({b"R0,X,2\n": b"R0,X,2\r\n"}, {"codes": set(), "vocabularies": set()}),  # the same cells
-    ({b"R1,X,1": b"R1,Z,1"}, {"codes": {1}, "vocabularies": set()}),  # a vital cell, to a known value
-])
-def test_delta_read_shares_columns_it_did_not_change(monkeypatch, edit, copied):
-    monkeypatch.setattr(microdata, "_CHUNK_ROWS", 4)
-    original_text = b"REG,JOB,SEX\n" + b"".join(
-        b"R%d,%s,%d\n" % (i % 3, b"XZ"[i % 2 : i % 2 + 1], i % 4 // 2 + 1) for i in range(18)
-    )
-    released_text = original_text
-    for old, new in edit.items():
-        assert old in released_text
-        released_text = released_text.replace(old, new)
-    original = load_microfile(io.BytesIO(original_text))
-    snapshot = [column.copy() for column in original.codes]
-    vocabularies = [list(vocabulary.items()) for vocabulary in original.vocabularies]
-    released = load_microfile(io.BytesIO(released_text), like=original)
-    full = load_microfile(io.BytesIO(released_text))
-    assert 0 < released.parsed < len(released)
-    for before, column in zip(snapshot, original.codes):
-        np.testing.assert_array_equal(column, before)
-    assert [list(vocabulary.items()) for vocabulary in original.vocabularies] == vocabularies
-    assert {j for j in range(3) if released.codes[j] is not original.codes[j]} == copied["codes"]
-    assert {
-        j for j in range(3) if released.vocabularies[j] is not original.vocabularies[j]
-    } == copied["vocabularies"]
-    assert records(released) == records(full)
-
-
-def test_delta_read_ignores_an_edited_like():
-    mf = make_microfile(SMALL_ROWS)
-    rewritten = rewrite_microfile(mf, small_spec(), [2, 1], [1, 3], seed=1)
-    again = load_microfile(io.StringIO(microfile_text(mf)), like=rewritten)
-    assert again.parsed == len(mf)
-    assert records(again) == SMALL_ROWS
+    spec = replace(_DELTA_SPEC, parameter_values=("A",))
+    release = re.escape(str(tmp_path / "release.csv"))
+    with pytest.raises(MicrofileError, match=f"^{release}: line 6 has 2 fields, expected 3$"):
+        _delta_check(tmp_path, original, original.replace("A,X,4\n", "A,X\n"), spec)
+    with pytest.raises(MicrofileError, match=f"^{release}: line 5 is not UTF-8 text"):
+        _delta_check(tmp_path, original, original.encode().replace(b"A,X,3\n", b"A,\xff,3\n"), spec)
 
 
 # ----------------------------------------------------------------- re-reads
@@ -1530,18 +1496,6 @@ def test_a_source_changed_between_reads_fails_and_leaves_no_file(tmp_path, monke
     with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
         write_microfile(mf, release)
     assert [p.name for p in tmp_path.rglob("*")] == ["in.csv", "out"]
-
-
-def test_delta_load_against_a_changed_original_fails(tmp_path):
-    # verify loads the original, then reads the release against it.
-    path = _small_source(tmp_path)
-    original = load_microfile(path)
-    release = tmp_path / "out.csv"
-    write_microfile(rewrite_microfile(original, small_spec(), [8, 4], [4, 12], seed=2), release)
-    assert load_microfile(release, like=original).parsed == 12
-    flip_byte(path, path.stat().st_size - 2)
-    with pytest.raises(MicrofileError, match=f"^{re.escape(str(path.resolve()))} changed"):
-        load_microfile(release, like=original)
 
 
 def test_write_over_its_own_source_equals_a_write_elsewhere(tmp_path, monkeypatch):
